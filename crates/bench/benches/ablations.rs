@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmhpc_core::cluster::MemoryMix;
 use dmhpc_core::config::RestartStrategy;
-use dmhpc_core::policy::PolicyKind;
-use dmhpc_core::sim::Simulation;
+use dmhpc_core::policy::PolicySpec;
+use dmhpc_core::sim::SimBuilder;
 use dmhpc_experiments::exp::ablations;
 use dmhpc_experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc_experiments::Scale;
@@ -41,7 +41,8 @@ fn bench_restart_strategies(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    Simulation::new(system.clone(), workload.clone(), PolicyKind::Dynamic)
+                    SimBuilder::new(system.clone(), workload.clone())
+                        .policy(PolicySpec::Dynamic)
                         .run()
                         .stats
                         .oom_kills,
@@ -61,7 +62,8 @@ fn bench_update_intervals(c: &mut Criterion) {
         g.bench_function(format!("{secs:.0}s"), |b| {
             b.iter(|| {
                 black_box(
-                    Simulation::new(system.clone(), workload.clone(), PolicyKind::Dynamic)
+                    SimBuilder::new(system.clone(), workload.clone())
+                        .policy(PolicySpec::Dynamic)
                         .run()
                         .stats
                         .throughput_jps,

@@ -3,12 +3,12 @@
 //! kernels.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dmhpc_core::cluster::{Cluster, MemoryMix};
+use dmhpc_core::cluster::{Cluster, JobAlloc, MemoryMix};
 use dmhpc_core::config::SystemConfig;
 use dmhpc_core::engine::{EventKind, EventQueue, SimTime};
 use dmhpc_core::job::JobId;
-use dmhpc_core::policy::{try_place, PolicyKind};
-use dmhpc_core::sim::{SchedPassBench, Simulation};
+use dmhpc_core::policy::{place_spread_with, PlacementScratch, PolicySpec};
+use dmhpc_core::sim::{SchedPassBench, SimBuilder};
 use dmhpc_experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc_experiments::Scale;
 use dmhpc_metrics::ecdf::Ecdf;
@@ -37,13 +37,18 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// Static-policy placement with throwaway scratch.
+fn place(cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
+    place_spread_with(cluster, nodes, request_mb, &mut PlacementScratch::new())
+}
+
 fn busy_cluster(nodes: u32) -> Cluster {
     let cfg = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::half_large());
     let mut c = Cluster::from_config(&cfg);
     // Occupy 70% of nodes with 48 GB jobs.
     let mut id = 0u32;
     for _ in 0..(nodes * 7 / 10) {
-        if let Some(alloc) = try_place(&c, PolicyKind::Static, 1, 48 * 1024) {
+        if let Some(alloc) = place(&c, 1, 48 * 1024) {
             c.start_job(JobId(id), alloc, 4.0);
             id += 1;
         }
@@ -55,11 +60,11 @@ fn bench_placement(c: &mut Criterion) {
     let mut g = c.benchmark_group("placement");
     for &nodes in &[256u32, 1024] {
         let cluster = busy_cluster(nodes);
-        g.bench_function(format!("try_place_local_{nodes}"), |b| {
-            b.iter(|| black_box(try_place(&cluster, PolicyKind::Static, 4, 16 * 1024)))
+        g.bench_function(format!("place_local_{nodes}"), |b| {
+            b.iter(|| black_box(place(&cluster, 4, 16 * 1024)))
         });
-        g.bench_function(format!("try_place_borrowing_{nodes}"), |b| {
-            b.iter(|| black_box(try_place(&cluster, PolicyKind::Static, 4, 100 * 1024)))
+        g.bench_function(format!("place_borrowing_{nodes}"), |b| {
+            b.iter(|| black_box(place(&cluster, 4, 100 * 1024)))
         });
     }
     g.finish();
@@ -89,7 +94,7 @@ fn bench_ledger(c: &mut Criterion) {
     let mut g = c.benchmark_group("ledger");
     g.bench_function("start_finish_roundtrip_1024", |b| {
         let cluster = busy_cluster(1024);
-        let alloc = try_place(&cluster, PolicyKind::Static, 8, 100 * 1024).expect("fits");
+        let alloc = place(&cluster, 8, 100 * 1024).expect("fits");
         b.iter_batched(
             || cluster.clone(),
             |mut cl| {
@@ -109,11 +114,16 @@ fn bench_simulation(c: &mut Criterion) {
     g.sample_size(10);
     let system = synthetic_system(Scale::Small, MemoryMix::half_large());
     let workload = synthetic_workload(Scale::Small, 0.5, 0.6, 42);
-    for policy in PolicyKind::ALL {
+    for policy in [
+        PolicySpec::Baseline,
+        PolicySpec::Static,
+        PolicySpec::Dynamic,
+    ] {
         g.bench_function(format!("end_to_end_{policy}"), |b| {
             b.iter(|| {
                 black_box(
-                    Simulation::new(system.clone(), workload.clone(), policy)
+                    SimBuilder::new(system.clone(), workload.clone())
+                        .policy(policy)
                         .run()
                         .stats
                         .completed,

@@ -4,7 +4,6 @@
 
 use super::{Cluster, NodeId};
 use crate::job::JobId;
-use serde::{Deserialize, Serialize};
 
 /// Checked ledger addition: MB counters must never wrap, even under
 /// fault-driven churn (crash evacuation, degrade/restore cycles).
@@ -23,7 +22,7 @@ pub(super) fn mb_sub(a: u64, b: u64) -> u64 {
 }
 
 /// The memory allocation of one running job: one entry per compute node.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobAlloc {
     /// Per-compute-node allocation entries.
     pub entries: Vec<AllocEntry>,
@@ -31,7 +30,7 @@ pub struct JobAlloc {
 
 /// Allocation on a single compute node: a local slice plus zero or more
 /// remote slices borrowed from lender nodes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AllocEntry {
     /// The compute node the job runs on.
     pub node: NodeId,

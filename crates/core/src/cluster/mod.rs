@@ -49,7 +49,7 @@ pub mod topology;
 
 pub use alloc::{AllocEntry, JobAlloc};
 pub use node::{MemoryMix, Node, NodeId};
-pub use topology::{Topology, TopologyInfo, TopologySpec, CROSS_RACK_WEIGHT};
+pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
 use indexes::{index_insert, index_remove};

@@ -1,14 +1,12 @@
 //! Node-level types: ids, the normal/large capacity mix, and one node's
 //! memory ledger.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node in the cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// The normal/large node capacity split of a simulated system (Table 4).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemoryMix {
     /// Capacity of a normal node in MB.
     pub normal_mb: u64,
@@ -98,7 +96,7 @@ impl MemoryMix {
 }
 
 /// One node's ledger.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// DRAM capacity in MB.
     pub capacity_mb: u64,

@@ -34,7 +34,6 @@
 
 use crate::error::CoreError;
 use crate::spec::{SpecInfo, SpecRegistry};
-use serde::{Deserialize, Serialize};
 
 /// Price multiplier applied to cross-rack borrowed megabytes when
 /// computing the effective remote fraction
@@ -44,14 +43,10 @@ use serde::{Deserialize, Serialize};
 /// [`Cluster::priced_remote_fraction`]: crate::cluster::Cluster::priced_remote_fraction
 pub const CROSS_RACK_WEIGHT: f64 = 2.0;
 
-/// A registry row: everything the CLI needs to list a topology (the
-/// shared [`SpecInfo`] shape under its historical name).
-pub type TopologyInfo = SpecInfo;
-
 /// A fully-parameterized topology selection: how the cluster's nodes
 /// partition into fabric domains. Parses from and prints to the spec
 /// grammar in the module docs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum TopologySpec {
     /// One fabric domain holding every node (the pre-topology model).
     #[default]
@@ -67,14 +62,14 @@ pub enum TopologySpec {
 }
 
 /// Every topology the simulator ships, in presentation order.
-const REGISTRY: [TopologyInfo; 2] = [
-    TopologyInfo {
+const REGISTRY: [SpecInfo; 2] = [
+    SpecInfo {
         name: "flat",
         params: "",
         default_spec: "flat",
         description: "one fabric domain, uniform borrowing cost (the paper's model)",
     },
-    TopologyInfo {
+    SpecInfo {
         name: "racks",
         params: "size=<N>,cross_cap=<frac>",
         default_spec: "racks:size=16,cross_cap=1",
@@ -95,7 +90,7 @@ impl TopologySpec {
     /// Every shipped topology: name, parameter grammar, defaults, and a
     /// one-line description. The order is the presentation order used
     /// by sweeps and charts.
-    pub fn registry() -> &'static [TopologyInfo] {
+    pub fn registry() -> &'static [SpecInfo] {
         Self::spec_registry()
     }
 

@@ -3,11 +3,10 @@
 use crate::cluster::{MemoryMix, TopologySpec};
 use crate::error::CoreError;
 use crate::faults::FaultConfig;
-use serde::{Deserialize, Serialize};
 
 /// How jobs that run out of memory under the dynamic policy are handled
 /// (paper §2.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RestartStrategy {
     /// Fail/Restart: the job is killed and resubmitted from scratch. The
     /// paper finds OOM is rare (<1% of jobs in the most extreme scenario)
@@ -22,7 +21,7 @@ pub enum RestartStrategy {
 /// Fairness mitigation for jobs that fail repeatedly under the dynamic
 /// policy (paper §2.2: "the resource manager can take several actions to
 /// ensure fairness").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OomMitigation {
     /// No mitigation: resubmitted jobs join the tail of the queue (the
     /// paper's evaluated configuration — OOM kills are rare).
@@ -46,7 +45,7 @@ pub enum OomMitigation {
 
 /// Complete description of a simulated system (Table 4) plus the policy
 /// tunables of §2.2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Total number of nodes (1024 synthetic / 1490 Grizzly).
     pub nodes: u32,
@@ -85,9 +84,7 @@ pub struct SystemConfig {
     /// (fault-free runs are bit-identical to pre-fault-model builds).
     pub faults: FaultConfig,
     /// Fabric topology; flat by default (flat runs are bit-identical to
-    /// pre-topology builds). `serde(default)` keeps configs serialized
-    /// before the topology layer loading cleanly.
-    #[serde(default)]
+    /// pre-topology builds).
     pub topology: TopologySpec,
 }
 

@@ -30,7 +30,6 @@ use crate::cluster::NodeId;
 use crate::engine::SimTime;
 use crate::error::CoreError;
 use dmhpc_model::rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// Per-node crash streams are keyed off this base so they are
 /// independent of each other and of the pool-degradation stream.
@@ -41,7 +40,7 @@ const STREAM_POOL_DEGRADE: u64 = 0xDE64_AB1E;
 /// Fault-injection rates and repair times. All rates default to zero
 /// (no faults); [`FaultConfig::enabled`] reports whether any class is
 /// active.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the fault schedule and the sample-loss/actuation streams.
     /// Independent of the simulation seed so fault scenarios can be

@@ -4,10 +4,9 @@
 
 use crate::error::CoreError;
 use dmhpc_model::ProfileId;
-use serde::{Deserialize, Serialize};
 
 /// Unique job identifier within a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
 
 impl std::fmt::Display for JobId {
@@ -40,7 +39,7 @@ impl std::fmt::Display for JobId {
 /// // The Decider provisions the max over the coming window:
 /// assert_eq!(t.max_in(0.4, 0.6), 4096);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemoryUsageTrace {
     points: Vec<(f64, u64)>,
 }
@@ -186,7 +185,7 @@ impl MemoryUsageTrace {
 }
 
 /// A job as the resource manager sees it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Job {
     /// Identifier, unique within the workload.
     pub id: JobId,

@@ -35,8 +35,8 @@
 //! use dmhpc_core::cluster::MemoryMix;
 //! use dmhpc_core::config::SystemConfig;
 //! use dmhpc_core::job::{Job, JobId, MemoryUsageTrace};
-//! use dmhpc_core::policy::PolicyKind;
-//! use dmhpc_core::sim::{Simulation, Workload};
+//! use dmhpc_core::policy::PolicySpec;
+//! use dmhpc_core::sim::{SimBuilder, Workload};
 //! use dmhpc_model::{ProfileId, ProfilePool};
 //!
 //! let cfg = SystemConfig::with_nodes(4)
@@ -52,7 +52,9 @@
 //!     profile: ProfileId(0),
 //! };
 //! let workload = Workload::try_new(vec![job], ProfilePool::synthetic(8, 1)).unwrap();
-//! let outcome = Simulation::new(cfg, workload, PolicyKind::Dynamic).run();
+//! let outcome = SimBuilder::new(cfg, workload)
+//!     .policy(PolicySpec::Dynamic)
+//!     .run();
 //! assert_eq!(outcome.stats.completed, 1);
 //! ```
 
@@ -81,7 +83,7 @@ pub use engine::SimTime;
 pub use error::CoreError;
 pub use faults::{FaultConfig, FaultEvent, FaultSchedule};
 pub use job::{Job, JobId, MemoryUsageTrace};
-pub use policy::{PolicyInfo, PolicyKind, PolicySpec};
+pub use policy::PolicySpec;
 pub use sim::{JobOutcome, JobRecord, SimBuilder, Simulation, SimulationOutcome, Stats, Workload};
 pub use spec::{SpecInfo, SpecRegistry};
 pub use telemetry::{Phase, Profile, Sample, Telemetry, TelemetryCollector, TelemetrySpec};

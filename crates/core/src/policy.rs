@@ -13,11 +13,10 @@
 //!   remote; shrinking releases remote memory first.
 //!
 //! Three extensions beyond the paper's comparison live in submodules
-//! behind the same [`MemoryPolicy`] trait — [`predictive`] (class-
-//! history sizing), [`overcommit`] (admission at a scaled request), and
-//! [`conservative`] (quantized growth). The parameterized construction
-//! API over all six is [`PolicySpec`]; [`PolicyKind`] remains as a thin
-//! compatibility enum for the paper's three.
+//! behind the same [`MemoryPolicy`](crate::sim::MemoryPolicy) trait —
+//! [`predictive`] (class-history sizing), [`overcommit`] (admission at
+//! a scaled request), and [`conservative`] (quantized growth). The
+//! parameterized construction API over all six is [`PolicySpec`].
 //!
 //! Placement functions are pure with respect to the cluster (they only
 //! read); the simulation applies the returned [`JobAlloc`] through
@@ -27,14 +26,11 @@
 //! ([`Cluster::schedulable_by_free_asc`] and friends), so a successful
 //! phase-1 placement costs O(log N + n) instead of an O(N log N) scan
 //! and sort. The original full-scan implementation is kept as
-//! [`try_place_reference`] / [`plan_growth_reference`]: property tests
-//! assert the two agree exactly, and the benchmark harness measures the
-//! speedup between them.
+//! [`place_exclusive_reference`] / [`place_spread_reference`] /
+//! [`plan_growth_reference`]: property tests assert the two agree
+//! exactly, and the benchmark harness measures the speedup between them.
 
 use crate::cluster::{AllocEntry, Cluster, JobAlloc, NodeId};
-use crate::error::CoreError;
-use crate::sim::hooks::{Baseline, DynamicAlloc, MemoryPolicy, StaticAlloc};
-use serde::{Deserialize, Serialize};
 
 pub mod conservative;
 pub mod overcommit;
@@ -44,11 +40,11 @@ pub mod spec;
 pub use conservative::ConservativeGrowth;
 pub use overcommit::Overcommit;
 pub use predictive::Predictive;
-pub use spec::{PolicyInfo, PolicySpec};
+pub use spec::PolicySpec;
 
-/// Reusable buffers for [`try_place_with`]; owning one across calls makes
-/// the placement hot path allocation-free apart from the returned
-/// [`JobAlloc`] itself.
+/// Reusable buffers for [`place_exclusive_with`] / [`place_spread_with`];
+/// owning one across calls makes the placement hot path allocation-free
+/// apart from the returned [`JobAlloc`] itself.
 #[derive(Clone, Debug, Default)]
 pub struct PlacementScratch {
     /// Baseline candidate list as `(capacity, id)`.
@@ -65,125 +61,6 @@ impl PlacementScratch {
     /// Empty scratch; buffers grow to steady state on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// The paper's three allocation policies, as a closed config enum.
-///
-/// Kept as a thin compatibility alias for code that only sweeps the
-/// paper's comparison; the open-ended construction API — including the
-/// predictive/overcommit/conservative extensions and their parameters
-/// — is [`PolicySpec`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PolicyKind {
-    /// Exclusive node memory, no disaggregation.
-    Baseline,
-    /// Disaggregated memory, fixed allocation at the requested size.
-    Static,
-    /// Disaggregated memory, allocation follows actual usage.
-    Dynamic,
-}
-
-impl PolicyKind {
-    /// All three policies, in the paper's presentation order.
-    pub const ALL: [PolicyKind; 3] = [
-        PolicyKind::Baseline,
-        PolicyKind::Static,
-        PolicyKind::Dynamic,
-    ];
-
-    /// Whether the policy uses the disaggregated memory pool.
-    pub fn disaggregated(self) -> bool {
-        !matches!(self, PolicyKind::Baseline)
-    }
-
-    /// Display name as used in the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Baseline => "Baseline (no disaggregated memory)",
-            PolicyKind::Static => "Static disaggregated memory",
-            PolicyKind::Dynamic => "Dynamic disaggregated memory",
-        }
-    }
-
-    /// Resolve the config/CLI enum into the behavior object the
-    /// simulation runs: the matching [`MemoryPolicy`] implementation
-    /// from [`crate::sim::hooks`]. This is the only place the enum maps
-    /// to behavior — the runner itself never branches on the kind.
-    pub fn build(self) -> Box<dyn MemoryPolicy> {
-        match self {
-            PolicyKind::Baseline => Box::new(Baseline),
-            PolicyKind::Static => Box::new(StaticAlloc),
-            PolicyKind::Dynamic => Box::new(DynamicAlloc),
-        }
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = CoreError;
-
-    /// Parse one of the paper's policy names (`baseline`, `static`,
-    /// `dynamic`). The error enumerates the full [`PolicySpec`]
-    /// registry, since callers that reach this parser usually meant one
-    /// of those specs.
-    fn from_str(s: &str) -> Result<Self, CoreError> {
-        match s {
-            "baseline" => Ok(PolicyKind::Baseline),
-            "static" => Ok(PolicyKind::Static),
-            "dynamic" => Ok(PolicyKind::Dynamic),
-            other => Err(CoreError::invalid_config(format!(
-                "unknown policy '{other}' (known policies: {})",
-                PolicySpec::known_names()
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            PolicyKind::Baseline => "baseline",
-            PolicyKind::Static => "static",
-            PolicyKind::Dynamic => "dynamic",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Try to place a job needing `nodes` nodes with `request_mb` per node
-/// under the given policy. Returns the allocation to apply, or `None` if
-/// the job cannot start right now.
-///
-/// Convenience wrapper over [`try_place_with`] with throwaway scratch;
-/// hot paths should hold a [`PlacementScratch`] and call that directly.
-pub fn try_place(
-    cluster: &Cluster,
-    kind: PolicyKind,
-    nodes: u32,
-    request_mb: u64,
-) -> Option<JobAlloc> {
-    let mut scratch = PlacementScratch::new();
-    try_place_with(cluster, kind, nodes, request_mb, &mut scratch)
-}
-
-/// Index-backed placement: identical results to [`try_place_reference`],
-/// computed from the cluster's persistent free-memory indexes without
-/// scanning or sorting the node table. Dispatches on the config enum;
-/// the per-policy entry points ([`place_exclusive_with`],
-/// [`place_spread_with`]) are what the [`MemoryPolicy`] implementations
-/// call directly.
-pub fn try_place_with(
-    cluster: &Cluster,
-    kind: PolicyKind,
-    nodes: u32,
-    request_mb: u64,
-    scratch: &mut PlacementScratch,
-) -> Option<JobAlloc> {
-    match kind {
-        PolicyKind::Baseline => place_exclusive_with(cluster, nodes, request_mb, scratch),
-        PolicyKind::Static | PolicyKind::Dynamic => {
-            place_spread_with(cluster, nodes, request_mb, scratch)
-        }
     }
 }
 
@@ -379,23 +256,6 @@ fn place_spread_racked(
         });
     }
     Some(JobAlloc { entries })
-}
-
-/// The original full-scan placement: collects and sorts the schedulable
-/// and lender sets per call. Retained as the oracle for equivalence
-/// tests and as the baseline the benchmarks compare against.
-pub fn try_place_reference(
-    cluster: &Cluster,
-    kind: PolicyKind,
-    nodes: u32,
-    request_mb: u64,
-) -> Option<JobAlloc> {
-    match kind {
-        PolicyKind::Baseline => place_exclusive_reference(cluster, nodes, request_mb),
-        PolicyKind::Static | PolicyKind::Dynamic => {
-            place_spread_reference(cluster, nodes, request_mb)
-        }
-    }
 }
 
 /// Schedulable nodes (idle and within the lend cap) as `(free, id)`,
@@ -751,13 +611,6 @@ pub fn plan_growth_reference(
     }
 }
 
-/// Whether a job could ever be placed on an *empty* cluster under the
-/// policy — used to flag unschedulable jobs ("missing bars" in Figs. 5
-/// and 8: not enough large-memory nodes to run all jobs).
-pub fn feasible_on_empty(cluster: &Cluster, kind: PolicyKind, nodes: u32, request_mb: u64) -> bool {
-    try_place(cluster, kind, nodes, request_mb).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,11 +620,19 @@ mod tests {
         Cluster::new(vec![2000, 1000, 2000, 1000], 0.5)
     }
 
+    fn exclusive(c: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
+        place_exclusive_with(c, nodes, request_mb, &mut PlacementScratch::new())
+    }
+
+    fn spread(c: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
+        place_spread_with(c, nodes, request_mb, &mut PlacementScratch::new())
+    }
+
     #[test]
     fn baseline_needs_full_capacity() {
         let c = mixed_cluster();
         // 1500 MB fits only the two 2000-capacity nodes.
-        let a = try_place(&c, PolicyKind::Baseline, 2, 1500).unwrap();
+        let a = exclusive(&c, 2, 1500).unwrap();
         let ids: Vec<u32> = a.entries.iter().map(|e| e.node.0).collect();
         assert_eq!(ids, vec![0, 2]);
         // Full node allocated (exclusive access).
@@ -780,13 +641,13 @@ mod tests {
             .iter()
             .all(|e| e.local_mb == 2000 && e.remote.is_empty()));
         // Three such nodes don't exist.
-        assert!(try_place(&c, PolicyKind::Baseline, 3, 1500).is_none());
+        assert!(exclusive(&c, 3, 1500).is_none());
     }
 
     #[test]
     fn baseline_best_fit_prefers_small_nodes() {
         let c = mixed_cluster();
-        let a = try_place(&c, PolicyKind::Baseline, 2, 800).unwrap();
+        let a = exclusive(&c, 2, 800).unwrap();
         let ids: Vec<u32> = a.entries.iter().map(|e| e.node.0).collect();
         assert_eq!(ids, vec![1, 3], "small jobs should use normal nodes");
     }
@@ -794,7 +655,7 @@ mod tests {
     #[test]
     fn static_local_when_possible() {
         let c = mixed_cluster();
-        let a = try_place(&c, PolicyKind::Static, 2, 900).unwrap();
+        let a = spread(&c, 2, 900).unwrap();
         // Best fit: the 1000-MB nodes take it, fully local.
         let ids: Vec<u32> = a.entries.iter().map(|e| e.node.0).collect();
         assert_eq!(ids, vec![1, 3]);
@@ -809,7 +670,7 @@ mod tests {
         let c = mixed_cluster();
         // 1500/node on 3 nodes: two 2000-nodes fit locally; third entry on a
         // 1000-node borrows 500.
-        let a = try_place(&c, PolicyKind::Static, 3, 1500).unwrap();
+        let a = spread(&c, 3, 1500).unwrap();
         assert_eq!(a.total_mb(), 4500);
         let borrowed: u64 = a.remote_mb();
         assert_eq!(borrowed, 500);
@@ -825,28 +686,28 @@ mod tests {
     fn static_fails_when_pool_exhausted() {
         let c = mixed_cluster();
         // 4 nodes × 2500 MB = 10000 > total 6000.
-        assert!(try_place(&c, PolicyKind::Static, 4, 2500).is_none());
+        assert!(spread(&c, 4, 2500).is_none());
     }
 
     #[test]
     fn static_can_exceed_node_capacity_via_borrowing() {
         let c = mixed_cluster();
         // A 1-node job needing 2500 (> any node) borrows 500.
-        let a = try_place(&c, PolicyKind::Static, 1, 2500).unwrap();
+        let a = spread(&c, 1, 2500).unwrap();
         assert_eq!(a.entries[0].local_mb, 2000);
         assert_eq!(a.remote_mb(), 500);
         // Baseline cannot run it at all.
-        assert!(try_place(&c, PolicyKind::Baseline, 1, 2500).is_none());
+        assert!(exclusive(&c, 1, 2500).is_none());
     }
 
     #[test]
     fn placement_respects_busy_nodes() {
         let mut c = mixed_cluster();
-        let a = try_place(&c, PolicyKind::Static, 2, 1800).unwrap();
+        let a = spread(&c, 2, 1800).unwrap();
         c.start_job(JobId(1), a, 1.0);
         // The two large nodes are busy; a second large-memory job needs
         // borrowing from... remaining free: nodes 1,3 (1000 each) + 2×200.
-        let b = try_place(&c, PolicyKind::Static, 2, 1200);
+        let b = spread(&c, 2, 1200);
         let b = b.expect("should borrow to fit");
         assert_eq!(b.total_mb(), 2400);
         assert!(b.remote_mb() > 0);
@@ -865,12 +726,12 @@ mod tests {
         };
         c.start_job(JobId(1), alloc, 1.0);
         // Node 1 (memory node) must not be selected as compute.
-        let a = try_place(&c, PolicyKind::Static, 1, 500).unwrap();
+        let a = spread(&c, 1, 500).unwrap();
         assert_eq!(a.entries[0].node, NodeId(2));
         // Only node 2 is schedulable; a 2-node job must fail.
-        assert!(try_place(&c, PolicyKind::Static, 2, 100).is_none());
+        assert!(spread(&c, 2, 100).is_none());
         // But node 1 can still lend its remaining 400.
-        let b = try_place(&c, PolicyKind::Static, 1, 1400).unwrap();
+        let b = spread(&c, 1, 1400).unwrap();
         assert!(b.remote_mb() >= 400);
     }
 
@@ -921,24 +782,6 @@ mod tests {
         // Only 100 MB free in the whole system.
         assert!(plan_growth(&c, NodeId(0), &[NodeId(0)], 200).is_none());
         assert!(plan_growth(&c, NodeId(0), &[NodeId(0)], 100).is_some());
-    }
-
-    #[test]
-    fn feasibility_matches_empty_cluster_placement() {
-        let c = mixed_cluster();
-        assert!(feasible_on_empty(&c, PolicyKind::Baseline, 2, 2000));
-        assert!(!feasible_on_empty(&c, PolicyKind::Baseline, 2, 2001));
-        assert!(feasible_on_empty(&c, PolicyKind::Static, 2, 2001));
-        assert!(!feasible_on_empty(&c, PolicyKind::Static, 5, 100));
-    }
-
-    #[test]
-    fn policy_labels() {
-        assert!(PolicyKind::Baseline.label().contains("Baseline"));
-        assert!(!PolicyKind::Baseline.disaggregated());
-        assert!(PolicyKind::Dynamic.disaggregated());
-        assert_eq!(PolicyKind::Dynamic.to_string(), "dynamic");
-        assert_eq!(PolicyKind::ALL.len(), 3);
     }
 
     use crate::job::JobId;

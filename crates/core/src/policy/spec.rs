@@ -1,13 +1,11 @@
 //! The parameterized policy-construction API.
 //!
-//! [`PolicySpec`] is the open-ended successor to the closed
-//! [`PolicyKind`] enum: every policy the
-//! simulator ships is named in one [`registry`](PolicySpec::registry),
+//! [`PolicySpec`] is the single policy enum: every policy the simulator
+//! ships is named in one [`registry`](PolicySpec::registry),
 //! parameterized specs round-trip through strings
 //! (`overcommit:factor=0.8`, `conservative:quantum=4096`), and
 //! [`build`](PolicySpec::build) resolves a spec into the boxed
-//! [`MemoryPolicy`] that [`Simulation::from_policy`] runs — the single
-//! construction path.
+//! [`MemoryPolicy`] that [`SimBuilder::policy`] installs.
 //!
 //! # Grammar
 //!
@@ -23,19 +21,14 @@
 //! continuation, and the error vocabulary all come from the shared
 //! [`SpecRegistry`] trait.
 //!
-//! [`Simulation::from_policy`]: crate::sim::Simulation::from_policy
+//! [`SimBuilder::policy`]: crate::sim::SimBuilder::policy
 
 use crate::error::CoreError;
 use crate::policy::conservative::ConservativeGrowth;
 use crate::policy::overcommit::Overcommit;
 use crate::policy::predictive::Predictive;
-use crate::policy::PolicyKind;
 use crate::sim::hooks::{Baseline, DynamicAlloc, MemoryPolicy, StaticAlloc};
 use crate::spec::{SpecInfo, SpecRegistry};
-
-/// A registry row: everything the CLI needs to list a policy (the
-/// shared [`SpecInfo`] shape under its historical name).
-pub type PolicyInfo = SpecInfo;
 
 /// A fully-parameterized policy selection: which allocation scheme a
 /// simulation runs, plus its parameters. Parses from and prints to the
@@ -70,38 +63,38 @@ pub enum PolicySpec {
 
 /// Every policy the simulator ships, in presentation order: the
 /// paper's three schemes first, then the extensions.
-const REGISTRY: [PolicyInfo; 6] = [
-    PolicyInfo {
+const REGISTRY: [SpecInfo; 6] = [
+    SpecInfo {
         name: "baseline",
         params: "",
         default_spec: "baseline",
         description: "exclusive node memory, no disaggregation",
     },
-    PolicyInfo {
+    SpecInfo {
         name: "static",
         params: "",
         default_spec: "static",
         description: "fixed disaggregated allocation at the requested size",
     },
-    PolicyInfo {
+    SpecInfo {
         name: "dynamic",
         params: "",
         default_spec: "dynamic",
         description: "allocation tracks actual usage (Monitor/Decider/Actuator loop)",
     },
-    PolicyInfo {
+    SpecInfo {
         name: "predictive",
         params: "history=on|off",
         default_spec: "predictive:history=on",
         description: "sizes allocations from the class's historical peak, growth-only Decider",
     },
-    PolicyInfo {
+    SpecInfo {
         name: "overcommit",
         params: "factor=<float>",
         default_spec: "overcommit:factor=0.8",
         description: "admits jobs at factor*request; the OOM ladder absorbs lost bets",
     },
-    PolicyInfo {
+    SpecInfo {
         name: "conservative",
         params: "quantum=<MB>",
         default_spec: "conservative:quantum=4096",
@@ -122,7 +115,7 @@ impl PolicySpec {
     /// Every shipped policy: name, parameter grammar, defaults, and a
     /// one-line description. The order is the presentation order used
     /// by sweeps and charts.
-    pub fn registry() -> &'static [PolicyInfo] {
+    pub fn registry() -> &'static [SpecInfo] {
         Self::spec_registry()
     }
 
@@ -171,8 +164,8 @@ impl PolicySpec {
     }
 
     /// Resolve the spec into the behavior object the simulation runs.
-    /// This and [`PolicyKind::build`] are the only places a name maps
-    /// to behavior — the runner itself never branches on the spec.
+    /// This is the only place a name maps to behavior — the runner
+    /// itself never branches on the spec.
     pub fn build(self) -> Box<dyn MemoryPolicy> {
         match self {
             PolicySpec::Baseline => Box::new(Baseline),
@@ -309,16 +302,6 @@ impl std::fmt::Display for PolicySpec {
     }
 }
 
-impl From<PolicyKind> for PolicySpec {
-    fn from(kind: PolicyKind) -> Self {
-        match kind {
-            PolicyKind::Baseline => PolicySpec::Baseline,
-            PolicyKind::Static => PolicySpec::Static,
-            PolicyKind::Dynamic => PolicySpec::Dynamic,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +369,9 @@ mod tests {
         assert!("dynamic:factor=2".parse::<PolicySpec>().is_err());
         assert!("overcommit:quantum=4".parse::<PolicySpec>().is_err());
         assert!("overcommit:factor".parse::<PolicySpec>().is_err());
+        // Names are case-sensitive: the CLI passes values verbatim.
+        assert!("Dynamic".parse::<PolicySpec>().is_err());
+        assert!("".parse::<PolicySpec>().is_err());
     }
 
     #[test]
@@ -416,20 +402,10 @@ mod tests {
             assert_eq!(spec.name(), info.name);
             assert_eq!(spec.to_string(), info.default_spec);
         }
-        // The paper's three lead, as PolicyKind compatibility requires.
+        // The paper's three lead: fig5 normalises by the first three.
         assert_eq!(all[0], PolicySpec::Baseline);
         assert_eq!(all[1], PolicySpec::Static);
         assert_eq!(all[2], PolicySpec::Dynamic);
-    }
-
-    #[test]
-    fn kind_converts_to_spec() {
-        for kind in PolicyKind::ALL {
-            let spec = PolicySpec::from(kind);
-            assert_eq!(spec.name(), kind.to_string());
-            assert_eq!(spec.disaggregated(), kind.disaggregated());
-            assert_eq!(spec.label(), kind.label());
-        }
     }
 
     #[test]
@@ -437,5 +413,8 @@ mod tests {
         for spec in PolicySpec::all_default() {
             assert_eq!(spec.build().name(), spec.name());
         }
+        assert!(!PolicySpec::Baseline.disaggregated());
+        assert!(PolicySpec::Dynamic.disaggregated());
+        assert!(PolicySpec::Baseline.label().contains("Baseline"));
     }
 }

@@ -5,8 +5,9 @@ use crate::job::{Job, JobId};
 use dmhpc_model::rng::Rng64;
 use dmhpc_model::ProfilePool;
 
+use super::builder::SimBuilder;
 use super::hooks::StaticAlloc;
-use super::runner::{Runner, Simulation};
+use super::runner::Runner;
 use super::state::{Status, Workload};
 
 /// Benchmark fixture for the scheduling pass, used by the
@@ -61,9 +62,11 @@ impl SchedPassBench {
         }
         let workload =
             Workload::try_new(jobs, ProfilePool::synthetic(4, 1)).expect("fixture ids are dense");
-        let sim = Simulation::from_policy(cfg, workload, Box::new(StaticAlloc))
-            .with_seed(seed)
-            .with_reference_scheduler(reference);
+        let sim = SimBuilder::new(cfg, workload)
+            .policy_impl(Box::new(StaticAlloc))
+            .seed(seed)
+            .reference_scheduler(reference)
+            .build();
         let mut runner = Runner::new(sim);
         for i in 0..busy {
             let jid = JobId(i as u32);

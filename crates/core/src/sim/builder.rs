@@ -1,11 +1,10 @@
 //! The unified simulation-construction API.
 //!
-//! [`SimBuilder`] replaces the historical two-constructor +
-//! `with_*`-chain sprawl on [`Simulation`] with one fluent path that
-//! speaks the spec registries directly: policies arrive as
-//! [`PolicySpec`] and topologies as [`TopologySpec`], so a CLI string
-//! parses straight into a configured run with no intermediate enum
-//! plumbing at the call site.
+//! [`SimBuilder`] is the only way to configure a [`Simulation`]: one
+//! fluent path that speaks the spec registries directly. Policies
+//! arrive as [`PolicySpec`] (or, for custom and test policies, as a
+//! boxed [`MemoryPolicy`]) and topologies as [`TopologySpec`], so a CLI
+//! string parses straight into a configured run.
 //!
 //! ```
 //! use dmhpc_core::config::SystemConfig;
@@ -31,18 +30,11 @@
 //!     .build()
 //!     .run();
 //! ```
-//!
-//! `Simulation::new` / `Simulation::from_policy` remain as thin shims
-//! over the builder, and every `with_*` method keeps working on the
-//! built [`Simulation`] — the builder is the construction surface, not
-//! a behavior change. A builder-built run is bit-identical to a
-//! shim-built run with the same settings (proven by the
-//! `builder_matches_legacy_constructors` golden in `tests/fast_path.rs`).
 
 use crate::cluster::TopologySpec;
 use crate::config::SystemConfig;
 use crate::faults::{FaultConfig, FaultSchedule};
-use crate::policy::{PolicyKind, PolicySpec};
+use crate::policy::PolicySpec;
 use crate::telemetry::TelemetryCollector;
 use crate::trace::{NullSink, TraceSink};
 use std::sync::Arc;
@@ -55,9 +47,8 @@ use super::state::Workload;
 /// and a workload, layer on specs and switches, then [`build`] (or
 /// [`run`]) the configured simulation.
 ///
-/// Defaults match `Simulation::new(cfg, workload, PolicyKind::Dynamic)`:
-/// dynamic policy, seed `0x5EED`, restart cap 64, no tracing, no
-/// telemetry, generated fault schedule, production scheduler and
+/// Defaults: dynamic policy, seed `0x5EED`, restart cap 64, no tracing,
+/// no telemetry, generated fault schedule, production scheduler and
 /// dynloop fast path.
 ///
 /// [`build`]: SimBuilder::build
@@ -100,16 +91,9 @@ impl SimBuilder {
         self
     }
 
-    /// Select the memory policy by the closed paper-scheme enum
-    /// (compatibility with [`Simulation::new`] call sites).
-    pub fn policy_kind(mut self, kind: PolicyKind) -> Self {
-        self.sim.policy = kind.build();
-        self
-    }
-
-    /// Install an arbitrary [`MemoryPolicy`] implementation — custom
-    /// and test policies plug in here, exactly as they did through
-    /// `Simulation::from_policy`.
+    /// Install an arbitrary [`MemoryPolicy`] implementation — the
+    /// runner never needs to know which scheme it executes, so custom
+    /// and test policies plug in here.
     pub fn policy_impl(mut self, policy: Box<dyn MemoryPolicy>) -> Self {
         self.sim.policy = policy;
         self
@@ -130,7 +114,8 @@ impl SimBuilder {
     }
 
     /// Inject an explicit fault schedule instead of generating one from
-    /// the fault config; the Monitor-loss and Actuator-failure
+    /// the fault config. Used by tests that need a crash or degradation
+    /// at an exact instant; the Monitor-loss and Actuator-failure
     /// probabilities of the config still apply.
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
         self.sim.fault_schedule = Some(schedule);
@@ -149,31 +134,44 @@ impl SimBuilder {
         self
     }
 
-    /// Route placement through the full-scan reference scheduler (see
-    /// [`Simulation::with_reference_scheduler`]).
+    /// Route placement through the full-scan reference implementation
+    /// instead of the cluster indexes. Outcomes must be bit-identical
+    /// either way; this switch exists so tests can prove it and so the
+    /// benchmarks can measure the speedup.
     pub fn reference_scheduler(mut self, on: bool) -> Self {
         self.sim.reference_scheduler = on;
         self
     }
 
-    /// Route the dynamic-memory update loop through its full-scan /
-    /// always-decide reference twin (see
-    /// [`Simulation::with_reference_dynloop`]).
+    /// Route the dynamic-memory update loop through its pre-fast-path
+    /// reference twin: full-trace Monitor scans instead of the per-job
+    /// cursor, and the Decider on every update instead of the cached
+    /// hold fast path. Outcomes must be bit-identical either way; this
+    /// switch exists so the goldens can prove it and `bench-dynloop`
+    /// can measure the speedup.
     pub fn reference_dynloop(mut self, on: bool) -> Self {
         self.sim.reference_dynloop = on;
         self
     }
 
-    /// Attach a [`TraceSink`] receiving every structured trace event
-    /// (observation-only; see [`Simulation::with_trace_sink`]).
+    /// Attach a [`TraceSink`] that receives every structured
+    /// [`TraceEvent`](crate::trace::TraceEvent) the run emits. Tracing
+    /// is observation-only: the outcome is bit-identical with or
+    /// without a sink. The default is [`NullSink`], whose disabled
+    /// state the runner caches in one bool so the scheduling hot path
+    /// pays a single predictable branch.
     pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sim.sink = sink;
         self
     }
 
-    /// Attach a [`TelemetryCollector`] receiving the run's time series
-    /// and phase profile (observation-only; see
-    /// [`Simulation::with_telemetry`]).
+    /// Attach a [`TelemetryCollector`] that receives the run's gauge
+    /// time series and wall-clock phase profile. Telemetry is
+    /// observation-only and, like tracing, costs one cached-bool branch
+    /// per event when absent: the outcome is bit-identical with or
+    /// without a collector. The runner accumulates locally and flushes
+    /// into the collector once at finalize; keep a clone of the handle
+    /// and read [`TelemetryCollector::snapshot`] after the run.
     pub fn telemetry(mut self, collector: TelemetryCollector) -> Self {
         self.sim.telemetry = Some(collector);
         self

@@ -5,10 +5,10 @@
 //! the paper's Baseline / Static / Dynamic schemes goes through
 //! [`MemoryPolicy`] — placement, growth planning, the Decider
 //! comparison, whether a running job's allocation is actively managed,
-//! and the fallback-to-static fairness ladder. The config/CLI enum
-//! ([`crate::policy::PolicyKind`]) resolves to one of the
-//! implementations here via its `build` method and never reaches the
-//! runner itself.
+//! and the fallback-to-static fairness ladder. A
+//! [`PolicySpec`](crate::policy::PolicySpec) resolves to one of the
+//! implementations here (or to an extension under [`crate::policy`])
+//! via its `build` method and never reaches the runner itself.
 //!
 //! The Monitor→Decider→Actuator→Executor stages (§2.2, Fig. 1a) map
 //! onto this surface as follows: the Monitor stays a pure sampler

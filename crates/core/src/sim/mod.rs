@@ -26,8 +26,8 @@
 //!   branches.
 //! - `builder` — [`SimBuilder`], the unified construction surface:
 //!   policy/topology specs, fault config, switches, sinks.
-//! - [`runner`](self) — [`Simulation`] (configuration + legacy shims)
-//!   and the event loop that dispatches events to the layers below.
+//! - [`runner`](self) — [`Simulation`] (the built configuration) and
+//!   the event loop that dispatches events to the layers below.
 //! - `state` — [`Workload`], the per-job lifecycle state machine, and
 //!   the [`JobRecord`]s a run produces.
 //! - `schedule` — FCFS + EASY-backfill passes, job start-up, and the
@@ -45,7 +45,7 @@
 //!   benchmarks.
 //!
 //! Every subsystem also emits structured [`crate::trace::TraceEvent`]s
-//! through the sink attached with [`Simulation::with_trace_sink`];
+//! through the sink attached with [`SimBuilder::trace_sink`];
 //! with the default [`crate::trace::NullSink`] each emit point costs a
 //! single cached-bool branch.
 

@@ -10,7 +10,6 @@ use crate::config::SystemConfig;
 use crate::engine::{EventKind, EventQueue, SimTime};
 use crate::faults::{FaultConfig, FaultEvent, FaultSchedule};
 use crate::job::{Job, JobId};
-use crate::policy::PolicyKind;
 use crate::sched::PendingQueue;
 use dmhpc_model::rng::Rng64;
 use dmhpc_model::ContentionModel;
@@ -29,7 +28,8 @@ use super::stats::{Metrics, SimulationOutcome, Stats};
 /// realisations are independent of the scheduler jitter stream.
 const STREAM_SIM_FAULTS: u64 = 0xFA57_0001;
 
-/// A configured simulation, ready to run.
+/// A configured simulation, ready to run. Built by
+/// [`SimBuilder`](super::SimBuilder), the only construction path.
 #[derive(Clone, Debug)]
 pub struct Simulation {
     pub(crate) cfg: SystemConfig,
@@ -45,99 +45,6 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create a simulation of `workload` on `cfg` under the policy the
-    /// config enum resolves to.
-    ///
-    /// Thin shim over [`super::SimBuilder`], kept for the many existing
-    /// call sites; new code should prefer the builder.
-    ///
-    /// The workload is taken as `impl Into<Arc<Workload>>`: passing an
-    /// owned [`Workload`] moves it into a fresh `Arc`, while passing an
-    /// `Arc<Workload>` shares it — a sweep builds each workload once and
-    /// every point of the memory × policy grid reads the same jobs and
-    /// profile pool. Sharing is sound because the runner keeps all
-    /// mutable per-job state in `JobState`, never in the workload.
-    pub fn new(cfg: SystemConfig, workload: impl Into<Arc<Workload>>, policy: PolicyKind) -> Self {
-        Self::from_policy(cfg, workload, policy.build())
-    }
-
-    /// Create a simulation driven by an arbitrary [`MemoryPolicy`]
-    /// implementation — the runner never needs to know which scheme it
-    /// executes, so custom and test policies plug in here. Thin shim
-    /// over [`super::SimBuilder::policy_impl`].
-    pub fn from_policy(
-        cfg: SystemConfig,
-        workload: impl Into<Arc<Workload>>,
-        policy: Box<dyn MemoryPolicy>,
-    ) -> Self {
-        super::SimBuilder::new(cfg, workload)
-            .policy_impl(policy)
-            .build()
-    }
-
-    /// Override the seed for the memory-update jitter stream.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the OOM restart cap (dynamic policy fairness guard).
-    pub fn with_max_restarts(mut self, cap: u32) -> Self {
-        self.max_restarts = cap;
-        self
-    }
-
-    /// Route placement through the full-scan reference implementation
-    /// instead of the cluster indexes. Outcomes must be bit-identical
-    /// either way; this switch exists so tests can prove it and so the
-    /// benchmarks can measure the speedup.
-    pub fn with_reference_scheduler(mut self, on: bool) -> Self {
-        self.reference_scheduler = on;
-        self
-    }
-
-    /// Route the dynamic-memory update loop through its pre-fast-path
-    /// reference twin: full-trace Monitor scans instead of the per-job
-    /// cursor, and the Decider on every update instead of the cached
-    /// hold fast path. Outcomes must be bit-identical either way; this
-    /// switch exists so the goldens can prove it and `bench-dynloop`
-    /// can measure the speedup.
-    pub fn with_reference_dynloop(mut self, on: bool) -> Self {
-        self.reference_dynloop = on;
-        self
-    }
-
-    /// Attach a [`TraceSink`] that receives every structured
-    /// [`TraceEvent`] the run emits. Tracing is observation-only: the
-    /// outcome is bit-identical with or without a sink. The default is
-    /// [`NullSink`](crate::trace::NullSink), whose disabled state the runner caches in one bool
-    /// so the scheduling hot path pays a single predictable branch.
-    pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Attach a [`TelemetryCollector`] that receives the run's gauge
-    /// time series and wall-clock phase profile. Telemetry is
-    /// observation-only and, like tracing, costs one cached-bool branch
-    /// per event when absent: the outcome is bit-identical with or
-    /// without a collector. The runner accumulates locally and flushes
-    /// into the collector once at finalize; keep a clone of the handle
-    /// and read [`TelemetryCollector::snapshot`] after the run.
-    pub fn with_telemetry(mut self, collector: TelemetryCollector) -> Self {
-        self.telemetry = Some(collector);
-        self
-    }
-
-    /// Inject an explicit fault schedule instead of generating one from
-    /// `cfg.faults`. Used by tests that need a crash or degradation at
-    /// an exact instant; the Monitor-loss and Actuator-failure
-    /// probabilities of `cfg.faults` still apply.
-    pub fn with_fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.fault_schedule = Some(schedule);
-        self
-    }
-
     /// Run the simulation to completion.
     pub fn run(self) -> SimulationOutcome {
         Runner::new(self).run()
@@ -508,7 +415,7 @@ impl Runner {
 
     /// Place a job through the policy's indexed placement, or through
     /// its full-scan reference when the simulation was built with
-    /// [`Simulation::with_reference_scheduler`].
+    /// [`SimBuilder::reference_scheduler`](super::SimBuilder::reference_scheduler).
     pub(crate) fn place(&mut self, nodes: u32, req: u64) -> Option<JobAlloc> {
         if self.reference_scheduler {
             self.policy.place_reference(&self.cluster, nodes, req)

@@ -6,7 +6,6 @@ use crate::engine::SimTime;
 use crate::error::CoreError;
 use crate::job::{Job, JobId};
 use dmhpc_model::ProfilePool;
-use serde::{Deserialize, Serialize};
 
 /// A workload: the jobs to simulate plus the profile pool their slowdown
 /// model draws from. Jobs must be indexed by their [`JobId`]
@@ -55,7 +54,7 @@ impl Workload {
 }
 
 /// Why a job permanently failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailReason {
     /// Static/baseline policy: actual usage exceeded the request.
     ExceededRequest,
@@ -195,7 +194,7 @@ impl JobState {
 }
 
 /// How one job ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobOutcome {
     /// Ran to completion.
     Completed,
@@ -208,7 +207,7 @@ pub enum JobOutcome {
 }
 
 /// Per-job record of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobRecord {
     /// The job.
     pub id: JobId,

@@ -3,12 +3,11 @@
 
 use crate::cluster::Cluster;
 use crate::engine::SimTime;
-use serde::{Deserialize, Serialize};
 
 use super::state::JobRecord;
 
 /// Aggregate results of one simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
     /// Jobs in the workload.
     pub total_jobs: u32,
@@ -65,12 +64,10 @@ pub struct Stats {
     pub avg_pool_availability: f64,
     /// Time-weighted fraction of allocated memory that was borrowed
     /// (remote), over the makespan. Zero under the baseline policy.
-    #[serde(default)]
     pub avg_remote_fraction: f64,
     /// Time-weighted fraction of allocated memory borrowed across rack
     /// boundaries. Always zero on the flat topology — this is the
     /// quantity `cross_cap` prices.
-    #[serde(default)]
     pub avg_cross_rack_fraction: f64,
 }
 
@@ -104,7 +101,7 @@ impl Stats {
 }
 
 /// Everything a run produces: stats plus per-job timing distributions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimulationOutcome {
     /// Aggregate statistics.
     pub stats: Stats,

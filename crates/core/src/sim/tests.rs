@@ -2,8 +2,8 @@
 //! boxed [`MemoryPolicy`](super::hooks::MemoryPolicy) implementations
 //! so no test depends on the config-layer policy enum.
 
+use super::builder::SimBuilder;
 use super::hooks::{Baseline, DynamicAlloc, MemoryPolicy, StaticAlloc};
-use super::runner::Simulation;
 use super::state::Workload;
 use crate::cluster::MemoryMix;
 use crate::config::{RestartStrategy, SystemConfig};
@@ -35,10 +35,14 @@ fn workload(jobs: Vec<Job>) -> Workload {
     Workload::try_new(jobs, pool()).unwrap()
 }
 
+fn sim(cfg: SystemConfig, jobs: Vec<Job>, policy: Box<dyn MemoryPolicy>) -> SimBuilder {
+    SimBuilder::new(cfg, workload(jobs)).policy_impl(policy)
+}
+
 #[test]
 fn single_job_completes() {
     let jobs = vec![flat_job(0, 0.0, 2, 600.0, 500)];
-    let out = Simulation::from_policy(small_cfg(4), workload(jobs), Box::new(DynamicAlloc)).run();
+    let out = sim(small_cfg(4), jobs, Box::new(DynamicAlloc)).run();
     assert_eq!(out.stats.completed, 1);
     assert!(out.feasible);
     assert_eq!(out.stats.oom_kills, 0);
@@ -57,7 +61,7 @@ fn jobs_queue_when_cluster_full() {
         flat_job(2, 0.0, 1, 300.0, 500),
     ];
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(1000, 1000, 0.0));
-    let out = Simulation::from_policy(cfg, workload(jobs), Box::new(StaticAlloc)).run();
+    let out = sim(cfg, jobs, Box::new(StaticAlloc)).run();
     assert_eq!(out.stats.completed, 3);
     // Third job waits for a release: response > its runtime.
     let max_resp = out.response_times_s.iter().cloned().fold(0.0, f64::max);
@@ -67,7 +71,7 @@ fn jobs_queue_when_cluster_full() {
 #[test]
 fn baseline_rejects_oversized_jobs() {
     let jobs = vec![flat_job(0, 0.0, 1, 100.0, 5000)];
-    let out = Simulation::from_policy(small_cfg(4), workload(jobs), Box::new(Baseline)).run();
+    let out = sim(small_cfg(4), jobs, Box::new(Baseline)).run();
     assert_eq!(out.stats.completed, 0);
     assert_eq!(out.stats.unschedulable, 1);
     assert!(!out.feasible);
@@ -77,7 +81,7 @@ fn baseline_rejects_oversized_jobs() {
 fn disaggregated_runs_oversized_jobs() {
     // 3000 MB on one node: > any node, < total (4 nodes: 2×1000+2×2000).
     let jobs = vec![flat_job(0, 0.0, 1, 100.0, 3000)];
-    let out = Simulation::from_policy(small_cfg(4), workload(jobs), Box::new(StaticAlloc)).run();
+    let out = sim(small_cfg(4), jobs, Box::new(StaticAlloc)).run();
     assert_eq!(out.stats.completed, 1);
     assert!(out.feasible);
     // Borrowing slows the job: runtime stretched.
@@ -93,7 +97,7 @@ fn dynamic_reclaims_unused_memory() {
     let j1 = flat_job(1, 30.0, 1, 300.0, 1800);
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(2000, 2000, 0.0));
     let mk = |policy: Box<dyn MemoryPolicy>| {
-        Simulation::from_policy(cfg.clone(), workload(vec![j0.clone(), j1.clone()]), policy).run()
+        sim(cfg.clone(), vec![j0.clone(), j1.clone()], policy).run()
     };
     let stat = mk(Box::new(StaticAlloc));
     let dyn_ = mk(Box::new(DynamicAlloc));
@@ -113,7 +117,7 @@ fn dynamic_oom_restarts_job() {
     j0.usage = MemoryUsageTrace::new(vec![(0.0, 100), (0.5, 950)]).unwrap();
     let j1 = flat_job(1, 0.0, 1, 4000.0, 900);
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(1000, 1000, 0.0));
-    let out = Simulation::from_policy(cfg, workload(vec![j0, j1]), Box::new(DynamicAlloc)).run();
+    let out = sim(cfg, vec![j0, j1], Box::new(DynamicAlloc)).run();
     // Both eventually finish; j0 may restart if its growth collided
     // with j1's occupancy.
     assert_eq!(out.stats.completed, 2);
@@ -124,7 +128,7 @@ fn exceeded_request_kills_static_job() {
     // Usage (800) exceeds the request (500): static kills it.
     let mut j = flat_job(0, 0.0, 1, 600.0, 500);
     j.usage = MemoryUsageTrace::new(vec![(0.0, 300), (0.5, 800)]).unwrap();
-    let out = Simulation::from_policy(small_cfg(2), workload(vec![j]), Box::new(StaticAlloc)).run();
+    let out = sim(small_cfg(2), vec![j], Box::new(StaticAlloc)).run();
     assert_eq!(out.stats.completed, 0);
     assert_eq!(out.stats.failed_exceeded, 1);
 }
@@ -134,8 +138,7 @@ fn dynamic_tolerates_usage_above_request() {
     // Same job under dynamic: allocation follows usage, no kill.
     let mut j = flat_job(0, 0.0, 1, 600.0, 500);
     j.usage = MemoryUsageTrace::new(vec![(0.0, 300), (0.5, 800)]).unwrap();
-    let out =
-        Simulation::from_policy(small_cfg(2), workload(vec![j]), Box::new(DynamicAlloc)).run();
+    let out = sim(small_cfg(2), vec![j], Box::new(DynamicAlloc)).run();
     assert_eq!(out.stats.completed, 1);
     assert_eq!(out.stats.failed_exceeded, 0);
 }
@@ -146,8 +149,8 @@ fn deterministic_across_runs() {
         .map(|i| flat_job(i, i as f64 * 50.0, 1 + (i % 3), 400.0 + i as f64, 600))
         .collect();
     let mk = || {
-        Simulation::from_policy(small_cfg(6), workload(jobs.clone()), Box::new(DynamicAlloc))
-            .with_seed(7)
+        sim(small_cfg(6), jobs.clone(), Box::new(DynamicAlloc))
+            .seed(7)
             .run()
     };
     let a = mk();
@@ -160,7 +163,7 @@ fn deterministic_across_runs() {
 #[test]
 fn waits_and_responses_consistent() {
     let jobs = vec![flat_job(0, 100.0, 1, 300.0, 500)];
-    let out = Simulation::from_policy(small_cfg(2), workload(jobs), Box::new(StaticAlloc)).run();
+    let out = sim(small_cfg(2), jobs, Box::new(StaticAlloc)).run();
     assert_eq!(out.wait_times_s.len(), 1);
     assert_eq!(out.response_times_s.len(), 1);
     // Response ≥ wait + base runtime.
@@ -196,7 +199,7 @@ fn backfill_lets_small_jobs_jump_a_blocked_head() {
     let j1 = flat_job(1, 10.0, 2, 1000.0, 500);
     let j2 = flat_job(2, 20.0, 1, 600.0, 500); // limit 900 < j0 end
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(1000, 1000, 0.0));
-    let out = Simulation::from_policy(cfg, workload(vec![j0, j1, j2]), Box::new(StaticAlloc)).run();
+    let out = sim(cfg, vec![j0, j1, j2], Box::new(StaticAlloc)).run();
     assert_eq!(out.stats.completed, 3);
     // Job 2 must finish long before job 1 even though it was queued
     // behind it (EASY backfill), i.e. its response ≪ job 1's.
@@ -226,9 +229,9 @@ fn checkpoint_restart_wastes_less_work_than_fail_restart() {
         let cfg = SystemConfig::with_nodes(2)
             .with_memory_mix(MemoryMix::new(1000, 1000, 0.0))
             .with_restart(strat);
-        Simulation::from_policy(
+        sim(
             cfg,
-            workload(vec![grower.clone(), blocker.clone()]),
+            vec![grower.clone(), blocker.clone()],
             Box::new(DynamicAlloc),
         )
         .run()
@@ -253,7 +256,7 @@ fn utilization_accounting_bounds() {
     let jobs: Vec<Job> = (0..10)
         .map(|i| flat_job(i, i as f64 * 100.0, 1, 500.0, 400))
         .collect();
-    let out = Simulation::from_policy(small_cfg(4), workload(jobs), Box::new(StaticAlloc)).run();
+    let out = sim(small_cfg(4), jobs, Box::new(StaticAlloc)).run();
     assert!(out.stats.avg_node_utilization > 0.0);
     assert!(out.stats.avg_node_utilization <= 1.0);
     assert!(out.stats.avg_mem_utilization > 0.0);
@@ -271,8 +274,7 @@ fn stale_events_are_ignored_after_restart() {
     grower.usage = MemoryUsageTrace::new(vec![(0.0, 100), (0.5, 2000)]).unwrap();
     let blocker = flat_job(1, 0.0, 1, 20_000.0, 1900);
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(2000, 2000, 0.0));
-    let out =
-        Simulation::from_policy(cfg, workload(vec![grower, blocker]), Box::new(DynamicAlloc)).run();
+    let out = sim(cfg, vec![grower, blocker], Box::new(DynamicAlloc)).run();
     // Exactly two completions; total = completed regardless of the
     // number of restarts in between.
     assert_eq!(out.stats.completed, 2);
@@ -293,8 +295,8 @@ fn static_fallback_breaks_restart_loops() {
     let cfg = SystemConfig::with_nodes(2)
         .with_memory_mix(MemoryMix::new(1000, 1000, 0.0))
         .with_mitigation(OomMitigation::StaticFallback { after: 2 });
-    let out = Simulation::from_policy(cfg, workload(vec![grower, blocker]), Box::new(DynamicAlloc))
-        .with_max_restarts(50)
+    let out = sim(cfg, vec![grower, blocker], Box::new(DynamicAlloc))
+        .max_restarts(50)
         .run();
     assert_eq!(out.stats.completed, 1);
     assert_eq!(out.stats.oom_kills, 2, "fallback must stop the kills");
@@ -320,12 +322,7 @@ fn static_fallback_guarantees_adequate_requests() {
     let cfg = SystemConfig::with_nodes(3)
         .with_memory_mix(MemoryMix::new(1000, 1000, 0.0))
         .with_mitigation(OomMitigation::StaticFallback { after: 1 });
-    let out = Simulation::from_policy(
-        cfg,
-        workload(vec![grower, racer, third]),
-        Box::new(DynamicAlloc),
-    )
-    .run();
+    let out = sim(cfg, vec![grower, racer, third], Box::new(DynamicAlloc)).run();
     assert_eq!(out.stats.completed, 3, "everything completes eventually");
     assert_eq!(out.stats.failed_restarts, 0);
 }
@@ -345,11 +342,10 @@ fn priority_boost_requeues_at_head() {
     let cfg = SystemConfig::with_nodes(2)
         .with_memory_mix(MemoryMix::new(1000, 1000, 0.0))
         .with_mitigation(OomMitigation::PriorityBoost { after: 1 });
-    let boosted =
-        Simulation::from_policy(cfg.clone(), workload(jobs.clone()), Box::new(DynamicAlloc)).run();
-    let plain = Simulation::from_policy(
+    let boosted = sim(cfg.clone(), jobs.clone(), Box::new(DynamicAlloc)).run();
+    let plain = sim(
         cfg.with_mitigation(OomMitigation::None),
-        workload(jobs),
+        jobs,
         Box::new(DynamicAlloc),
     )
     .run();
@@ -375,8 +371,8 @@ fn max_restart_cap_fails_job_permanently() {
     grower.usage = MemoryUsageTrace::new(vec![(0.0, 100), (0.2, 1800)]).unwrap();
     let blocker = flat_job(1, 0.0, 1, 3_000_000.0, 1500);
     let cfg = SystemConfig::with_nodes(2).with_memory_mix(MemoryMix::new(1000, 1000, 0.0));
-    let out = Simulation::from_policy(cfg, workload(vec![grower, blocker]), Box::new(DynamicAlloc))
-        .with_max_restarts(3)
+    let out = sim(cfg, vec![grower, blocker], Box::new(DynamicAlloc))
+        .max_restarts(3)
         .run();
     assert_eq!(out.stats.completed, 1, "only the blocker completes");
     assert_eq!(out.stats.failed_restarts, 1);

@@ -28,7 +28,8 @@
 //!
 //! Exporters on [`Telemetry`]: Prometheus text exposition
 //! (textfile-collector compatible), CSV, and JSONL with fixed key
-//! order, all hand-rolled (the vendored `serde` is a marker stub).
+//! order, all hand-rolled (the workspace carries no serialization
+//! crate).
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -453,8 +454,7 @@ impl Telemetry {
     }
 
     /// Render the series as JSONL: one flat object per sample with a
-    /// fixed key order (hand-rolled; the vendored `serde` is a marker
-    /// stub). Deterministic for equal series.
+    /// fixed key order (hand-rolled). Deterministic for equal series.
     pub fn jsonl(&self) -> String {
         let samples = self.series.samples();
         let mut out = String::with_capacity(128 * samples.len());
@@ -485,7 +485,7 @@ impl Telemetry {
 }
 
 /// Shared handle collecting one run's telemetry. Clones share the
-/// accumulator: pass a clone to [`crate::sim::Simulation::with_telemetry`],
+/// accumulator: pass a clone to [`crate::sim::SimBuilder::telemetry`],
 /// keep one, and read [`TelemetryCollector::snapshot`] after the run.
 /// The runner accumulates locally and flushes once at finalize, so the
 /// event loop never touches the lock.

@@ -1,7 +1,7 @@
 //! The JSONL serialisation of the trace stream: a fixed-key-order
 //! writer, a minimal flat parser, and stream validation.
 //!
-//! Hand-rolled because the vendored `serde` is a marker stub: the writer
+//! Hand-rolled (the workspace carries no serialization crate): the writer
 //! emits flat objects with a fixed key order per kind, so equal runs
 //! produce byte-identical streams.
 
@@ -168,10 +168,10 @@ impl ParsedEvent {
 
 /// Parse one flat JSONL object produced by [`TraceEvent::to_jsonl`].
 ///
-/// This is a minimal hand-rolled parser (the vendored `serde` cannot
-/// deserialize): it accepts exactly the flat `{"key":value,…}` shape the
-/// writer emits, requires `t` and `kind`, and rejects everything else
-/// with a description of the offending byte.
+/// This is a minimal hand-rolled parser: it accepts exactly the flat
+/// `{"key":value,…}` shape the writer emits, requires `t` and `kind`,
+/// and rejects everything else with a description of the offending
+/// byte.
 ///
 /// # Errors
 /// Returns a human-readable description of the first syntax problem.

@@ -20,8 +20,8 @@
 //!   pool-utilisation time series).
 //! * [`FanoutSink`] — duplicates events to several sinks.
 //!
-//! The JSONL format is hand-rolled (the vendored `serde` is a marker
-//! stub): flat objects with a fixed key order per kind, so equal runs
+//! The JSONL format is hand-rolled (the workspace carries no
+//! serialization crate): flat objects with a fixed key order per kind, so equal runs
 //! produce byte-identical streams. [`parse_jsonl`] and
 //! [`validate_stream`] read the format back for filtering, diffing and
 //! CI validation.

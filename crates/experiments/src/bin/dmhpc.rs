@@ -238,7 +238,7 @@ fn cmd_chart(scale: Scale, threads: usize, opts: &OptMap) -> Result<(), Failure>
 fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
     use dmhpc_core::cluster::MemoryMix;
     use dmhpc_core::config::SystemConfig;
-    use dmhpc_core::sim::Simulation;
+    use dmhpc_core::sim::SimBuilder;
     let swf_path = opts.get("swf").ok_or("simulate requires --swf FILE")?;
     let swf_text = std::fs::read_to_string(swf_path).map_err(|e| format!("{swf_path}: {e}"))?;
     let usage_text = match opts.get("usage") {
@@ -265,9 +265,9 @@ fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
     ));
     let n_jobs = workload.len();
     let collector = telemetry_from_opts(opts)?.map(TelemetryCollector::new);
-    let mut sim = Simulation::from_policy(system, workload, policy.build());
+    let mut sim = SimBuilder::new(system, workload).policy(policy);
     if let Some(c) = &collector {
-        sim = sim.with_telemetry(c.clone());
+        sim = sim.telemetry(c.clone());
     }
     let out = sim.run();
     let mut t = TextTable::new(vec!["metric", "value"]);
@@ -742,7 +742,7 @@ fn run_traced(
     want_metrics: bool,
     telemetry: Option<&TelemetryCollector>,
 ) -> Result<(String, Option<dmhpc_core::RunMetrics>), String> {
-    use dmhpc_core::sim::Simulation;
+    use dmhpc_core::sim::SimBuilder;
     use dmhpc_core::{CountingSink, FanoutSink, JsonlSink, TraceSink};
     let (system, workload) = trace_scenario(scale, profile, fault_seed)?;
     let (jsonl, buf) = JsonlSink::buffered();
@@ -754,11 +754,12 @@ fn run_traced(
         ])),
         None => Box::new(jsonl.clone()),
     };
-    let mut sim = Simulation::from_policy(system, workload, policy.build())
-        .with_seed(seed)
-        .with_trace_sink(sink);
+    let mut sim = SimBuilder::new(system, workload)
+        .policy(policy)
+        .seed(seed)
+        .trace_sink(sink);
     if let Some(c) = telemetry {
-        sim = sim.with_telemetry(c.clone());
+        sim = sim.telemetry(c.clone());
     }
     sim.run();
     jsonl.flush().map_err(|e| format!("trace stream: {e}"))?;
@@ -849,7 +850,7 @@ fn report_diff(seed_a: u64, seed_b: u64, a: &str, b: &str) {
 /// seeds produce byte-identical export streams; the wall-clock profile
 /// never enters them).
 fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
-    use dmhpc_core::sim::Simulation;
+    use dmhpc_core::sim::SimBuilder;
     use dmhpc_experiments::scenario::BASE_SEED;
     let policy: PolicySpec = opts
         .get("policy")
@@ -872,9 +873,10 @@ fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
     let format = opts.get("format").map(String::as_str).unwrap_or("table");
     let (system, workload) = trace_scenario(scale, profile, fault_seed)?;
     let collector = TelemetryCollector::new(TelemetrySpec::with_interval(interval));
-    let out = Simulation::from_policy(system, workload, policy.build())
-        .with_seed(seed)
-        .with_telemetry(collector.clone())
+    let out = SimBuilder::new(system, workload)
+        .policy(policy)
+        .seed(seed)
+        .telemetry(collector.clone())
         .run();
     let telem = collector.snapshot();
     let rendered = match format {
@@ -1308,58 +1310,9 @@ fn main() {
 mod tests {
     use super::*;
     use dmhpc_core::faults::FaultConfig;
-    use dmhpc_core::policy::PolicyKind;
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
         parse_args_from(argv.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn policy_names_parse() {
-        assert_eq!(
-            "baseline".parse::<PolicyKind>().unwrap(),
-            PolicyKind::Baseline
-        );
-        assert_eq!("static".parse::<PolicyKind>().unwrap(), PolicyKind::Static);
-        assert_eq!(
-            "dynamic".parse::<PolicyKind>().unwrap(),
-            PolicyKind::Dynamic
-        );
-    }
-
-    #[test]
-    fn bad_policy_name_is_rejected_with_hint() {
-        let err = "greedy".parse::<PolicyKind>().unwrap_err().to_string();
-        assert!(err.contains("unknown policy 'greedy'"), "{err}");
-        // The hint enumerates the whole registry, not just the paper's
-        // three policies.
-        for name in [
-            "baseline",
-            "static",
-            "dynamic",
-            "predictive",
-            "overcommit",
-            "conservative",
-        ] {
-            assert!(err.contains(name), "hint missing '{name}': {err}");
-        }
-        // Case- and whitespace-sensitive: the CLI passes values verbatim.
-        assert!("Dynamic".parse::<PolicyKind>().is_err());
-        assert!(" dynamic".parse::<PolicyKind>().is_err());
-        assert!("".parse::<PolicyKind>().is_err());
-    }
-
-    #[test]
-    fn parsed_policy_builds_matching_boxed_impl() {
-        for (name, kind) in [
-            ("baseline", PolicyKind::Baseline),
-            ("static", PolicyKind::Static),
-            ("dynamic", PolicyKind::Dynamic),
-        ] {
-            let parsed: PolicyKind = name.parse().unwrap();
-            assert_eq!(parsed, kind);
-            assert_eq!(parsed.build().name(), name);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::scale::Scale;
 use dmhpc_core::cluster::MemoryMix;
 use dmhpc_core::config::SystemConfig;
 use dmhpc_core::policy::PolicySpec;
-use dmhpc_core::sim::{Simulation, SimulationOutcome, Workload};
+use dmhpc_core::sim::{SimBuilder, SimulationOutcome, Workload};
 use dmhpc_model::rng::Rng64;
 use dmhpc_traces::grizzly::GrizzlyDataset;
 use dmhpc_traces::workload::{grizzly_workload, WorkloadBuilder};
@@ -118,8 +118,7 @@ pub fn grizzly_rep_workload(
 
 /// One simulation point: run `workload` on `system` under the policy
 /// `spec` resolves to. [`PolicySpec`] accepts the paper's three
-/// policies plus the parameterized extensions; `PolicyKind` callers
-/// convert via `PolicySpec::from`.
+/// policies plus the parameterized extensions.
 ///
 /// The workload is `impl Into<Arc<Workload>>`: a sweep that simulates
 /// the same workload at many `(memory, policy)` points passes an
@@ -132,8 +131,9 @@ pub fn simulate(
     policy: PolicySpec,
     seed: u64,
 ) -> SimulationOutcome {
-    Simulation::from_policy(system, workload, policy.build())
-        .with_seed(seed)
+    SimBuilder::new(system, workload)
+        .policy(policy)
+        .seed(seed)
         .run()
 }
 
@@ -157,9 +157,10 @@ pub fn simulate_observed(
         None => (simulate(system, workload, policy, seed), Default::default()),
         Some(spec) => {
             let collector = dmhpc_core::telemetry::TelemetryCollector::new(spec);
-            let out = Simulation::from_policy(system, workload, policy.build())
-                .with_seed(seed)
-                .with_telemetry(collector.clone())
+            let out = SimBuilder::new(system, workload)
+                .policy(policy)
+                .seed(seed)
+                .telemetry(collector.clone())
                 .run();
             (out, collector.snapshot().profile)
         }

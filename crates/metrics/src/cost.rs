@@ -5,10 +5,8 @@
 //! storage; figures from Ogunshile's small-scale HPC cloud analysis).
 //! Figure 7 plots throughput (jobs/s) divided by this cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Component costs of a simulated system.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Dollars per node, excluding memory.
     pub per_node_usd: f64,

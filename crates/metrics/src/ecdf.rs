@@ -5,8 +5,6 @@
 //! policy). The implementation keeps the sorted sample so evaluation and
 //! quantiles are exact, not binned.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over a set of `f64` samples.
 ///
 /// Construction sorts the samples once; evaluation and quantiles are
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e.median(), 20.0);
 /// assert_eq!(e.quantile(0.95), 40.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -4,10 +4,8 @@
 //! per-node memory usage (y, 5 bins) against job size in nodes (x, 8
 //! bins), with each cell labelled by the percentage of jobs it holds.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D histogram over explicit bin edges, reporting percentages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Heatmap2D {
     x_edges: Vec<f64>,
     y_edges: Vec<f64>,

@@ -1,11 +1,9 @@
 //! Five-number summaries (Table 3) and binned percentage distributions
 //! (Table 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Min, quartiles, median and max of a sample — the row format of the
 /// paper's Table 3 ("Normal and large memory job characteristics").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FiveNumber {
     /// Smallest sample.
     pub min: f64,

@@ -17,11 +17,10 @@
 //! the right first-order composition.
 
 use crate::profile::AppProfile;
-use serde::{Deserialize, Serialize};
 
 /// Remote-access situation of one job at one instant, as seen by the
 /// simulator's memory ledger.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RemoteAccess {
     /// Fraction of the job's allocated memory that is remote, in `[0, 1]`.
     pub remote_fraction: f64,
@@ -53,7 +52,7 @@ impl RemoteAccess {
 /// let half = model.slowdown(profile, RemoteAccess { remote_fraction: 0.5, pressure: 0.5 });
 /// assert!(half >= quarter && quarter >= 1.0);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ContentionModel {
     /// Capacity of one node's remote-memory link in GB/s. The Grizzly-era
     /// interconnect (Intel Omni-Path, 100 Gb/s) gives 12.5 GB/s per

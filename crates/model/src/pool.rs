@@ -20,11 +20,10 @@
 use crate::profile::{AppProfile, ProfileId};
 use crate::rng::Rng64;
 use crate::sensitivity::SensitivityCurve;
-use serde::{Deserialize, Serialize};
 
 /// A pool of application profiles plus cached normalisation constants for
 /// nearest-neighbour matching.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProfilePool {
     profiles: Vec<AppProfile>,
     node_scale: f64,

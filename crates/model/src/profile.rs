@@ -7,15 +7,14 @@
 //! jobs to profiled applications (Fig. 3 steps 2–3).
 
 use crate::sensitivity::SensitivityCurve;
-use serde::{Deserialize, Serialize};
 
 /// Index of a profile inside its [`crate::ProfilePool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProfileId(pub u32);
 
 /// A profiled application: everything the contention model and the trace
 /// matching pipeline need to know about one workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppProfile {
     /// Stable identifier within the pool.
     pub id: ProfileId,

@@ -1,17 +1,15 @@
 //! Deterministic, version-stable pseudo-random number generation.
 //!
 //! Simulation experiments must be bit-reproducible across machines and
-//! across upgrades of the `rand` crate, whose `StdRng` algorithm is
-//! explicitly unstable. This module implements **xoshiro256\*\*** (Blackman
-//! & Vigna, 2018) seeded through **SplitMix64**, and plugs it into the
-//! `rand` ecosystem by implementing [`rand::RngCore`], so all of `rand`'s
-//! distribution adaptors work on top of it.
+//! library upgrades, so the generator is implemented here rather than
+//! borrowed from a crate whose algorithm may change. This module
+//! implements **xoshiro256\*\*** (Blackman & Vigna, 2018) seeded
+//! through **SplitMix64**, plus the handful of distributions the
+//! simulator draws from.
 //!
 //! Streams: [`Rng64::stream`] derives an independent generator from a base
 //! seed and a stream index, so each job / module / week can draw from its
 //! own decorrelated sequence without coordination.
-
-use rand::RngCore;
 
 /// SplitMix64 step; used for seeding and for cheap stream derivation.
 #[inline]
@@ -174,35 +172,6 @@ impl Rng64 {
     }
 }
 
-impl RngCore for Rng64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let w = self.next().to_le_bytes();
-            rem.copy_from_slice(&w[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,14 +316,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_remainder_path() {
-        let mut r = Rng64::new(37);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // Overwhelmingly unlikely to be all zeros.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

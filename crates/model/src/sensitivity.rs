@@ -10,8 +10,6 @@
 //! Curves are piecewise-linear and monotonically non-decreasing, matching
 //! how the original model was fitted from measured co-location runs.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone piecewise-linear map from bandwidth pressure to slowdown.
 ///
 /// Invariants (enforced by [`SensitivityCurve::new`]):
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// first slowdown applies, beyond the last point the curve continues with
 /// the slope of its final segment (an oversubscribed link degrades roughly
 /// linearly in queueing delay).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SensitivityCurve {
     points: Vec<(f64, f64)>,
 }

@@ -232,8 +232,8 @@ mod tests {
     #[test]
     fn full_text_roundtrip_through_simulator() {
         use dmhpc_core::config::SystemConfig;
-        use dmhpc_core::policy::PolicyKind;
-        use dmhpc_core::sim::Simulation;
+        use dmhpc_core::policy::PolicySpec;
+        use dmhpc_core::sim::SimBuilder;
         // Export a generated workload, reimport it, and simulate.
         let system = SystemConfig::with_nodes(16);
         let original = crate::workload::WorkloadBuilder::new(9)
@@ -260,7 +260,9 @@ mod tests {
             assert!(a.mem_request_mb <= b.mem_request_mb);
             assert!(a.mem_request_mb + 32 > b.mem_request_mb);
         }
-        let out = Simulation::new(system, imported, PolicyKind::Dynamic).run();
+        let out = SimBuilder::new(system, imported)
+            .policy(PolicySpec::Dynamic)
+            .run();
         assert_eq!(out.stats.completed, 30);
     }
 }

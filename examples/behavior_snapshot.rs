@@ -14,21 +14,26 @@
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::config::RestartStrategy;
 use dmhpc::core::faults::FaultConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::Simulation;
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::SimBuilder;
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
 
 fn main() {
     let mix = MemoryMix::new(4096, 16384, 0.5);
-    for policy in PolicyKind::ALL {
+    for policy in [
+        PolicySpec::Baseline,
+        PolicySpec::Static,
+        PolicySpec::Dynamic,
+    ] {
         for seed in [0xD15A_66E6u64, 0xBEEF, 7] {
             for reference in [false, true] {
                 let cfg = synthetic_system(Scale::Small, mix);
                 let workload = synthetic_workload(Scale::Small, 0.5, 1.2, seed);
-                let out = Simulation::new(cfg, workload, policy)
-                    .with_seed(seed)
-                    .with_reference_scheduler(reference)
+                let out = SimBuilder::new(cfg, workload)
+                    .policy(policy)
+                    .seed(seed)
+                    .reference_scheduler(reference)
                     .run();
                 println!("== {policy} seed={seed:#x} reference={reference}");
                 println!("{out:?}");
@@ -46,8 +51,9 @@ fn main() {
                     .with_faults(faults.with_seed(0xFA117))
                     .with_restart(strategy);
                 let workload = synthetic_workload(Scale::Small, 0.5, 1.2, 0xFADE);
-                let out = Simulation::new(cfg, workload, policy)
-                    .with_seed(0xFADE)
+                let out = SimBuilder::new(cfg, workload)
+                    .policy(policy)
+                    .seed(0xFADE)
                     .run();
                 println!("== {policy} faults={name} restart={strategy:?}");
                 println!("{out:?}");

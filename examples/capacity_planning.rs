@@ -13,8 +13,8 @@
 
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::config::SystemConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::Simulation;
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::SimBuilder;
 use dmhpc::metrics::cost::CostModel;
 use dmhpc::traces::workload::WorkloadBuilder;
 
@@ -39,7 +39,8 @@ fn main() {
         .overestimation(0.0)
         .build_for(&SystemConfig::with_nodes(nodes));
     let full = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::all_large());
-    let ref_jps = Simulation::new(full, exact, PolicyKind::Baseline)
+    let ref_jps = SimBuilder::new(full, exact)
+        .policy(PolicySpec::Baseline)
         .run()
         .stats
         .throughput_jps;
@@ -54,11 +55,13 @@ fn main() {
         let system = SystemConfig::with_nodes(nodes).with_memory_mix(mix);
         let usd = cost.system_cost_usd(nodes, system.total_memory_mb());
         let mut norms = [0.0f64; 2];
-        for (i, policy) in [PolicyKind::Static, PolicyKind::Dynamic]
+        for (i, policy) in [PolicySpec::Static, PolicySpec::Dynamic]
             .into_iter()
             .enumerate()
         {
-            let out = Simulation::new(system.clone(), workload.clone(), policy).run();
+            let out = SimBuilder::new(system.clone(), workload.clone())
+                .policy(policy)
+                .run();
             norms[i] = if out.feasible {
                 out.stats.throughput_jps / ref_jps
             } else {

@@ -13,8 +13,8 @@
 
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::config::SystemConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::Simulation;
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::SimBuilder;
 use dmhpc::metrics::ecdf::Ecdf;
 use dmhpc::traces::workload::WorkloadBuilder;
 
@@ -36,8 +36,10 @@ fn main() {
             .overestimation(over)
             .build_for(&system);
         let mut cells = Vec::new();
-        for policy in [PolicyKind::Static, PolicyKind::Dynamic] {
-            let out = Simulation::new(system.clone(), workload.clone(), policy).run();
+        for policy in [PolicySpec::Static, PolicySpec::Dynamic] {
+            let out = SimBuilder::new(system.clone(), workload.clone())
+                .policy(policy)
+                .run();
             let med = Ecdf::new(out.response_times_s.clone())
                 .map(|e| e.median())
                 .unwrap_or(f64::NAN);

@@ -37,11 +37,13 @@ fn main() {
         "policy", "completed", "tput(j/h)", "median_rt(s)", "mem_util", "oom_kills"
     );
     for policy in [
-        PolicyKind::Baseline,
-        PolicyKind::Static,
-        PolicyKind::Dynamic,
+        PolicySpec::Baseline,
+        PolicySpec::Static,
+        PolicySpec::Dynamic,
     ] {
-        let out = Simulation::new(system.clone(), workload.clone(), policy).run();
+        let out = SimBuilder::new(system.clone(), workload.clone())
+            .policy(policy)
+            .run();
         if !out.feasible {
             println!(
                 "{:<10} {:>9}",

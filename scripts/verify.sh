@@ -20,6 +20,12 @@ cargo test --workspace -q
 echo "== fault-injection test group =="
 cargo test -q --test fault_injection --test determinism_golden
 
+echo "== paper claims (validate exits 1 if any headline claim fails) =="
+./target/release/dmhpc validate --scale small
+
+echo "== benchmark crate (perfbench/ builds against the public API) =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== fault-sweep smoke (tiny, must stay deterministic) =="
 ./target/release/dmhpc fault-sweep --scale small --threads 0 --csv > /tmp/fault_sweep_a.csv
 ./target/release/dmhpc fault-sweep --scale small --threads 2 --csv > /tmp/fault_sweep_b.csv

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use dmhpc_core::cluster::{MemoryMix, TopologySpec};
     pub use dmhpc_core::config::SystemConfig;
     pub use dmhpc_core::job::{Job, JobId, MemoryUsageTrace};
-    pub use dmhpc_core::policy::{PolicyKind, PolicySpec};
+    pub use dmhpc_core::policy::PolicySpec;
     pub use dmhpc_core::sim::{SimBuilder, Simulation, SimulationOutcome};
     pub use dmhpc_metrics::ecdf::Ecdf;
     pub use dmhpc_model::{AppProfile, ContentionModel, ProfilePool, SensitivityCurve};

@@ -9,29 +9,34 @@
 
 use dmhpc::core::cluster::{Cluster, MemoryMix};
 use dmhpc::core::job::JobId;
-use dmhpc::core::policy::{
-    plan_growth, plan_growth_reference, try_place_reference, try_place_with, PlacementScratch,
-    PolicyKind,
-};
-use dmhpc::core::sim::{Simulation, SimulationOutcome};
+use dmhpc::core::policy::{plan_growth, plan_growth_reference, PlacementScratch, PolicySpec};
+use dmhpc::core::sim::{SimBuilder, SimulationOutcome};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
 use proptest::prelude::*;
 
-fn run_synthetic(policy: PolicyKind, seed: u64, reference: bool) -> SimulationOutcome {
+/// The paper's three schemes (§3.5).
+const PAPER_POLICIES: [PolicySpec; 3] = [
+    PolicySpec::Baseline,
+    PolicySpec::Static,
+    PolicySpec::Dynamic,
+];
+
+fn run_synthetic(policy: PolicySpec, seed: u64, reference: bool) -> SimulationOutcome {
     let mix = MemoryMix::new(4096, 16384, 0.5);
     let cfg = synthetic_system(Scale::Small, mix);
     let workload = synthetic_workload(Scale::Small, 0.5, 1.2, seed);
-    Simulation::new(cfg, workload, policy)
-        .with_seed(seed)
-        .with_reference_scheduler(reference)
+    SimBuilder::new(cfg, workload)
+        .policy(policy)
+        .seed(seed)
+        .reference_scheduler(reference)
         .run()
 }
 
 /// Same seed, same configuration → the same outcome, field for field.
 #[test]
 fn seeded_run_is_reproducible() {
-    for policy in PolicyKind::ALL {
+    for policy in PAPER_POLICIES {
         let a = run_synthetic(policy, 0xD15A_66E6, false);
         let b = run_synthetic(policy, 0xD15A_66E6, false);
         assert_eq!(a, b, "{policy:?}: same seed must reproduce the run exactly");
@@ -47,7 +52,7 @@ fn seeded_run_is_reproducible() {
 /// full run under the retained reference scans, bit for bit.
 #[test]
 fn indexed_and_reference_schedulers_agree() {
-    for policy in PolicyKind::ALL {
+    for policy in PAPER_POLICIES {
         let indexed = run_synthetic(policy, 0xBEEF, false);
         let reference = run_synthetic(policy, 0xBEEF, true);
         assert_eq!(
@@ -65,17 +70,18 @@ fn faults_off_is_identity() {
     use dmhpc::core::faults::FaultConfig;
     let mix = MemoryMix::new(4096, 16384, 0.5);
     let workload = || synthetic_workload(Scale::Small, 0.5, 1.2, 0xFADE);
-    for policy in PolicyKind::ALL {
-        let plain = Simulation::new(synthetic_system(Scale::Small, mix), workload(), policy)
-            .with_seed(0xFADE)
+    for policy in PAPER_POLICIES {
+        let plain = SimBuilder::new(synthetic_system(Scale::Small, mix), workload())
+            .policy(policy)
+            .seed(0xFADE)
             .run();
-        let zero_rates = Simulation::new(
+        let zero_rates = SimBuilder::new(
             synthetic_system(Scale::Small, mix)
                 .with_faults(FaultConfig::none().with_seed(0xDEAD_BEEF)),
             workload(),
-            policy,
         )
-        .with_seed(0xFADE)
+        .policy(policy)
+        .seed(0xFADE)
         .run();
         assert_eq!(
             plain, zero_rates,
@@ -101,9 +107,10 @@ fn trace_stream_is_deterministic_and_inert() {
     let workload = || synthetic_workload(Scale::Small, 0.5, 1.2, 0xACE);
     let traced = |seed: u64| {
         let (sink, buf) = JsonlSink::buffered();
-        let out = Simulation::new(system(), workload(), PolicyKind::Dynamic)
-            .with_seed(seed)
-            .with_trace_sink(Box::new(sink))
+        let out = SimBuilder::new(system(), workload())
+            .policy(PolicySpec::Dynamic)
+            .seed(seed)
+            .trace_sink(Box::new(sink))
             .run();
         (out, buf.contents())
     };
@@ -119,8 +126,9 @@ fn trace_stream_is_deterministic_and_inert() {
     assert_ne!(stream_a, stream_c, "a different sim seed must diverge");
     // Sinks are outcome-inert: untraced, NullSink, and RingSink runs
     // all produce the identical SimulationOutcome.
-    let plain = Simulation::new(system(), workload(), PolicyKind::Dynamic)
-        .with_seed(0xACE)
+    let plain = SimBuilder::new(system(), workload())
+        .policy(PolicySpec::Dynamic)
+        .seed(0xACE)
         .run();
     assert_eq!(plain, out_a, "JsonlSink must not perturb the run");
     assert_eq!(plain, out_b);
@@ -128,9 +136,10 @@ fn trace_stream_is_deterministic_and_inert() {
         Box::new(NullSink) as Box<dyn TraceSink>,
         Box::new(RingSink::new(64)),
     ] {
-        let out = Simulation::new(system(), workload(), PolicyKind::Dynamic)
-            .with_seed(0xACE)
-            .with_trace_sink(sink)
+        let out = SimBuilder::new(system(), workload())
+            .policy(PolicySpec::Dynamic)
+            .seed(0xACE)
+            .trace_sink(sink)
             .run();
         assert_eq!(plain, out, "sinks must be outcome-inert");
     }
@@ -138,14 +147,15 @@ fn trace_stream_is_deterministic_and_inert() {
 
 /// Drive a cluster into a random occupied state by replaying a sequence
 /// of placements/releases, mirroring `tests/property_invariants.rs`.
-fn occupy(cluster: &mut Cluster, ops: &[(u32, u64, u8)], policy: PolicyKind) {
+fn occupy(cluster: &mut Cluster, ops: &[(u32, u64, u8)], policy: PolicySpec) {
+    let policy = policy.build();
     let mut placed: Vec<JobId> = Vec::new();
     let mut next_id = 0u32;
     for &(nodes, req, action) in ops {
         if action == 0 && !placed.is_empty() {
             let id = placed.remove(0);
             cluster.finish_job(id);
-        } else if let Some(alloc) = try_place_reference(cluster, policy, nodes, req) {
+        } else if let Some(alloc) = policy.place_reference(cluster, nodes, req) {
             let id = JobId(next_id);
             next_id += 1;
             cluster.start_job(id, alloc, 3.0);
@@ -166,13 +176,14 @@ proptest! {
         req in 1u64..10_000,
         policy_idx in 0usize..3,
     ) {
-        let policy = PolicyKind::ALL[policy_idx];
+        let spec = PAPER_POLICIES[policy_idx];
         let mut cluster = Cluster::new(caps, 0.5);
-        occupy(&mut cluster, &ops, policy);
+        occupy(&mut cluster, &ops, spec);
         prop_assert_eq!(cluster.check_invariants(), Ok(()));
+        let policy = spec.build();
         let mut scratch = PlacementScratch::new();
-        let indexed = try_place_with(&cluster, policy, nodes, req, &mut scratch);
-        let reference = try_place_reference(&cluster, policy, nodes, req);
+        let indexed = policy.place(&cluster, nodes, req, &mut scratch);
+        let reference = policy.place_reference(&cluster, nodes, req);
         prop_assert_eq!(indexed, reference);
     }
 
@@ -185,7 +196,7 @@ proptest! {
         need in 1u64..8_000,
     ) {
         let mut cluster = Cluster::new(caps, 0.5);
-        occupy(&mut cluster, &ops, PolicyKind::Dynamic);
+        occupy(&mut cluster, &ops, PolicySpec::Dynamic);
         // Grow on behalf of the busiest surviving allocation, if any.
         let Some(id) = (0..40).map(JobId).find(|&j| cluster.alloc_of(j).is_some()) else {
             return Ok(());

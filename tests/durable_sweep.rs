@@ -16,7 +16,7 @@ use std::sync::Arc;
 use dmhpc::core::cluster::{Cluster, JobAlloc, MemoryMix, TopologySpec};
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::policy::{PlacementScratch, PolicySpec};
-use dmhpc::core::sim::{MemManagement, MemoryPolicy, Simulation, StaticAlloc};
+use dmhpc::core::sim::{MemManagement, MemoryPolicy, SimBuilder, StaticAlloc};
 use dmhpc::experiments::durable::{
     config_fingerprint, run_durable, DurableError, DurableOptions, Fingerprint, Journaled, Payload,
     PointStatus, ResumeState,
@@ -247,7 +247,7 @@ fn panicking_policy_point_is_isolated() {
         } else {
             Box::new(StaticAlloc)
         };
-        let out = Simulation::from_policy(system, workload, policy).run();
+        let out = SimBuilder::new(system, workload).policy_impl(policy).run();
         MockOut {
             completed: out.stats.completed as u64,
         }

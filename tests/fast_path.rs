@@ -5,7 +5,7 @@
 //! flat trace segment the monitoring horizon last landed in — and skips
 //! the Decider/Actuator entirely when nothing changed (the policies are
 //! deterministic functions of those inputs, so an unchanged input set
-//! must reproduce the previous hold). `Simulation::with_reference_dynloop`
+//! must reproduce the previous hold). `SimBuilder::reference_dynloop`
 //! keeps the original resample-and-decide-every-update twin; these tests
 //! prove the two **bit-identical** across every policy spec, fault
 //! profile, and topology, and that every allocation mutation bumps the
@@ -14,8 +14,8 @@
 use dmhpc::core::cluster::{Cluster, MemoryMix, TopologySpec};
 use dmhpc::core::faults::FaultConfig;
 use dmhpc::core::job::JobId;
-use dmhpc::core::policy::{try_place_reference, PolicyKind, PolicySpec};
-use dmhpc::core::sim::{SimBuilder, Simulation, SimulationOutcome};
+use dmhpc::core::policy::{place_spread_reference, PolicySpec};
+use dmhpc::core::sim::{SimBuilder, SimulationOutcome};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
 use proptest::prelude::*;
@@ -63,79 +63,22 @@ fn fast_path_matches_reference_dynloop() {
     }
 }
 
-/// The builder golden: a `SimBuilder` chain produces the identical run
-/// to the legacy constructors it wraps, for both constructor shims.
+/// Installing a built policy through `policy_impl` runs exactly the
+/// policy the spec-level `policy` entry point selects.
 #[test]
-fn builder_matches_legacy_constructors() {
-    let mix = MemoryMix::new(4096, 16384, 0.5);
-    let workload = || synthetic_workload(Scale::Small, 0.5, 1.2, 0xB11D);
-
-    // Simulation::new (closed PolicyKind enum) vs SimBuilder.
-    for kind in PolicyKind::ALL {
-        let legacy = Simulation::new(synthetic_system(Scale::Small, mix), workload(), kind)
-            .with_seed(0xB11D)
-            .run();
-        let built = SimBuilder::new(synthetic_system(Scale::Small, mix), workload())
-            .policy_kind(kind)
-            .seed(0xB11D)
-            .build()
-            .run();
-        assert_eq!(
-            legacy, built,
-            "{kind:?}: builder diverged from Simulation::new"
-        );
-    }
-
-    // Simulation::from_policy (boxed impl) vs SimBuilder::policy_impl.
-    let spec = "overcommit:factor=0.8".parse::<PolicySpec>().unwrap();
-    let legacy = Simulation::from_policy(
-        synthetic_system(Scale::Small, mix),
-        workload(),
-        spec.build(),
-    )
-    .with_seed(0xB11D)
-    .run();
-    let built = SimBuilder::new(synthetic_system(Scale::Small, mix), workload())
-        .policy_impl(spec.build())
-        .seed(0xB11D)
-        .build()
-        .run();
-    assert_eq!(
-        legacy, built,
-        "builder diverged from Simulation::from_policy"
-    );
-    // And the spec-level entry point is the same policy again.
-    let by_spec = SimBuilder::new(synthetic_system(Scale::Small, mix), workload())
-        .policy(spec)
-        .seed(0xB11D)
-        .build()
-        .run();
-    assert_eq!(built, by_spec);
-}
-
-/// Non-default builder switches must flow through to the run exactly as
-/// the `with_*` methods they replace.
-#[test]
-fn builder_switches_match_with_methods() {
-    let mix = MemoryMix::new(4096, 16384, 0.5);
-    let system = || {
-        synthetic_system(Scale::Small, mix)
-            .with_faults(FaultConfig::profile("light").unwrap().with_seed(3))
+fn policy_impl_matches_policy_spec() {
+    let run = |builder: SimBuilder| builder.seed(0xB11D).run();
+    let builder = || {
+        SimBuilder::new(
+            synthetic_system(Scale::Small, MemoryMix::new(4096, 16384, 0.5)),
+            synthetic_workload(Scale::Small, 0.5, 1.2, 0xB11D),
+        )
     };
-    let workload = || synthetic_workload(Scale::Small, 0.5, 1.2, 0x5111);
-    let legacy = Simulation::new(system(), workload(), PolicyKind::Dynamic)
-        .with_seed(0x5111)
-        .with_max_restarts(7)
-        .with_reference_scheduler(true)
-        .run();
-    let built = SimBuilder::new(system(), workload())
-        .policy(PolicySpec::Dynamic)
-        .seed(0x5111)
-        .max_restarts(7)
-        .reference_scheduler(true)
-        .build()
-        .run();
-    assert_eq!(legacy, built);
+    let spec = "overcommit:factor=0.8".parse::<PolicySpec>().unwrap();
+    assert_eq!(
+        run(builder().policy_impl(spec.build())),
+        run(builder().policy(spec))
+    );
 }
 
 proptest! {
@@ -164,9 +107,7 @@ proptest! {
                 cluster.finish_job(id);
                 prop_assert!(cluster.alloc_version(id) == 0, "finish must retire {}", id);
                 versions.retain(|&(j, _)| j != id);
-            } else if let Some(alloc) =
-                try_place_reference(&cluster, PolicyKind::Dynamic, nodes, req)
-            {
+            } else if let Some(alloc) = place_spread_reference(&cluster, nodes, req) {
                 let id = JobId(next_id);
                 next_id += 1;
                 let before = cluster.alloc_version(id);

@@ -8,8 +8,8 @@ use dmhpc::core::config::{RestartStrategy, SystemConfig};
 use dmhpc::core::engine::SimTime;
 use dmhpc::core::faults::{FaultConfig, FaultEvent, FaultSchedule};
 use dmhpc::core::job::{Job, JobId, MemoryUsageTrace};
-use dmhpc::core::policy::{PolicyKind, PolicySpec};
-use dmhpc::core::sim::{Simulation, SimulationOutcome, Workload};
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::{SimBuilder, SimulationOutcome, Workload};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
 use dmhpc::model::{ProfileId, ProfilePool};
@@ -20,8 +20,9 @@ fn faulty_run(policy: PolicySpec, faults: FaultConfig, seed: u64) -> SimulationO
         .with_restart(RestartStrategy::CheckpointRestart)
         .with_faults(faults);
     let workload = synthetic_workload(Scale::Small, 0.5, 0.6, seed);
-    Simulation::from_policy(cfg, workload, policy.build())
-        .with_seed(seed)
+    SimBuilder::new(cfg, workload)
+        .policy(policy)
+        .seed(seed)
         .run()
 }
 
@@ -104,25 +105,22 @@ fn node_crash_requeues_resident_job() {
             ),
         ],
     };
-    let base_makespan = Simulation::new(
-        uniform_system(1, 8192),
-        one_job_workload(2048),
-        PolicyKind::Dynamic,
-    )
-    .run()
-    .stats
-    .makespan_s;
+    let base_makespan = SimBuilder::new(uniform_system(1, 8192), one_job_workload(2048))
+        .policy(PolicySpec::Dynamic)
+        .run()
+        .stats
+        .makespan_s;
     for (strategy, expect_credit) in [
         (RestartStrategy::CheckpointRestart, true),
         (RestartStrategy::FailRestart, false),
     ] {
         // One node only: the job must wait out the repair, then restart.
-        let out = Simulation::new(
+        let out = SimBuilder::new(
             uniform_system(1, 8192).with_restart(strategy),
             one_job_workload(2048),
-            PolicyKind::Dynamic,
         )
-        .with_fault_schedule(schedule.clone())
+        .policy(PolicySpec::Dynamic)
+        .fault_schedule(schedule.clone())
         .run();
         let s = &out.stats;
         assert_eq!(s.fault_node_crashes, 1, "{strategy:?}");
@@ -166,13 +164,10 @@ fn pool_degrade_reduces_availability() {
             ),
         ],
     };
-    let out = Simulation::new(
-        uniform_system(4, 8192),
-        one_job_workload(2048),
-        PolicyKind::Dynamic,
-    )
-    .with_fault_schedule(schedule)
-    .run();
+    let out = SimBuilder::new(uniform_system(4, 8192), one_job_workload(2048))
+        .policy(PolicySpec::Dynamic)
+        .fault_schedule(schedule)
+        .run();
     let s = &out.stats;
     assert_eq!(s.fault_pool_degrades, 1);
     assert_eq!(s.jobs_fault_killed, 0, "idle-node degrade kills nothing");
@@ -204,13 +199,13 @@ fn actuator_retries_then_escalates() {
         actuator_max_retries: 2,
         ..FaultConfig::none()
     };
-    let out = Simulation::new(
+    let out = SimBuilder::new(
         uniform_system(2, 8192)
             .with_restart(RestartStrategy::CheckpointRestart)
             .with_faults(faults),
         workload,
-        PolicyKind::Dynamic,
     )
+    .policy(PolicySpec::Dynamic)
     .run();
     let s = &out.stats;
     assert!(s.actuator_escalations > 0, "shrink attempts must escalate");
@@ -281,7 +276,7 @@ proptest! {
                     .collect();
                 Workload::try_new(jobs, ProfilePool::synthetic(4, 1)).unwrap()
             };
-            Simulation::from_policy(cfg, workload, policy.build()).with_seed(sim_seed).run()
+            SimBuilder::new(cfg, workload).policy(policy).seed(sim_seed).run()
         };
         let out = mk();
         let s = &out.stats;

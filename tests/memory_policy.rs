@@ -16,7 +16,7 @@ use dmhpc::core::policy::{
     PlacementScratch, PolicySpec,
 };
 use dmhpc::core::sim::{
-    DynamicAlloc, MemManagement, MemoryPolicy, Simulation, StaticAlloc, Workload,
+    DynamicAlloc, MemManagement, MemoryPolicy, SimBuilder, StaticAlloc, Workload,
 };
 use dmhpc::model::{ProfileId, ProfilePool};
 
@@ -181,15 +181,15 @@ fn managed_mock_policy_drives_all_hooks() {
     // oversized request, later updates must grow it back.
     let ramp = MemoryUsageTrace::new(vec![(0.0, 200), (0.5, 1500)]).unwrap();
     let (policy, counters) = CountingPolicy::new(true);
-    let out = Simulation::from_policy(
+    let out = SimBuilder::new(
         two_node_cfg(),
         workload(vec![job(0, 4000.0, 1600, ramp.clone())]),
-        Box::new(policy),
     )
+    .policy_impl(Box::new(policy))
     // The dynloop fast path elides Decider calls it can prove would
     // hold; the reference twin decides on every update, which is the
     // per-update hook contract this test counts.
-    .with_reference_dynloop(true)
+    .reference_dynloop(true)
     .run();
     assert_eq!(out.stats.completed, 1);
     assert!(out.feasible);
@@ -206,12 +206,9 @@ fn managed_mock_policy_drives_all_hooks() {
     // whenever the sampled demand or the allocation actually changed —
     // the ramp forces at least the initial shrink and the later growth.
     let (policy, fast_counters) = CountingPolicy::new(true);
-    let fast = Simulation::from_policy(
-        two_node_cfg(),
-        workload(vec![job(0, 4000.0, 1600, ramp)]),
-        Box::new(policy),
-    )
-    .run();
+    let fast = SimBuilder::new(two_node_cfg(), workload(vec![job(0, 4000.0, 1600, ramp)]))
+        .policy_impl(Box::new(policy))
+        .run();
     assert_eq!(fast, out, "fast path must be outcome-identical");
     let fast_decides = fast_counters.decide.load(Ordering::Relaxed);
     assert!(fast_decides >= 2, "got {fast_decides}");
@@ -235,11 +232,13 @@ fn pinned_mock_policy_matches_static_alloc_exactly() {
         })
         .collect();
     let (policy, _) = CountingPolicy::new(false);
-    let mock = Simulation::from_policy(two_node_cfg(), workload(jobs.clone()), Box::new(policy))
-        .with_seed(11)
+    let mock = SimBuilder::new(two_node_cfg(), workload(jobs.clone()))
+        .policy_impl(Box::new(policy))
+        .seed(11)
         .run();
-    let reference = Simulation::from_policy(two_node_cfg(), workload(jobs), Box::new(StaticAlloc))
-        .with_seed(11)
+    let reference = SimBuilder::new(two_node_cfg(), workload(jobs))
+        .policy_impl(Box::new(StaticAlloc))
+        .seed(11)
         .run();
     assert_eq!(mock, reference);
 }
@@ -250,13 +249,10 @@ fn oom_hook_routes_through_policy_growth_plan() {
     // first needed grow, restarts, and eventually trips the restart cap
     // — proving the runner takes its OOM decision from the policy.
     let ramp = MemoryUsageTrace::new(vec![(0.0, 200), (0.5, 1500)]).unwrap();
-    let out = Simulation::from_policy(
-        two_node_cfg(),
-        workload(vec![job(0, 4000.0, 1600, ramp)]),
-        Box::new(DenyGrowth),
-    )
-    .with_max_restarts(2)
-    .run();
+    let out = SimBuilder::new(two_node_cfg(), workload(vec![job(0, 4000.0, 1600, ramp)]))
+        .policy_impl(Box::new(DenyGrowth))
+        .max_restarts(2)
+        .run();
     assert_eq!(out.stats.completed, 0);
     assert!(out.stats.oom_kills >= 3, "got {}", out.stats.oom_kills);
     assert_eq!(out.stats.failed_restarts, 1);
@@ -283,8 +279,9 @@ fn golden_jobs() -> Vec<Job> {
 }
 
 fn golden_run(policy: Box<dyn MemoryPolicy>) -> dmhpc::core::sim::SimulationOutcome {
-    Simulation::from_policy(two_node_cfg(), workload(golden_jobs()), policy)
-        .with_seed(11)
+    SimBuilder::new(two_node_cfg(), workload(golden_jobs()))
+        .policy_impl(policy)
+        .seed(11)
         .run()
 }
 

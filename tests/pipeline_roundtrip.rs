@@ -1,8 +1,8 @@
 //! Integration tests spanning trace generation, formats and simulation.
 
 use dmhpc::core::config::SystemConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::Simulation;
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::SimBuilder;
 use dmhpc::traces::grizzly::{GrizzlyConfig, GrizzlyDataset};
 use dmhpc::traces::swf;
 use dmhpc::traces::workload::{grizzly_workload, WorkloadBuilder};
@@ -46,7 +46,9 @@ fn grizzly_dataset_simulates_end_to_end() {
         .index;
     let w = grizzly_workload(&ds, week, 0.6, 5);
     let system = SystemConfig::with_nodes(ds.config.nodes);
-    let out = Simulation::new(system, w.clone(), PolicyKind::Dynamic).run();
+    let out = SimBuilder::new(system, w.clone())
+        .policy(PolicySpec::Dynamic)
+        .run();
     assert!(out.feasible);
     assert_eq!(out.stats.completed as usize, w.len());
     assert!(out.stats.makespan_s > 0.0);
@@ -64,8 +66,9 @@ fn simulation_deterministic_across_platforms() {
             .large_job_fraction(0.4)
             .overestimation(0.6)
             .build_for(&system);
-        Simulation::new(system, w, PolicyKind::Dynamic)
-            .with_seed(9)
+        SimBuilder::new(system, w)
+            .policy(PolicySpec::Dynamic)
+            .seed(9)
             .run()
     };
     let a = run();

@@ -4,8 +4,8 @@
 
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::config::SystemConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::{Simulation, SimulationOutcome, Workload};
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::{SimBuilder, SimulationOutcome, Workload};
 use dmhpc::metrics::ecdf::Ecdf;
 use dmhpc::traces::workload::WorkloadBuilder;
 
@@ -18,8 +18,10 @@ fn workload(system: &SystemConfig, large: f64, over: f64, seed: u64) -> Workload
         .build_for(system)
 }
 
-fn run(system: &SystemConfig, w: &Workload, policy: PolicyKind) -> SimulationOutcome {
-    Simulation::new(system.clone(), w.clone(), policy).run()
+fn run(system: &SystemConfig, w: &Workload, policy: PolicySpec) -> SimulationOutcome {
+    SimBuilder::new(system.clone(), w.clone())
+        .policy(policy)
+        .run()
 }
 
 /// Underprovisioned system, overestimated requests: the paper's stress
@@ -29,8 +31,8 @@ fn dynamic_beats_static_when_stressed() {
     let system =
         SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::new(64 * 1024, 128 * 1024, 0.25));
     let w = workload(&system, 0.5, 0.6, 11);
-    let stat = run(&system, &w, PolicyKind::Static);
-    let dynm = run(&system, &w, PolicyKind::Dynamic);
+    let stat = run(&system, &w, PolicySpec::Static);
+    let dynm = run(&system, &w, PolicySpec::Dynamic);
     assert!(stat.feasible && dynm.feasible);
     assert_eq!(stat.stats.completed + stat.stats.failed_exceeded, 300);
     assert!(
@@ -49,10 +51,14 @@ fn dynamic_beats_static_when_stressed() {
 fn policies_converge_when_memory_is_ample() {
     let system = SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::all_large());
     let w = workload(&system, 0.0, 0.0, 13);
-    let outs: Vec<SimulationOutcome> = PolicyKind::ALL
-        .iter()
-        .map(|&p| run(&system, &w, p))
-        .collect();
+    let outs: Vec<SimulationOutcome> = [
+        PolicySpec::Baseline,
+        PolicySpec::Static,
+        PolicySpec::Dynamic,
+    ]
+    .iter()
+    .map(|&p| run(&system, &w, p))
+    .collect();
     let t0 = outs[0].stats.throughput_jps;
     for o in &outs {
         assert!(o.feasible);
@@ -71,9 +77,9 @@ fn policies_converge_when_memory_is_ample() {
 fn memory_utilization_ordering() {
     let system = SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::all_large());
     let w = workload(&system, 0.3, 0.6, 17);
-    let base = run(&system, &w, PolicyKind::Baseline);
-    let stat = run(&system, &w, PolicyKind::Static);
-    let dynm = run(&system, &w, PolicyKind::Dynamic);
+    let base = run(&system, &w, PolicySpec::Baseline);
+    let stat = run(&system, &w, PolicySpec::Static);
+    let dynm = run(&system, &w, PolicySpec::Dynamic);
     assert!(
         dynm.stats.avg_mem_utilization < stat.stats.avg_mem_utilization,
         "dynamic {} !< static {}",
@@ -96,7 +102,7 @@ fn oom_kills_are_rare_and_jobs_complete() {
     let system =
         SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::new(32 * 1024, 64 * 1024, 0.5));
     let w = workload(&system, 0.5, 1.0, 19);
-    let dynm = run(&system, &w, PolicyKind::Dynamic);
+    let dynm = run(&system, &w, PolicySpec::Dynamic);
     assert!(dynm.feasible);
     assert_eq!(
         dynm.stats.completed + dynm.stats.failed_restarts,
@@ -119,15 +125,15 @@ fn oom_kills_are_rare_and_jobs_complete() {
 fn dynamic_immune_to_overestimation() {
     let system =
         SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::new(64 * 1024, 128 * 1024, 0.25));
-    let tput = |over: f64, policy: PolicyKind| {
+    let tput = |over: f64, policy: PolicySpec| {
         let w = workload(&system, 0.5, over, 23);
         run(&system, &w, policy).stats.throughput_jps
     };
-    let d0 = tput(0.0, PolicyKind::Dynamic);
-    let d1 = tput(1.0, PolicyKind::Dynamic);
+    let d0 = tput(0.0, PolicySpec::Dynamic);
+    let d1 = tput(1.0, PolicySpec::Dynamic);
     assert!(d1 > 0.93 * d0, "dynamic dropped too much: {d1} vs {d0}");
-    let s0 = tput(0.0, PolicyKind::Static);
-    let s1 = tput(1.0, PolicyKind::Static);
+    let s0 = tput(0.0, PolicySpec::Static);
+    let s1 = tput(1.0, PolicySpec::Static);
     assert!(s1 < 0.97 * s0, "static should degrade: {s1} vs {s0}");
     assert!(d1 > s1, "dynamic must end above static");
 }
@@ -142,10 +148,10 @@ fn baseline_missing_bars() {
     let w = workload(&system, 0.5, 0.6, 29);
     let has_oversized = w.jobs.iter().any(|j| j.mem_request_mb > 128 * 1024);
     assert!(has_oversized, "workload should contain oversized requests");
-    let base = run(&system, &w, PolicyKind::Baseline);
+    let base = run(&system, &w, PolicySpec::Baseline);
     assert!(!base.feasible);
     assert!(base.stats.unschedulable > 0);
-    let stat = run(&system, &w, PolicyKind::Static);
+    let stat = run(&system, &w, PolicySpec::Static);
     assert!(stat.feasible);
 }
 
@@ -158,8 +164,8 @@ fn dynamic_advantage_is_significant() {
     let system =
         SystemConfig::with_nodes(96).with_memory_mix(MemoryMix::new(64 * 1024, 128 * 1024, 0.25));
     let w = workload(&system, 0.5, 0.6, 37);
-    let stat = run(&system, &w, PolicyKind::Static);
-    let dynm = run(&system, &w, PolicyKind::Dynamic);
+    let stat = run(&system, &w, PolicySpec::Static);
+    let dynm = run(&system, &w, PolicySpec::Dynamic);
     let median = |s: &[f64]| {
         let mut v = s.to_vec();
         v.sort_unstable_by(f64::total_cmp);
@@ -191,7 +197,7 @@ fn checkpoint_restart_not_worse() {
             .with_memory_mix(MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
             .with_restart(strat);
         let w = workload(&system, 0.6, 1.0, 31);
-        run(&system, &w, PolicyKind::Dynamic)
+        run(&system, &w, PolicySpec::Dynamic)
     };
     let fr = mk(RestartStrategy::FailRestart);
     let cr = mk(RestartStrategy::CheckpointRestart);

@@ -3,8 +3,8 @@
 use dmhpc::core::cluster::{Cluster, MemoryMix};
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::job::{JobId, MemoryUsageTrace};
-use dmhpc::core::policy::{plan_growth, try_place, PolicyKind};
-use dmhpc::core::sim::{Simulation, Workload};
+use dmhpc::core::policy::{place_spread_with, plan_growth, PlacementScratch, PolicySpec};
+use dmhpc::core::sim::{SimBuilder, Workload};
 use dmhpc::metrics::ecdf::Ecdf;
 use dmhpc::metrics::summary::binned_percentages;
 use dmhpc::model::{ProfilePool, SensitivityCurve};
@@ -110,7 +110,8 @@ proptest! {
             match action {
                 // Try to place a new job via the static policy.
                 0 | 1 => {
-                    if let Some(alloc) = try_place(&cluster, PolicyKind::Static, nodes, req) {
+                    let mut scratch = PlacementScratch::new();
+                    if let Some(alloc) = place_spread_with(&cluster, nodes, req, &mut scratch) {
                         let id = JobId(next_id);
                         next_id += 1;
                         cluster.start_job(id, alloc, 3.0);
@@ -162,7 +163,7 @@ proptest! {
     ) {
         use dmhpc::core::job::Job;
         use dmhpc::model::rng::Rng64;
-        let policy = PolicyKind::ALL[policy_idx];
+        let policy = [PolicySpec::Baseline, PolicySpec::Static, PolicySpec::Dynamic][policy_idx];
         let mut rng = Rng64::new(seed);
         let jobs: Vec<Job> = (0..n_jobs as u32).map(|i| {
             let peak = rng.range_u64(64, 3000);
@@ -182,11 +183,7 @@ proptest! {
         }).collect();
         let cfg = SystemConfig::with_nodes(8)
             .with_memory_mix(MemoryMix::new(1024, 2048, 0.5));
-        let mk = || Simulation::new(
-            cfg.clone(),
-            Workload::try_new(jobs.clone(), ProfilePool::synthetic(4, 1)).unwrap(),
-            policy,
-        ).with_seed(seed).run();
+        let mk = || SimBuilder::new(cfg.clone(), Workload::try_new(jobs.clone(), ProfilePool::synthetic(4, 1)).unwrap()).policy(policy).seed(seed).run();
         let out = mk();
         let s = &out.stats;
         prop_assert_eq!(

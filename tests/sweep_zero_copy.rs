@@ -11,7 +11,7 @@
 
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::policy::PolicySpec;
-use dmhpc::core::sim::{Simulation, Workload};
+use dmhpc::core::sim::{SimBuilder, Workload};
 use dmhpc::experiments::scenario::{simulate, synthetic_system, synthetic_workload};
 use dmhpc::experiments::{Scale, ThroughputSweep, TraceSpec};
 use std::sync::Arc;
@@ -53,20 +53,14 @@ fn shared_workload_is_bit_identical_to_owned() {
 fn constructors_accept_owned_and_shared() {
     let sys = synthetic_system(Scale::Small, MemoryMix::all_large());
     let w = Arc::new(stress_workload(7));
-    let a = Simulation::new(
-        sys.clone(),
-        stress_workload(7),
-        dmhpc::core::policy::PolicyKind::Dynamic,
-    )
-    .with_seed(3)
-    .run();
-    let b = Simulation::new(
-        sys,
-        Arc::clone(&w),
-        dmhpc::core::policy::PolicyKind::Dynamic,
-    )
-    .with_seed(3)
-    .run();
+    let a = SimBuilder::new(sys.clone(), stress_workload(7))
+        .policy(PolicySpec::Dynamic)
+        .seed(3)
+        .run();
+    let b = SimBuilder::new(sys, Arc::clone(&w))
+        .policy(PolicySpec::Dynamic)
+        .seed(3)
+        .run();
     assert_eq!(a, b);
 }
 

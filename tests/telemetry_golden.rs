@@ -8,8 +8,8 @@
 
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::faults::FaultConfig;
-use dmhpc::core::policy::PolicyKind;
-use dmhpc::core::sim::Simulation;
+use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::sim::SimBuilder;
 use dmhpc::core::telemetry::{Telemetry, TelemetryCollector, TelemetrySpec};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
@@ -19,16 +19,13 @@ fn system() -> dmhpc::core::config::SystemConfig {
         .with_faults(FaultConfig::profile("light").unwrap().with_seed(11))
 }
 
-fn observed(policy: PolicyKind, seed: u64, interval_s: f64) -> Telemetry {
+fn observed(policy: PolicySpec, seed: u64, interval_s: f64) -> Telemetry {
     let collector = TelemetryCollector::new(TelemetrySpec::with_interval(interval_s));
-    Simulation::new(
-        system(),
-        synthetic_workload(Scale::Small, 0.5, 1.2, 0xACE),
-        policy,
-    )
-    .with_seed(seed)
-    .with_telemetry(collector.clone())
-    .run();
+    SimBuilder::new(system(), synthetic_workload(Scale::Small, 0.5, 1.2, 0xACE))
+        .policy(policy)
+        .seed(seed)
+        .telemetry(collector.clone())
+        .run();
     collector.snapshot()
 }
 
@@ -36,15 +33,21 @@ fn observed(policy: PolicyKind, seed: u64, interval_s: f64) -> Telemetry {
 /// collector equals the run without one, bit for bit, for every policy.
 #[test]
 fn telemetry_off_and_on_outcomes_are_bit_identical() {
-    for policy in PolicyKind::ALL {
+    for policy in [
+        PolicySpec::Baseline,
+        PolicySpec::Static,
+        PolicySpec::Dynamic,
+    ] {
         let workload = || synthetic_workload(Scale::Small, 0.5, 1.2, 0xACE);
-        let plain = Simulation::new(system(), workload(), policy)
-            .with_seed(0xACE)
+        let plain = SimBuilder::new(system(), workload())
+            .policy(policy)
+            .seed(0xACE)
             .run();
         let collector = TelemetryCollector::new(TelemetrySpec::default());
-        let watched = Simulation::new(system(), workload(), policy)
-            .with_seed(0xACE)
-            .with_telemetry(collector.clone())
+        let watched = SimBuilder::new(system(), workload())
+            .policy(policy)
+            .seed(0xACE)
+            .telemetry(collector.clone())
             .run();
         assert_eq!(
             plain, watched,
@@ -61,12 +64,12 @@ fn telemetry_off_and_on_outcomes_are_bit_identical() {
 /// byte; a different sim seed diverges (the gauges track real state).
 #[test]
 fn telemetry_exports_are_byte_deterministic() {
-    let a = observed(PolicyKind::Dynamic, 0xACE, 30.0);
-    let b = observed(PolicyKind::Dynamic, 0xACE, 30.0);
+    let a = observed(PolicySpec::Dynamic, 0xACE, 30.0);
+    let b = observed(PolicySpec::Dynamic, 0xACE, 30.0);
     assert_eq!(a.prometheus(), b.prometheus());
     assert_eq!(a.csv(), b.csv());
     assert_eq!(a.jsonl(), b.jsonl());
-    let c = observed(PolicyKind::Dynamic, 0xACF, 30.0);
+    let c = observed(PolicySpec::Dynamic, 0xACF, 30.0);
     assert_ne!(a.csv(), c.csv(), "a different sim seed must diverge");
     // Export shape sanity: prometheus exposes the gauge families, the
     // CSV has a header plus one line per sample, JSONL parses per line.
@@ -88,7 +91,7 @@ fn telemetry_exports_are_byte_deterministic() {
 /// export mentions the profile at all.
 #[test]
 fn wall_clock_profile_never_enters_the_exports() {
-    let t = observed(PolicyKind::Dynamic, 0xACE, 30.0);
+    let t = observed(PolicySpec::Dynamic, 0xACE, 30.0);
     assert!(!t.profile.is_empty(), "profiled run must record spans");
     for export in [t.prometheus(), t.csv(), t.jsonl()] {
         for phase in ["schedule", "dynloop", "finalize"] {

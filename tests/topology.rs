@@ -17,7 +17,7 @@ use dmhpc::core::config::{RestartStrategy, SystemConfig};
 use dmhpc::core::faults::FaultConfig;
 use dmhpc::core::job::JobId;
 use dmhpc::core::policy::{
-    plan_growth, plan_growth_reference, try_place, try_place_reference, PolicyKind, PolicySpec,
+    place_spread_with, plan_growth, plan_growth_reference, PlacementScratch, PolicySpec,
 };
 use dmhpc::core::sim::SimulationOutcome;
 use dmhpc::experiments::scenario::{simulate, synthetic_system, synthetic_workload, BASE_SEED};
@@ -255,7 +255,8 @@ fn apply_op(
     match action {
         // Place a new job via the disaggregated spread policy.
         0 | 1 => {
-            if let Some(alloc) = try_place(cluster, PolicyKind::Dynamic, nodes, req) {
+            let mut scratch = PlacementScratch::new();
+            if let Some(alloc) = place_spread_with(cluster, nodes, req, &mut scratch) {
                 let id = JobId(*next_id);
                 *next_id += 1;
                 cluster.start_job(id, alloc, 3.0);
@@ -358,13 +359,14 @@ proptest! {
     ) {
         let cross_cap = [0.0, 0.25, 0.5, 1.0][cross_idx];
         let spec = TopologySpec::Racks { size: rack_size, cross_cap };
-        let kind = PolicyKind::ALL[kind_idx];
+        let policy = [PolicySpec::Baseline, PolicySpec::Static, PolicySpec::Dynamic][kind_idx].build();
+        let mut scratch = PlacementScratch::new();
         let mut cluster = Cluster::new_with_topology(caps, 0.5, spec);
         let mut placed: Vec<JobId> = Vec::new();
         let mut next_id = 0u32;
         for (nodes, req, action) in ops {
-            let indexed = try_place(&cluster, kind, nodes, req);
-            let reference = try_place_reference(&cluster, kind, nodes, req);
+            let indexed = policy.place(&cluster, nodes, req, &mut scratch);
+            let reference = policy.place_reference(&cluster, nodes, req);
             prop_assert_eq!(&indexed, &reference);
             match action {
                 0 | 1 => {
