@@ -1,9 +1,6 @@
 //! Benchmarks of the dynamic-memory update loop: the monotone
 //! trace-cursor sampler against the full-scan reference, and whole
-//! stress runs on the hold fast path against the always-decide
-//! reference twin. The CLI twin (`dmhpc bench-dynloop`) gates the
-//! phase-level speedup into `BENCH_sched.json`; this group gives the
-//! statistical view of the same two seams.
+//! stress runs on the hold fast path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dmhpc_core::cluster::MemoryMix;
@@ -70,22 +67,18 @@ fn bench_update_loop(c: &mut Criterion) {
         .with_restart(RestartStrategy::CheckpointRestart)
         .with_faults(FaultConfig::none());
     let workload = Arc::new(dynloop_stress_workload(Scale::Small, 0.5, 0.6, 0xD7));
-    for (label, reference) in [("fast_path", false), ("reference_twin", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(
-                    SimBuilder::new(system.clone(), Arc::clone(&workload))
-                        .policy(PolicySpec::Dynamic)
-                        .seed(0xD7)
-                        .reference_dynloop(reference)
-                        .build()
-                        .run()
-                        .stats
-                        .completed,
-                )
-            })
-        });
-    }
+    g.bench_function("fast_path", |b| {
+        b.iter(|| {
+            black_box(
+                SimBuilder::new(system.clone(), Arc::clone(&workload))
+                    .policy(PolicySpec::Dynamic)
+                    .seed(0xD7)
+                    .run()
+                    .stats
+                    .completed,
+            )
+        })
+    });
     g.finish();
 }
 

@@ -31,7 +31,8 @@
 //!   yields `(free asc, id asc)` and reverse bucket iteration yields
 //!   `(free desc, id asc)` — exactly the two orders the placement
 //!   policy sorts by, which keeps indexed placement bit-identical to
-//!   the reference scan implementation;
+//!   the full-scan twins in [`crate::oracle`] (debug builds assert it
+//!   on every placement and growth plan);
 //! * `faults` — node crash/repair, blade degradation, and lender
 //!   revocation;
 //! * [`topology`] — the fabric partition ([`TopologySpec`],

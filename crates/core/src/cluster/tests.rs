@@ -159,6 +159,22 @@ fn grow_local_and_remote() {
     assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(1)]);
 }
 
+/// The debug-build oracle check is wired: with the schedulable index
+/// out of step with the node table, indexed best fit picks a different
+/// node than the full scan, and `place_spread_with` panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "diverged from the full-scan oracle")]
+fn desynced_index_trips_the_placement_oracle() {
+    use crate::policy::{place_spread_with, PlacementScratch};
+    let mut c = Cluster::new(vec![1000, 2000], 0.5);
+    // Re-key node 0 (1000 MB free) as if it had 5000 MB free: the index
+    // now ranks it behind node 1, while the scan still best-fits it.
+    indexes::index_remove(&mut c.sched_index, 1000, NodeId(0));
+    indexes::index_insert(&mut c.sched_index, 5000, NodeId(0));
+    place_spread_with(&c, 1, 500, &mut PlacementScratch::new());
+}
+
 #[test]
 #[should_panic(expected = "busy")]
 fn start_on_busy_node_panics() {

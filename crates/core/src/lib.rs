@@ -10,6 +10,8 @@
 //!   Dynamic plus the predictive/overcommit/conservative extensions),
 //!   their placement/growth logic, and the parameterized
 //!   [`policy::PolicySpec`] construction API;
+//! * [`oracle`] — the full-scan twins of the indexed placement and
+//!   growth planners, cross-checked against them in debug builds;
 //! * [`sched`] — FCFS + EASY-backfill queue machinery;
 //! * [`engine`] — simulated time and the re-schedulable event queue;
 //! * [`sim`] — the driver tying it all together: job lifecycle,
@@ -70,6 +72,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod job;
+pub mod oracle;
 pub mod policy;
 pub mod sched;
 pub mod sim;

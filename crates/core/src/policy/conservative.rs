@@ -13,9 +13,7 @@
 
 use crate::cluster::{Cluster, JobAlloc, NodeId};
 use crate::dynmem::Decision;
-use crate::policy::{
-    place_spread_reference, place_spread_with, plan_growth, plan_growth_reference, PlacementScratch,
-};
+use crate::policy::{place_spread_with, plan_growth, PlacementScratch};
 use crate::sim::hooks::{FaultEscalation, MemManagement, MemoryPolicy};
 
 /// Dynamic disaggregated allocation that grows and shrinks in
@@ -49,11 +47,7 @@ impl MemoryPolicy for ConservativeGrowth {
         place_spread_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_spread_reference(cluster, nodes, request_mb)
-    }
-
-    fn management(&self, static_mode: bool) -> MemManagement {
+    fn management(&self, static_mode: bool, _undersized: bool) -> MemManagement {
         if static_mode {
             MemManagement::Pinned
         } else {
@@ -87,15 +81,8 @@ impl MemoryPolicy for ConservativeGrowth {
         entry_node: NodeId,
         compute_ids: &[NodeId],
         need_mb: u64,
-        reference: bool,
     ) -> Option<(u64, Vec<(NodeId, u64)>)> {
-        let plan = |mb: u64| {
-            if reference {
-                plan_growth_reference(cluster, entry_node, compute_ids, mb)
-            } else {
-                plan_growth(cluster, entry_node, compute_ids, mb)
-            }
-        };
+        let plan = |mb: u64| plan_growth(cluster, entry_node, compute_ids, mb);
         let padded = need_mb.div_ceil(self.quantum_mb) * self.quantum_mb;
         // The padding is an optimisation, not a requirement: when the
         // pool cannot spare a full quantum, fall back to the exact need
@@ -170,7 +157,7 @@ mod tests {
             1.0,
         );
         // Need 100 → padded to 600, which fits locally.
-        let (local, borrows) = p.plan_growth(&c, n(0), &[n(0)], 100, false).unwrap();
+        let (local, borrows) = p.plan_growth(&c, n(0), &[n(0)], 100).unwrap();
         assert_eq!(local + borrows.iter().map(|&(_, m)| m).sum::<u64>(), 600);
         // Fill the pool so only 150 MB remain anywhere.
         c.start_job(
@@ -185,27 +172,17 @@ mod tests {
             1.0,
         );
         // A full quantum no longer fits; the exact need of 100 must.
-        let (local, borrows) = p.plan_growth(&c, n(0), &[n(0)], 100, false).unwrap();
+        let (local, borrows) = p.plan_growth(&c, n(0), &[n(0)], 100).unwrap();
         assert_eq!(local + borrows.iter().map(|&(_, m)| m).sum::<u64>(), 100);
         // And a need the pool truly cannot meet still reports OOM.
-        assert!(p.plan_growth(&c, n(0), &[n(0)], 500, false).is_none());
-    }
-
-    #[test]
-    fn reference_planner_agrees() {
-        let p = ConservativeGrowth { quantum_mb: 512 };
-        let c = Cluster::new(vec![4000, 3000, 2000], 0.5);
-        assert_eq!(
-            p.plan_growth(&c, n(0), &[n(0)], 700, false),
-            p.plan_growth(&c, n(0), &[n(0)], 700, true)
-        );
+        assert!(p.plan_growth(&c, n(0), &[n(0)], 500).is_none());
     }
 
     #[test]
     fn manages_like_dynamic() {
         let p = ConservativeGrowth::default();
-        assert_eq!(p.management(false), MemManagement::Managed);
-        assert_eq!(p.management(true), MemManagement::Pinned);
+        assert_eq!(p.management(false, false), MemManagement::Managed);
+        assert_eq!(p.management(true, false), MemManagement::Pinned);
         assert_eq!(p.fault_escalation(false), FaultEscalation::DemoteToStatic);
     }
 }

@@ -14,7 +14,7 @@
 //! is bit-identical to the dynamic policy.
 
 use crate::cluster::{Cluster, JobAlloc};
-use crate::policy::{place_spread_reference, place_spread_with, PlacementScratch};
+use crate::policy::{place_spread_with, PlacementScratch};
 use crate::sim::hooks::{FaultEscalation, MemManagement, MemoryPolicy};
 
 /// Dynamic disaggregated allocation admitted at `factor × request`
@@ -48,17 +48,13 @@ impl MemoryPolicy for Overcommit {
         place_spread_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_spread_reference(cluster, nodes, request_mb)
-    }
-
     fn size_request(&self, request_mb: u64, _class_peak_mb: Option<u64>) -> u64 {
         // Round-to-nearest keeps `factor = 1.0` an exact identity, the
         // basis of the bit-identical-to-dynamic equivalence golden.
         (request_mb as f64 * self.factor).round() as u64
     }
 
-    fn management(&self, static_mode: bool) -> MemManagement {
+    fn management(&self, static_mode: bool, _undersized: bool) -> MemManagement {
         if static_mode {
             MemManagement::Pinned
         } else {
@@ -105,8 +101,8 @@ mod tests {
     #[test]
     fn manages_like_dynamic() {
         let p = Overcommit::default();
-        assert_eq!(p.management(false), MemManagement::Managed);
-        assert_eq!(p.management(true), MemManagement::Pinned);
+        assert_eq!(p.management(false, false), MemManagement::Managed);
+        assert_eq!(p.management(true, false), MemManagement::Pinned);
         assert_eq!(p.fault_escalation(false), FaultEscalation::DemoteToStatic);
         assert_eq!(p.fault_escalation(true), FaultEscalation::BoostPriority);
     }

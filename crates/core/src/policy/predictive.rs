@@ -20,7 +20,7 @@
 
 use crate::cluster::{Cluster, JobAlloc, NodeId};
 use crate::dynmem::Decision;
-use crate::policy::{place_spread_reference, place_spread_with, PlacementScratch};
+use crate::policy::{place_spread_with, PlacementScratch};
 use crate::sim::hooks::{FaultEscalation, MemManagement, MemoryPolicy};
 
 /// Disaggregated placement sized from class history (see the module
@@ -53,10 +53,6 @@ impl MemoryPolicy for Predictive {
         place_spread_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_spread_reference(cluster, nodes, request_mb)
-    }
-
     fn size_request(&self, request_mb: u64, class_peak_mb: Option<u64>) -> u64 {
         match class_peak_mb {
             // The request stays an upper bound: history never sizes a
@@ -66,13 +62,9 @@ impl MemoryPolicy for Predictive {
         }
     }
 
-    fn management(&self, _static_mode: bool) -> MemManagement {
-        // Right-sized (or history-off) jobs are pinned; only the
-        // undersized case below runs the dynamic loop.
-        MemManagement::Pinned
-    }
-
-    fn management_for(&self, static_mode: bool, undersized: bool) -> MemManagement {
+    fn management(&self, static_mode: bool, undersized: bool) -> MemManagement {
+        // Right-sized (or history-off) jobs are pinned; only undersized
+        // ones run the dynamic loop.
         if static_mode || !undersized {
             MemManagement::Pinned
         } else {
@@ -127,11 +119,10 @@ mod tests {
     #[test]
     fn management_tracks_undersizing() {
         let p = Predictive::default();
-        assert_eq!(p.management_for(false, true), MemManagement::Managed);
-        assert_eq!(p.management_for(false, false), MemManagement::Pinned);
+        assert_eq!(p.management(false, true), MemManagement::Managed);
+        assert_eq!(p.management(false, false), MemManagement::Pinned);
         // The fairness ladder pins regardless of sizing.
-        assert_eq!(p.management_for(true, true), MemManagement::Pinned);
-        assert_eq!(p.management(false), MemManagement::Pinned);
+        assert_eq!(p.management(true, true), MemManagement::Pinned);
     }
 
     #[test]

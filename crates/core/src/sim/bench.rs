@@ -1,12 +1,15 @@
 //! Benchmark fixture for the scheduling pass.
 
+use crate::cluster::{Cluster, JobAlloc};
 use crate::config::SystemConfig;
 use crate::job::{Job, JobId};
+use crate::oracle;
+use crate::policy::PlacementScratch;
 use dmhpc_model::rng::Rng64;
 use dmhpc_model::ProfilePool;
 
 use super::builder::SimBuilder;
-use super::hooks::StaticAlloc;
+use super::hooks::{MemManagement, MemoryPolicy, StaticAlloc};
 use super::runner::Runner;
 use super::state::{Status, Workload};
 
@@ -29,8 +32,9 @@ impl SchedPassBench {
     /// Build the frozen state: `nodes` nodes (half 32 GB / half 128 GB),
     /// ~70% started with long 48 GB jobs, and `queued` pending jobs with
     /// seeded pseudo-random shapes (1–8 nodes, 4–96 GB, varied limits).
-    /// `reference` routes placement through the retained full-scan
-    /// implementation instead of the cluster indexes.
+    /// `reference` places through the full-scan
+    /// [`oracle::place_spread_reference`] instead of the cluster
+    /// indexes.
     pub fn new(nodes: u32, queued: usize, seed: u64, reference: bool) -> Self {
         use crate::cluster::MemoryMix;
         use crate::job::MemoryUsageTrace;
@@ -62,10 +66,14 @@ impl SchedPassBench {
         }
         let workload =
             Workload::try_new(jobs, ProfilePool::synthetic(4, 1)).expect("fixture ids are dense");
+        let policy: Box<dyn MemoryPolicy> = if reference {
+            Box::new(ScanSpread)
+        } else {
+            Box::new(StaticAlloc)
+        };
         let sim = SimBuilder::new(cfg, workload)
-            .policy_impl(Box::new(StaticAlloc))
+            .policy_impl(policy)
             .seed(seed)
-            .reference_scheduler(reference)
             .build();
         let mut runner = Runner::new(sim);
         for i in 0..busy {
@@ -97,5 +105,34 @@ impl SchedPassBench {
         let before = self.runner.running.len();
         self.runner.schedule_pass();
         self.runner.running.len() - before
+    }
+}
+
+/// The static policy with its placement taken straight from the
+/// full-scan oracle: the reference side of [`SchedPassBench`].
+#[derive(Clone, Copy, Debug)]
+struct ScanSpread;
+
+impl MemoryPolicy for ScanSpread {
+    fn name(&self) -> &'static str {
+        "static"
+    }
+
+    fn place(
+        &self,
+        cluster: &Cluster,
+        nodes: u32,
+        request_mb: u64,
+        _scratch: &mut PlacementScratch,
+    ) -> Option<JobAlloc> {
+        oracle::place_spread_reference(cluster, nodes, request_mb)
+    }
+
+    fn management(&self, _static_mode: bool, _undersized: bool) -> MemManagement {
+        MemManagement::Pinned
+    }
+
+    fn clone_box(&self) -> Box<dyn MemoryPolicy> {
+        Box::new(*self)
     }
 }

@@ -44,12 +44,11 @@ use super::runner::Simulation;
 use super::state::Workload;
 
 /// Fluent constructor for [`Simulation`]: start from a system config
-/// and a workload, layer on specs and switches, then [`build`] (or
+/// and a workload, layer on specs and options, then [`build`] (or
 /// [`run`]) the configured simulation.
 ///
 /// Defaults: dynamic policy, seed `0x5EED`, restart cap 64, no tracing,
-/// no telemetry, generated fault schedule, production scheduler and
-/// dynloop fast path.
+/// no telemetry, generated fault schedule.
 ///
 /// [`build`]: SimBuilder::build
 /// [`run`]: SimBuilder::run
@@ -75,8 +74,6 @@ impl SimBuilder {
                 policy: PolicySpec::Dynamic.build(),
                 seed: 0x5EED,
                 max_restarts: 64,
-                reference_scheduler: false,
-                reference_dynloop: false,
                 fault_schedule: None,
                 sink: Box::new(NullSink),
                 telemetry: None,
@@ -131,26 +128,6 @@ impl SimBuilder {
     /// Override the OOM restart cap (dynamic policy fairness guard).
     pub fn max_restarts(mut self, cap: u32) -> Self {
         self.sim.max_restarts = cap;
-        self
-    }
-
-    /// Route placement through the full-scan reference implementation
-    /// instead of the cluster indexes. Outcomes must be bit-identical
-    /// either way; this switch exists so tests can prove it and so the
-    /// benchmarks can measure the speedup.
-    pub fn reference_scheduler(mut self, on: bool) -> Self {
-        self.sim.reference_scheduler = on;
-        self
-    }
-
-    /// Route the dynamic-memory update loop through its pre-fast-path
-    /// reference twin: full-trace Monitor scans instead of the per-job
-    /// cursor, and the Decider on every update instead of the cached
-    /// hold fast path. Outcomes must be bit-identical either way; this
-    /// switch exists so the goldens can prove it and `bench-dynloop`
-    /// can measure the speedup.
-    pub fn reference_dynloop(mut self, on: bool) -> Self {
-        self.sim.reference_dynloop = on;
         self
     }
 

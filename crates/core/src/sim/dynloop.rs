@@ -66,13 +66,13 @@ impl Runner {
         }
         let span = self.phase_start();
         // The management mode is fixed for the whole attempt (resolved
-        // at placement from inputs that only change across restarts);
-        // the reference twin re-asks the policy hook every update.
-        let management = if self.reference_dynloop {
-            self.job_management(jid)
-        } else {
-            self.st[jid.0 as usize].management
-        };
+        // at placement from inputs that only change across restarts).
+        let management = self.st[jid.0 as usize].management;
+        debug_assert_eq!(
+            management,
+            self.job_management(jid),
+            "cached management mode diverged from the policy hook"
+        );
         if management == MemManagement::Managed {
             // Fault injection: the Monitor sample may be lost, in which
             // case the Decider acts on the last-known demand (i.e. the
@@ -101,12 +101,13 @@ impl Runner {
         let s = &self.st[jid.0 as usize];
         let progress = (s.work_done_s / job.base_runtime_s).min(1.0);
         let mut cursor = s.trace_cursor;
-        let (usage, next) = if self.reference_dynloop {
-            (job.usage.usage_at(progress), self.time_to_exceed(jid))
-        } else {
-            let usage = job.usage.usage_at_from(progress, &mut cursor);
-            (usage, self.time_to_exceed_from(jid, cursor))
-        };
+        let usage = job.usage.usage_at_from(progress, &mut cursor);
+        let next = self.time_to_exceed_from(jid, cursor);
+        debug_assert_eq!(
+            (usage, next),
+            (job.usage.usage_at(progress), self.time_to_exceed(jid)),
+            "cursor-based exceed probe diverged from the full-trace scan"
+        );
         let request = job.mem_request_mb;
         self.st[jid.0 as usize].trace_cursor = cursor;
         if usage > request {
@@ -131,45 +132,43 @@ impl Runner {
         let progress = (s.work_done_s / base).min(1.0);
         let speed = s.speed;
         // Monitor: demand for the period until the next nominal update,
-        // resumed from the per-job trace cursor (full-scan twin behind
-        // the reference flag). When the previous window sat inside one
-        // flat trace segment and this horizon is still short of the
-        // segment's end, the demand *is* the cached segment value —
-        // progress is monotone within a life, so the new window
-        // [progress, horizon] ⊂ [segment start, seg_end) — and the
-        // trace is not touched at all.
+        // resumed from the per-job trace cursor. When the previous
+        // window sat inside one flat trace segment and this horizon is
+        // still short of the segment's end, the demand *is* the cached
+        // segment value — progress is monotone within a life, so the
+        // new window [progress, horizon] ⊂ [segment start, seg_end) —
+        // and the trace is not touched at all.
         let mut cursor = s.trace_cursor;
         let (demand, seg_demand, seg_end);
-        if self.reference_dynloop {
-            demand = self
-                .monitor
-                .sample_demand(&job.usage, progress, speed, base);
+        let horizon = self.monitor.horizon(progress, speed, base);
+        if horizon < s.seg_end {
+            demand = s.seg_demand;
             (seg_demand, seg_end) = (s.seg_demand, s.seg_end);
         } else {
-            let horizon = self.monitor.horizon(progress, speed, base);
-            if horizon < s.seg_end {
-                demand = s.seg_demand;
-                (seg_demand, seg_end) = (s.seg_demand, s.seg_end);
+            demand = job.usage.max_in_from(progress, horizon, &mut cursor);
+            // max_in_from leaves the cursor on the last point at or
+            // before `progress`; if its successor lies past the
+            // (unclamped) horizon, the window stayed inside the cursor's
+            // segment and the sampled max is that segment's value —
+            // cache it. A window that crossed a boundary invalidates the
+            // cache (seg_end = -inf).
+            let next = job
+                .usage
+                .points()
+                .get(cursor + 1)
+                .map_or(f64::INFINITY, |&(p, _)| p);
+            (seg_demand, seg_end) = if next > horizon {
+                (demand, next)
             } else {
-                demand = job.usage.max_in_from(progress, horizon, &mut cursor);
-                // max_in_from leaves the cursor on the last point at or
-                // before `progress`; if its successor lies past the
-                // (unclamped) horizon, the window stayed inside the
-                // cursor's segment and the sampled max is that
-                // segment's value — cache it. A window that crossed a
-                // boundary invalidates the cache (seg_end = -inf).
-                let next = job
-                    .usage
-                    .points()
-                    .get(cursor + 1)
-                    .map_or(f64::INFINITY, |&(p, _)| p);
-                (seg_demand, seg_end) = if next > horizon {
-                    (demand, next)
-                } else {
-                    (0, f64::NEG_INFINITY)
-                };
-            }
+                (0, f64::NEG_INFINITY)
+            };
         }
+        debug_assert_eq!(
+            demand,
+            self.monitor
+                .sample_demand(&job.usage, progress, speed, base),
+            "segment-cached demand diverged from the full Monitor sample"
+        );
 
         // Hold fast path: every shipped Decider is a deterministic pure
         // function of (entries, demand) whose post-update allocation it
@@ -183,11 +182,21 @@ impl Runner {
         // untouched: a hold never draws the Actuator-failure chance
         // (hold decisions actuate nothing), and the re-arm interval draw
         // fires exactly as on the slow path, so outcomes are
-        // bit-identical by construction.
-        if !self.reference_dynloop
-            && s.last_demand == demand
-            && s.last_alloc_version == self.cluster.alloc_version(jid)
-        {
+        // bit-identical by construction. Debug builds ask the Decider
+        // anyway and assert the hold.
+        if s.last_demand == demand && s.last_alloc_version == self.cluster.alloc_version(jid) {
+            debug_assert!(
+                {
+                    let alloc = self.cluster.alloc_of(jid).expect("running job has alloc");
+                    let entries: Vec<_> = alloc
+                        .entries
+                        .iter()
+                        .map(|e| (e.node, e.total_mb()))
+                        .collect();
+                    self.policy.decide(&entries, demand).is_hold()
+                },
+                "hold fast path skipped a Decider that would resize"
+            );
             if self.trace_on {
                 self.emit(TraceKind::MemDecide {
                     job: jid,
@@ -265,14 +274,10 @@ impl Runner {
         }
         // … and allocate (local first, then remote).
         for &(node, need) in &decision.grows {
-            let plan = self.policy.plan_growth(
-                &self.cluster,
-                node,
-                &compute_ids,
-                need,
-                self.reference_scheduler,
-            );
-            match plan {
+            match self
+                .policy
+                .plan_growth(&self.cluster, node, &compute_ids, need)
+            {
                 Some((local, borrows)) => {
                     if self.trace_on {
                         let borrowed_mb: u64 = borrows.iter().map(|&(_, mb)| mb).sum();

@@ -19,10 +19,7 @@
 
 use crate::cluster::{Cluster, JobAlloc, NodeId};
 use crate::dynmem::{decide, Decision};
-use crate::policy::{
-    place_exclusive_reference, place_exclusive_with, place_spread_reference, place_spread_with,
-    plan_growth, plan_growth_reference, PlacementScratch,
-};
+use crate::policy::{place_exclusive_with, place_spread_with, plan_growth, PlacementScratch};
 
 /// How a policy manages a running job's allocation over its lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,16 +65,14 @@ pub trait MemoryPolicy: std::fmt::Debug + Send + Sync {
         scratch: &mut PlacementScratch,
     ) -> Option<JobAlloc>;
 
-    /// Full-scan twin of [`place`](MemoryPolicy::place): must return
-    /// bit-identical allocations. The runner routes through it when
-    /// built with the reference scheduler (equivalence tests, benches).
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc>;
-
     /// How the runner manages a job's memory while it runs.
     /// `static_mode` is true once the fairness ladder pinned the job's
     /// allocation; every policy must answer [`MemManagement::Pinned`]
-    /// for it.
-    fn management(&self, static_mode: bool) -> MemManagement;
+    /// for it. `undersized` is true when
+    /// [`size_request`](MemoryPolicy::size_request) placed the job below
+    /// its submitted request, which lets a policy pin right-sized jobs
+    /// but manage undersized ones (the predictive scheme).
+    fn management(&self, static_mode: bool, undersized: bool) -> MemManagement;
 
     /// Size the per-node allocation the scheduler places for a job:
     /// the submitted request, or a policy-adjusted figure derived from
@@ -91,17 +86,6 @@ pub trait MemoryPolicy: std::fmt::Debug + Send + Sync {
         request_mb
     }
 
-    /// [`management`](MemoryPolicy::management) with placement context:
-    /// `undersized` is true when
-    /// [`size_request`](MemoryPolicy::size_request) placed the job below
-    /// its submitted request. Policies that pin right-sized jobs but
-    /// must manage undersized ones (the predictive scheme) override
-    /// this; the default ignores the hint.
-    fn management_for(&self, static_mode: bool, undersized: bool) -> MemManagement {
-        let _ = undersized;
-        self.management(static_mode)
-    }
-
     /// The Decider (§2.2): compare the job's per-node allocations
     /// against the demand the Monitor sampled and decide what the
     /// Actuator must do. Only consulted for [`MemManagement::Managed`]
@@ -113,22 +97,17 @@ pub trait MemoryPolicy: std::fmt::Debug + Send + Sync {
     /// The Actuator's planning half: grow one compute-node entry by
     /// `need_mb`, local memory first, then borrows from the lenders
     /// with the most free memory. Also used by fault recovery to
-    /// re-home revoked slices. `reference` selects the full-scan twin.
-    /// Returns `(add_local, borrows)`, or `None` when the cluster
-    /// cannot satisfy the demand (the out-of-memory case).
+    /// re-home revoked slices. Returns `(add_local, borrows)`, or
+    /// `None` when the cluster cannot satisfy the demand (the
+    /// out-of-memory case).
     fn plan_growth(
         &self,
         cluster: &Cluster,
         entry_node: NodeId,
         compute_ids: &[NodeId],
         need_mb: u64,
-        reference: bool,
     ) -> Option<(u64, Vec<(NodeId, u64)>)> {
-        if reference {
-            plan_growth_reference(cluster, entry_node, compute_ids, need_mb)
-        } else {
-            plan_growth(cluster, entry_node, compute_ids, need_mb)
-        }
+        plan_growth(cluster, entry_node, compute_ids, need_mb)
     }
 
     /// Which rung of the §2.2 fairness ladder an escalating fault kill
@@ -169,11 +148,7 @@ impl MemoryPolicy for Baseline {
         place_exclusive_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_exclusive_reference(cluster, nodes, request_mb)
-    }
-
-    fn management(&self, _static_mode: bool) -> MemManagement {
+    fn management(&self, _static_mode: bool, _undersized: bool) -> MemManagement {
         MemManagement::Pinned
     }
 
@@ -203,11 +178,7 @@ impl MemoryPolicy for StaticAlloc {
         place_spread_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_spread_reference(cluster, nodes, request_mb)
-    }
-
-    fn management(&self, _static_mode: bool) -> MemManagement {
+    fn management(&self, _static_mode: bool, _undersized: bool) -> MemManagement {
         MemManagement::Pinned
     }
 
@@ -238,11 +209,7 @@ impl MemoryPolicy for DynamicAlloc {
         place_spread_with(cluster, nodes, request_mb, scratch)
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_spread_reference(cluster, nodes, request_mb)
-    }
-
-    fn management(&self, static_mode: bool) -> MemManagement {
+    fn management(&self, static_mode: bool, _undersized: bool) -> MemManagement {
         if static_mode {
             MemManagement::Pinned
         } else {
@@ -269,11 +236,14 @@ mod tests {
 
     #[test]
     fn management_modes() {
-        assert_eq!(Baseline.management(false), MemManagement::Pinned);
-        assert_eq!(StaticAlloc.management(false), MemManagement::Pinned);
-        assert_eq!(DynamicAlloc.management(false), MemManagement::Managed);
+        assert_eq!(Baseline.management(false, false), MemManagement::Pinned);
+        assert_eq!(StaticAlloc.management(false, false), MemManagement::Pinned);
+        assert_eq!(
+            DynamicAlloc.management(false, false),
+            MemManagement::Managed
+        );
         // Static mode pins every policy.
-        assert_eq!(DynamicAlloc.management(true), MemManagement::Pinned);
+        assert_eq!(DynamicAlloc.management(true, false), MemManagement::Pinned);
     }
 
     #[test]
@@ -283,14 +253,8 @@ mod tests {
         assert_eq!(StaticAlloc.size_request(4096, None), 4096);
         assert_eq!(StaticAlloc.size_request(4096, Some(1024)), 4096);
         assert_eq!(DynamicAlloc.size_request(4096, Some(9999)), 4096);
-        assert_eq!(
-            DynamicAlloc.management_for(false, true),
-            MemManagement::Managed
-        );
-        assert_eq!(
-            StaticAlloc.management_for(false, true),
-            MemManagement::Pinned
-        );
+        assert_eq!(DynamicAlloc.management(false, true), MemManagement::Managed);
+        assert_eq!(StaticAlloc.management(false, true), MemManagement::Pinned);
     }
 
     #[test]

@@ -167,14 +167,10 @@ impl Runner {
             );
             let mut ok = true;
             for &(node, need) in &lost {
-                let plan = self.policy.plan_growth(
-                    &self.cluster,
-                    node,
-                    &compute_ids,
-                    need,
-                    self.reference_scheduler,
-                );
-                match plan {
+                match self
+                    .policy
+                    .plan_growth(&self.cluster, node, &compute_ids, need)
+                {
                     Some((local, borrows)) => {
                         self.cluster.grow_entry(jid, node, local, &borrows, bw);
                     }

@@ -37,8 +37,6 @@ pub struct Simulation {
     pub(crate) policy: Box<dyn MemoryPolicy>,
     pub(crate) seed: u64,
     pub(crate) max_restarts: u32,
-    pub(crate) reference_scheduler: bool,
-    pub(crate) reference_dynloop: bool,
     pub(crate) fault_schedule: Option<FaultSchedule>,
     pub(crate) sink: Box<dyn TraceSink>,
     pub(crate) telemetry: Option<TelemetryCollector>,
@@ -72,10 +70,6 @@ pub(crate) struct Runner {
     pub(crate) running: Vec<JobId>,
     pub(crate) rng: Rng64,
     pub(crate) scratch: SchedScratch,
-    pub(crate) reference_scheduler: bool,
-    /// Run the dynloop's full-scan/always-decide reference twin instead
-    /// of the trace cursor + hold fast path.
-    pub(crate) reference_dynloop: bool,
     pub(crate) monitor: crate::dynmem::Monitor,
     /// Highest peak usage of any *completed* job, per application
     /// class (indexed by `ProfileId`); 0 until a job of the class
@@ -211,8 +205,6 @@ impl Runner {
             st,
             running: Vec::new(),
             scratch: SchedScratch::default(),
-            reference_scheduler: sim.reference_scheduler,
-            reference_dynloop: sim.reference_dynloop,
             class_peaks,
             now: SimTime::ZERO,
             tick_scheduled: true,
@@ -256,7 +248,7 @@ impl Runner {
     pub(crate) fn job_management(&self, jid: JobId) -> MemManagement {
         let s = &self.st[jid.0 as usize];
         let undersized = s.sized_mb < self.workload.jobs[jid.0 as usize].mem_request_mb;
-        self.policy.management_for(s.static_mode, undersized)
+        self.policy.management(s.static_mode, undersized)
     }
 
     /// Emit one trace event at the current sim-time. `TraceKind` is
@@ -413,16 +405,11 @@ impl Runner {
         }
     }
 
-    /// Place a job through the policy's indexed placement, or through
-    /// its full-scan reference when the simulation was built with
-    /// [`SimBuilder::reference_scheduler`](super::SimBuilder::reference_scheduler).
+    /// Place a job through the policy, reusing the runner's placement
+    /// scratch buffers.
     pub(crate) fn place(&mut self, nodes: u32, req: u64) -> Option<JobAlloc> {
-        if self.reference_scheduler {
-            self.policy.place_reference(&self.cluster, nodes, req)
-        } else {
-            self.policy
-                .place(&self.cluster, nodes, req, &mut self.scratch.place)
-        }
+        self.policy
+            .place(&self.cluster, nodes, req, &mut self.scratch.place)
     }
 
     /// Advance a running job's completed work to `self.now`.

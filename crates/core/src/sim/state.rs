@@ -143,11 +143,11 @@ pub(crate) struct JobState {
     pub(crate) seg_end: f64,
     /// Management mode resolved at placement. `static_mode` and
     /// `sized_mb` are fixed for the whole attempt and
-    /// [`MemoryPolicy::management_for`] is pure, so the answer cannot
-    /// change between updates; the reference twin re-asks the policy
-    /// every update (the per-update hook contract).
+    /// [`MemoryPolicy::management`] is pure, so the answer cannot
+    /// change between updates; debug builds re-ask the policy every
+    /// update and assert it did not.
     ///
-    /// [`MemoryPolicy::management_for`]: crate::sim::MemoryPolicy::management_for
+    /// [`MemoryPolicy::management`]: crate::sim::MemoryPolicy::management
     pub(crate) management: MemManagement,
 }
 

@@ -572,135 +572,6 @@ fn cmd_bench_huge(threads: usize, opts: &OptMap) -> Result<(), Failure> {
     }
 }
 
-/// Time the dynamic-memory update loop on the hold fast path + trace
-/// cursor against the retained full-scan/always-decide reference twin
-/// (`SimBuilder::reference_dynloop`), one pair per policy on the stress
-/// scenario, assert every pair bit-identical, and gate the
-/// dynloop-phase speedup into the `dynloop_fast_path` section of
-/// `BENCH_sched.json` — next to the `schedule_pass` gate it mirrors,
-/// preserving that section. `--points-out` writes the deterministic
-/// per-policy outcome values as CSV so `scripts/verify.sh` can diff a
-/// threads-1 run against a threads-4 run byte for byte.
-fn cmd_bench_dynloop(threads: usize, opts: &OptMap) -> Result<(), Failure> {
-    use dmhpc_experiments::bench_dynloop::{self, DynloopLegConfig};
-    let out = opts
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sched.json".to_string());
-    let smoke = opts.contains_key("smoke");
-    let mut cfg = if smoke {
-        DynloopLegConfig::smoke()
-    } else {
-        DynloopLegConfig::full()
-    };
-    let common = CommonRunOpts::from_opts(opts)?;
-    cfg.policies = common.policies.clone();
-    cfg.topology = common.single_topology("bench-dynloop")?;
-    cfg.reps = opt_parse(opts, "reps", cfg.reps)?;
-    if let Some(p) = opts.get("fault-profile") {
-        cfg.fault_profile = p.clone();
-    }
-    const ACCEPT_SPEEDUP: f64 = bench_dynloop::ACCEPT_SPEEDUP;
-
-    let label = if smoke { "smoke" } else { "full" };
-    println!(
-        "bench-dynloop ({label}): scale {}, {} policies, fault profile {}, topology {}, {} reps",
-        cfg.scale.label(),
-        cfg.policies.len(),
-        cfg.fault_profile,
-        cfg.topology,
-        cfg.reps
-    );
-    let report = bench_dynloop::run(cfg, threads).map_err(|e| format!("bench-dynloop: {e}"))?;
-    let cfg = &report.cfg;
-    let mut rows = String::new();
-    for (i, r) in report.rows.iter().enumerate() {
-        println!(
-            "  {:<26} fast {:>12} ns   reference {:>12} ns   speedup {:>6.2}x   {} updates   identical {}",
-            r.policy.to_string(),
-            r.fast_ns,
-            r.reference_ns,
-            r.speedup(),
-            r.updates,
-            r.identical
-        );
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "      {{\"policy\": \"{}\", \"fast_ns\": {}, \"reference_ns\": {}, \"speedup\": {:.3}, \"updates\": {}, \"identical\": {}}}",
-            r.policy, r.fast_ns, r.reference_ns, r.speedup(), r.updates, r.identical
-        ));
-    }
-    let gate = report.gate_row();
-    println!("  phase profile, reference twin ({} policy):", gate.policy);
-    print!("{}", report::phase_table(&gate.reference_profile).render());
-    println!("  phase profile, fast path:");
-    print!("{}", report::phase_table(&gate.fast_profile).render());
-    let speedup = gate.speedup();
-    let identical = report.all_identical();
-    let pass = speedup >= ACCEPT_SPEEDUP && identical;
-    let section = format!(
-        "{{\n    \"mode\": \"{label}\",\n    \"scale\": \"{}\",\n    \"jobs\": {},\n    \"fault_profile\": \"{}\",\n    \"topology\": \"{}\",\n    \"reps\": {},\n    \"rows\": [\n{rows}\n    ],\n    \"acceptance\": {{\"policy\": \"{}\", \"metric\": \"dynloop_phase_ns\", \"required_speedup\": {ACCEPT_SPEEDUP}, \"measured_speedup\": {speedup:.3}, \"identical\": {identical}, \"pass\": {pass}}}\n  }}",
-        cfg.scale.label(),
-        report.workload_jobs,
-        cfg.fault_profile,
-        cfg.topology,
-        cfg.reps,
-        gate.policy,
-    );
-    let existing = std::fs::read_to_string(&out).ok();
-    let json = bench_dynloop::splice_section(existing.as_deref(), "dynloop_fast_path", &section);
-    std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
-    if let Some(points_out) = opts.get("points-out") {
-        let mut t = TextTable::new(vec![
-            "policy",
-            "topology",
-            "fault_profile",
-            "completed",
-            "oom_kills",
-            "throughput_jps",
-            "identical",
-        ]);
-        for r in &report.rows {
-            t.row(vec![
-                r.policy.to_string(),
-                cfg.topology.to_string(),
-                cfg.fault_profile.clone(),
-                r.completed.to_string(),
-                r.oom_kills.to_string(),
-                format!("{:.9}", r.throughput_jps),
-                r.identical.to_string(),
-            ]);
-        }
-        std::fs::write(points_out, t.to_csv()).map_err(|e| format!("write {points_out}: {e}"))?;
-    }
-    println!(
-        "acceptance (dynloop phase, {} policy): {speedup:.2}x (>= {ACCEPT_SPEEDUP}x required), identical {identical} -> {}",
-        gate.policy,
-        if pass { "PASS" } else { "FAIL" }
-    );
-    println!("wrote {out}");
-    if !identical {
-        // A divergence is a correctness bug; it fails the run whether or
-        // not the timing gate is enforced.
-        Err("fast-path outcome diverged from the reference twin"
-            .to_string()
-            .into())
-    } else if pass || opts.contains_key("no-gate") {
-        // `--no-gate` drops the timing bar from the exit status: the
-        // verify.sh threads-4 leg exists to cross-check determinism (the
-        // points CSV), and wall-clock ratios are not trustworthy after a
-        // multi-threaded sweep on a small machine.
-        Ok(())
-    } else {
-        Err(
-            format!("dynloop speedup {speedup:.2}x below the {ACCEPT_SPEEDUP}x acceptance bar")
-                .into(),
-        )
-    }
-}
-
 /// The scenario `trace-run` traces: the fault sweep's stress system
 /// (underprovisioned, 25% large nodes, Checkpoint/Restart) under the
 /// 50%-large +60%-overestimation workload, so traces exercise the
@@ -1277,7 +1148,6 @@ fn main() {
         "simulate" => cmd_simulate(args.scale, &args.opts).map_err(Failure::Run),
         "bench-sched" => cmd_bench_sched(&args.opts).map_err(Failure::Run),
         "bench-huge" => cmd_bench_huge(args.threads, &args.opts),
-        "bench-dynloop" => cmd_bench_dynloop(args.threads, &args.opts),
         "chart" => cmd_chart(args.scale, args.threads, &args.opts),
         "sweep-status" => cmd_sweep_status(&args.opts).map_err(Failure::Run),
         "report" => cmd_report(args.scale, &args.opts).map_err(Failure::Run),

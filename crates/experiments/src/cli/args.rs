@@ -49,9 +49,6 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
             "--smoke" => {
                 opts.insert("smoke".to_string(), "1".to_string());
             }
-            "--no-gate" => {
-                opts.insert("no-gate".to_string(), "1".to_string());
-            }
             "--telemetry" => {
                 opts.insert("telemetry".to_string(), "1".to_string());
             }
@@ -109,16 +106,6 @@ pub fn usage() -> String {
      \x20                                        simulate, aggregate), gate the shared-workload\n\
      \x20                                        provisioning speedup, write BENCH_huge.json;\n\
      \x20                                        --smoke trims the leg for CI\n\
-     \x20 bench-dynloop [--out FILE] [--points-out FILE] [--reps N] [--smoke] [--no-gate]\n\
-     \x20           [--policies SPECS] [--fault-profile none|light|heavy]\n\
-     \x20                                        time the dynamic-memory update loop on the\n\
-     \x20                                        hold fast path vs the always-decide reference\n\
-     \x20                                        twin, prove the pairs bit-identical, and gate\n\
-     \x20                                        the dynloop-phase speedup into the\n\
-     \x20                                        dynloop_fast_path section of BENCH_sched.json;\n\
-     \x20                                        --smoke trims the leg for CI, --no-gate keeps\n\
-     \x20                                        the timing bar out of the exit status (identity\n\
-     \x20                                        divergence still fails)\n\
      \x20 trace-run [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
      \x20           [--out FILE] [--filter kind=K1,K2] [--from S] [--to S] [--summary]\n\
      \x20           [--diff A,B] [--check FILE] [--sample-s S]\n\
@@ -231,7 +218,6 @@ mod tests {
             "chart",
             "bench-sched",
             "bench-huge",
-            "bench-dynloop",
             "trace-run",
             "sweep-status",
             "report",
@@ -293,28 +279,5 @@ mod tests {
         let samples: usize = opt_parse(&args.opts, "samples", 32).unwrap();
         assert_eq!(samples, 4);
         assert_eq!(args.opts.get("points-out").unwrap(), "/tmp/pts.csv");
-    }
-
-    #[test]
-    fn bench_dynloop_flags_parse() {
-        let args = parse(&[
-            "bench-dynloop",
-            "--smoke",
-            "--no-gate",
-            "--reps",
-            "2",
-            "--policies",
-            "dynamic,static",
-            "--out",
-            "/tmp/bd.json",
-        ])
-        .unwrap();
-        assert_eq!(args.command, "bench-dynloop");
-        assert!(args.opts.contains_key("smoke"));
-        assert!(args.opts.contains_key("no-gate"));
-        let reps: usize = opt_parse(&args.opts, "reps", 5).unwrap();
-        assert_eq!(reps, 2);
-        assert_eq!(args.opts.get("policies").unwrap(), "dynamic,static");
-        assert_eq!(args.opts.get("out").unwrap(), "/tmp/bd.json");
     }
 }

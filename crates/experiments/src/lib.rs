@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_dynloop;
 pub mod bench_huge;
 pub mod chart;
 pub mod cli;

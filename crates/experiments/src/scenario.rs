@@ -48,7 +48,7 @@ pub fn synthetic_workload(
         .build_for(&synthetic_system(scale, MemoryMix::all_large()))
 }
 
-/// The `bench-dynloop` leg workload: [`synthetic_workload`] shifted to
+/// The dynamic-memory stress workload (criterion `dynloop` bench): [`synthetic_workload`] shifted to
 /// the long-running-job regime (median runtime in the hours, as on the
 /// modelled HPC systems, instead of the default ~50 minutes). Long jobs
 /// are where the dynamic-memory update loop lives — each one takes tens

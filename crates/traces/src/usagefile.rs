@@ -84,7 +84,9 @@ pub fn parse(text: &str) -> Result<BTreeMap<JobId, MemoryUsageTrace>, CoreError>
             match (parts.next(), parts.next()) {
                 (Some("points"), Some(n)) => {
                     let n: usize = n.parse().map_err(|e| err(&format!("points: {e}")))?;
-                    current = Some((JobId(id), n, Vec::with_capacity(n)));
+                    // `n` is untrusted: no pre-sizing from it. The
+                    // declared-vs-provided check rejects a mismatch.
+                    current = Some((JobId(id), n, Vec::new()));
                 }
                 _ => return Err(err("expected 'job <id> points <n>'")),
             }
@@ -193,6 +195,15 @@ mod tests {
         let text = format!("{HEADER}\njob 0 points 2\n0 5\n");
         let err = parse(&text).unwrap_err().to_string();
         assert!(err.contains("declared 2"), "{err}");
+    }
+
+    #[test]
+    fn huge_point_count_is_an_error_not_a_panic() {
+        for n in [u64::MAX, u64::MAX / 2, 1 << 40] {
+            let text = format!("{HEADER}\njob 0 points {n}\n0 5\n");
+            let err = parse(&text).unwrap_err().to_string();
+            assert!(err.contains("provided 1"), "{err}");
+        }
     }
 
     #[test]

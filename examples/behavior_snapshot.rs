@@ -1,6 +1,6 @@
 //! Behavioral fingerprint of the simulator: run a grid of seeded
-//! simulations (all three policies, both schedulers, fault profiles,
-//! both restart strategies) and dump every outcome field.
+//! simulations (all three policies, fault profiles, both restart
+//! strategies) and dump every outcome field.
 //!
 //! ```text
 //! cargo run --release --example behavior_snapshot > snapshot.txt
@@ -27,17 +27,14 @@ fn main() {
         PolicySpec::Dynamic,
     ] {
         for seed in [0xD15A_66E6u64, 0xBEEF, 7] {
-            for reference in [false, true] {
-                let cfg = synthetic_system(Scale::Small, mix);
-                let workload = synthetic_workload(Scale::Small, 0.5, 1.2, seed);
-                let out = SimBuilder::new(cfg, workload)
-                    .policy(policy)
-                    .seed(seed)
-                    .reference_scheduler(reference)
-                    .run();
-                println!("== {policy} seed={seed:#x} reference={reference}");
-                println!("{out:?}");
-            }
+            let cfg = synthetic_system(Scale::Small, mix);
+            let workload = synthetic_workload(Scale::Small, 0.5, 1.2, seed);
+            let out = SimBuilder::new(cfg, workload)
+                .policy(policy)
+                .seed(seed)
+                .run();
+            println!("== {policy} seed={seed:#x}");
+            println!("{out:?}");
         }
         for (name, faults) in [
             ("light", FaultConfig::light()),

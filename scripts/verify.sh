@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Full verification flow: tier-1 (build + root tests), the complete
-# workspace suite, lints as errors, and formatting. CI and pre-commit
-# both call this; keep it in sync with ROADMAP.md's tier-1 definition.
+# Full verification flow: tier-1 (release build + root tests), the
+# CLI smoke groups, lints as errors, and formatting. The root tests run
+# once, inside the debug workspace suite, where every simulation also
+# checks the indexed planners and the dynloop fast path against their
+# full-scan oracle. CI and pre-commit both call this; keep it in sync
+# with ROADMAP.md's tier-1 definition.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,14 +14,8 @@ cargo build --release
 # member so target/release/dmhpc exists even on a cold target dir.
 cargo build --release --workspace
 
-echo "== tier-1: tests =="
-cargo test -q
-
-echo "== workspace tests =="
+echo "== tier-1 + workspace tests (debug: oracle checks on) =="
 cargo test --workspace -q
-
-echo "== fault-injection test group =="
-cargo test -q --test fault_injection --test determinism_golden
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small
@@ -75,23 +72,6 @@ cmp /tmp/bench_huge_a.csv /tmp/bench_huge_b.csv
 grep -q '"pass": true' /tmp/bench_huge_a.json
 rm -f /tmp/bench_huge_a.json /tmp/bench_huge_b.json \
       /tmp/bench_huge_a.csv /tmp/bench_huge_b.csv
-
-echo "== bench-dynloop smoke (fast-path gate + threads-1-vs-4 bits) =="
-# Threads-1 leg carries the timing gate: the dynloop-phase speedup of
-# the hold fast path over the always-decide reference twin must clear
-# the 1.5x acceptance bar with bit-identical outcomes.
-./target/release/dmhpc bench-dynloop --smoke --threads 1 \
-    --out /tmp/bench_dynloop_a.json --points-out /tmp/bench_dynloop_a.csv
-# Threads-4 leg exists for the determinism cross-check (thread count
-# must not change simulated bits); --no-gate keeps the timing bar out
-# of its exit status, since wall-clock ratios after a multi-threaded
-# sweep are not meaningful. Identity divergence still fails it.
-./target/release/dmhpc bench-dynloop --smoke --threads 4 --no-gate \
-    --out /tmp/bench_dynloop_b.json --points-out /tmp/bench_dynloop_b.csv
-cmp /tmp/bench_dynloop_a.csv /tmp/bench_dynloop_b.csv
-grep -q '"pass": true' /tmp/bench_dynloop_a.json
-rm -f /tmp/bench_dynloop_a.json /tmp/bench_dynloop_b.json \
-      /tmp/bench_dynloop_a.csv /tmp/bench_dynloop_b.csv
 
 echo "== durable-sweep smoke (journal, interrupt at 75, resume, bit-identical) =="
 M=/tmp/durable_sweep.jsonl

@@ -2,14 +2,16 @@
 //!
 //! The cluster keeps incremental free-memory indexes and the scheduler
 //! runs on reusable scratch buffers; the original full-scan
-//! implementations are retained as `*_reference`. These tests prove the
-//! two produce **bit-identical** `SimulationOutcome`s on realistic
-//! workloads, and that a fixed seed reproduces a run exactly — the
+//! implementations are retained in `dmhpc_core::oracle`. Every debug
+//! simulation cross-checks the indexed planners against them call by
+//! call; these tests add property checks on arbitrary cluster states,
+//! and prove that a fixed seed reproduces a run exactly — the
 //! acceptance bar for every optimisation in this module.
 
-use dmhpc::core::cluster::{Cluster, MemoryMix};
+use dmhpc::core::cluster::{Cluster, JobAlloc, MemoryMix};
 use dmhpc::core::job::JobId;
-use dmhpc::core::policy::{plan_growth, plan_growth_reference, PlacementScratch, PolicySpec};
+use dmhpc::core::oracle;
+use dmhpc::core::policy::{plan_growth, PlacementScratch, PolicySpec};
 use dmhpc::core::sim::{SimBuilder, SimulationOutcome};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
@@ -22,14 +24,13 @@ const PAPER_POLICIES: [PolicySpec; 3] = [
     PolicySpec::Dynamic,
 ];
 
-fn run_synthetic(policy: PolicySpec, seed: u64, reference: bool) -> SimulationOutcome {
+fn run_synthetic(policy: PolicySpec, seed: u64) -> SimulationOutcome {
     let mix = MemoryMix::new(4096, 16384, 0.5);
     let cfg = synthetic_system(Scale::Small, mix);
     let workload = synthetic_workload(Scale::Small, 0.5, 1.2, seed);
     SimBuilder::new(cfg, workload)
         .policy(policy)
         .seed(seed)
-        .reference_scheduler(reference)
         .run()
 }
 
@@ -37,27 +38,12 @@ fn run_synthetic(policy: PolicySpec, seed: u64, reference: bool) -> SimulationOu
 #[test]
 fn seeded_run_is_reproducible() {
     for policy in PAPER_POLICIES {
-        let a = run_synthetic(policy, 0xD15A_66E6, false);
-        let b = run_synthetic(policy, 0xD15A_66E6, false);
+        let a = run_synthetic(policy, 0xD15A_66E6);
+        let b = run_synthetic(policy, 0xD15A_66E6);
         assert_eq!(a, b, "{policy:?}: same seed must reproduce the run exactly");
         assert!(
             a.stats.completed > 0,
             "{policy:?}: workload must exercise the scheduler"
-        );
-    }
-}
-
-/// The incremental indexes and scratch-buffer hot path must be
-/// outcome-invisible: a full run under the indexed scheduler equals a
-/// full run under the retained reference scans, bit for bit.
-#[test]
-fn indexed_and_reference_schedulers_agree() {
-    for policy in PAPER_POLICIES {
-        let indexed = run_synthetic(policy, 0xBEEF, false);
-        let reference = run_synthetic(policy, 0xBEEF, true);
-        assert_eq!(
-            indexed, reference,
-            "{policy:?}: indexed scheduler diverged from the reference scans"
         );
     }
 }
@@ -145,17 +131,25 @@ fn trace_stream_is_deterministic_and_inert() {
     }
 }
 
+/// The full-scan oracle placement of one of the paper's policies:
+/// exclusive for Baseline, spread for Static and Dynamic.
+fn oracle_place(policy: PolicySpec, cluster: &Cluster, nodes: u32, req: u64) -> Option<JobAlloc> {
+    match policy {
+        PolicySpec::Baseline => oracle::place_exclusive_reference(cluster, nodes, req),
+        _ => oracle::place_spread_reference(cluster, nodes, req),
+    }
+}
+
 /// Drive a cluster into a random occupied state by replaying a sequence
 /// of placements/releases, mirroring `tests/property_invariants.rs`.
 fn occupy(cluster: &mut Cluster, ops: &[(u32, u64, u8)], policy: PolicySpec) {
-    let policy = policy.build();
     let mut placed: Vec<JobId> = Vec::new();
     let mut next_id = 0u32;
     for &(nodes, req, action) in ops {
         if action == 0 && !placed.is_empty() {
             let id = placed.remove(0);
             cluster.finish_job(id);
-        } else if let Some(alloc) = policy.place_reference(cluster, nodes, req) {
+        } else if let Some(alloc) = oracle_place(policy, cluster, nodes, req) {
             let id = JobId(next_id);
             next_id += 1;
             cluster.start_job(id, alloc, 3.0);
@@ -180,10 +174,9 @@ proptest! {
         let mut cluster = Cluster::new(caps, 0.5);
         occupy(&mut cluster, &ops, spec);
         prop_assert_eq!(cluster.check_invariants(), Ok(()));
-        let policy = spec.build();
         let mut scratch = PlacementScratch::new();
-        let indexed = policy.place(&cluster, nodes, req, &mut scratch);
-        let reference = policy.place_reference(&cluster, nodes, req);
+        let indexed = spec.build().place(&cluster, nodes, req, &mut scratch);
+        let reference = oracle_place(spec, &cluster, nodes, req);
         prop_assert_eq!(indexed, reference);
     }
 
@@ -205,7 +198,7 @@ proptest! {
         let computes: Vec<_> = alloc.entries.iter().map(|e| e.node).collect();
         for e in &alloc.entries {
             let indexed = plan_growth(&cluster, e.node, &computes, need);
-            let reference = plan_growth_reference(&cluster, e.node, &computes, need);
+            let reference = oracle::plan_growth_reference(&cluster, e.node, &computes, need);
             prop_assert_eq!(indexed, reference);
         }
     }

@@ -181,11 +181,7 @@ impl MemoryPolicy for PanicOnPlace {
         None // decline placement until the fuse blows
     }
 
-    fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        self.place(cluster, nodes, request_mb, &mut PlacementScratch::default())
-    }
-
-    fn management(&self, _static_mode: bool) -> MemManagement {
+    fn management(&self, _static_mode: bool, _undersized: bool) -> MemManagement {
         MemManagement::Pinned
     }
 

@@ -5,16 +5,18 @@
 //! flat trace segment the monitoring horizon last landed in — and skips
 //! the Decider/Actuator entirely when nothing changed (the policies are
 //! deterministic functions of those inputs, so an unchanged input set
-//! must reproduce the previous hold). `SimBuilder::reference_dynloop`
-//! keeps the original resample-and-decide-every-update twin; these tests
-//! prove the two **bit-identical** across every policy spec, fault
-//! profile, and topology, and that every allocation mutation bumps the
-//! version the fast path keys on.
+//! must reproduce the previous hold). Debug builds check every update
+//! against the full resample-and-decide path: the cached management
+//! mode, the cursor-based exceed probe, the segment-cached demand, and
+//! the hold itself. These tests drive those checks across every policy
+//! spec, fault profile, and topology, and prove that every allocation
+//! mutation bumps the version the fast path keys on.
 
 use dmhpc::core::cluster::{Cluster, MemoryMix, TopologySpec};
 use dmhpc::core::faults::FaultConfig;
 use dmhpc::core::job::JobId;
-use dmhpc::core::policy::{place_spread_reference, PolicySpec};
+use dmhpc::core::oracle::place_spread_reference;
+use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::{SimBuilder, SimulationOutcome};
 use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
 use dmhpc::experiments::Scale;
@@ -24,7 +26,6 @@ fn run_stress(
     policy: PolicySpec,
     fault_profile: &str,
     topology: TopologySpec,
-    reference_dynloop: bool,
 ) -> SimulationOutcome {
     let seed = 0xFA57_0001;
     let cfg = synthetic_system(Scale::Small, MemoryMix::new(4096, 16384, 0.5))
@@ -37,26 +38,24 @@ fn run_stress(
     SimBuilder::new(cfg, workload)
         .policy(policy)
         .seed(seed)
-        .reference_dynloop(reference_dynloop)
-        .build()
         .run()
 }
 
 /// The tentpole golden: the hold fast path is outcome-invisible for
-/// every registered policy spec × fault profile × topology. A run on
-/// the fast path equals a run on the always-decide reference twin, bit
-/// for bit.
+/// every registered policy spec × fault profile × topology. Each run
+/// exercises the hold and actuate arms of the loop; in a debug build
+/// every update is checked against the full resample-and-decide path,
+/// and every placement and growth plan against the full-scan oracle.
 #[test]
-fn fast_path_matches_reference_dynloop() {
+fn fast_path_passes_the_dynloop_oracle() {
     let racked = "racks:size=8".parse::<TopologySpec>().unwrap();
     for policy in PolicySpec::all_default() {
         for fault_profile in ["none", "light", "heavy"] {
             for topology in [TopologySpec::Flat, racked] {
-                let fast = run_stress(policy, fault_profile, topology, false);
-                let reference = run_stress(policy, fault_profile, topology, true);
-                assert_eq!(
-                    fast, reference,
-                    "{policy}/{fault_profile}/{topology}: fast path diverged from the reference twin"
+                let out = run_stress(policy, fault_profile, topology);
+                assert!(
+                    out.stats.completed > 0,
+                    "{policy}/{fault_profile}/{topology}: the stress run must complete jobs"
                 );
             }
         }

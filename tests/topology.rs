@@ -16,9 +16,8 @@ use dmhpc::core::cluster::{Cluster, MemoryMix, NodeId, TopologySpec};
 use dmhpc::core::config::{RestartStrategy, SystemConfig};
 use dmhpc::core::faults::FaultConfig;
 use dmhpc::core::job::JobId;
-use dmhpc::core::policy::{
-    place_spread_with, plan_growth, plan_growth_reference, PlacementScratch, PolicySpec,
-};
+use dmhpc::core::oracle;
+use dmhpc::core::policy::{place_spread_with, plan_growth, PlacementScratch, PolicySpec};
 use dmhpc::core::sim::SimulationOutcome;
 use dmhpc::experiments::scenario::{simulate, synthetic_system, synthetic_workload, BASE_SEED};
 use dmhpc::experiments::Scale;
@@ -359,14 +358,19 @@ proptest! {
     ) {
         let cross_cap = [0.0, 0.25, 0.5, 1.0][cross_idx];
         let spec = TopologySpec::Racks { size: rack_size, cross_cap };
-        let policy = [PolicySpec::Baseline, PolicySpec::Static, PolicySpec::Dynamic][kind_idx].build();
+        let kind = [PolicySpec::Baseline, PolicySpec::Static, PolicySpec::Dynamic][kind_idx];
+        let policy = kind.build();
         let mut scratch = PlacementScratch::new();
         let mut cluster = Cluster::new_with_topology(caps, 0.5, spec);
         let mut placed: Vec<JobId> = Vec::new();
         let mut next_id = 0u32;
         for (nodes, req, action) in ops {
             let indexed = policy.place(&cluster, nodes, req, &mut scratch);
-            let reference = policy.place_reference(&cluster, nodes, req);
+            let reference = if kind == PolicySpec::Baseline {
+                oracle::place_exclusive_reference(&cluster, nodes, req)
+            } else {
+                oracle::place_spread_reference(&cluster, nodes, req)
+            };
             prop_assert_eq!(&indexed, &reference);
             match action {
                 0 | 1 => {
@@ -390,7 +394,7 @@ proptest! {
                             alloc.entries.iter().map(|x| x.node).collect();
                         let home = alloc.entries[0].node;
                         let a = plan_growth(&cluster, home, &computes, req);
-                        let b = plan_growth_reference(&cluster, home, &computes, req);
+                        let b = oracle::plan_growth_reference(&cluster, home, &computes, req);
                         prop_assert_eq!(&a, &b);
                         if let Some((l, borrows)) = a {
                             cluster.grow_entry(id, home, l, &borrows, 3.0);
