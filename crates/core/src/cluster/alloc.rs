@@ -75,8 +75,7 @@ impl JobAlloc {
     }
 
     /// Collect the distinct lender nodes into `out` (cleared first), in
-    /// first-appearance order: the allocation-free twin of
-    /// [`Self::lenders`] for hot paths with a reusable buffer.
+    /// first-appearance order, reusing the caller's buffer.
     pub fn lenders_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
         for e in &self.entries {
@@ -87,23 +86,15 @@ impl JobAlloc {
             }
         }
     }
+}
 
-    /// Iterate over the distinct lender nodes of this allocation.
-    pub fn lenders(&self) -> impl Iterator<Item = NodeId> + '_ {
-        // Lender lists are tiny (a few entries); a linear de-dup avoids a
-        // HashSet allocation on this hot path.
-        let mut seen: Vec<NodeId> = Vec::new();
-        self.entries
-            .iter()
-            .flat_map(|e| e.remote.iter().map(|&(l, _)| l))
-            .filter(move |l| {
-                if seen.contains(l) {
-                    false
-                } else {
-                    seen.push(*l);
-                    true
-                }
-            })
+/// Add `mb` to `lender`'s row of a per-lender tally kept sorted by
+/// lender id.
+#[inline]
+fn tally(per_lender: &mut Vec<(NodeId, u64)>, lender: NodeId, mb: u64) {
+    match per_lender.binary_search_by_key(&lender, |&(l, _)| l) {
+        Ok(pos) => per_lender[pos].1 += mb,
+        Err(pos) => per_lender.insert(pos, (lender, mb)),
     }
 }
 
@@ -116,7 +107,7 @@ impl Cluster {
     /// enough free memory on a compute node or lender, job already
     /// placed, self-borrow, duplicate lender within an entry).
     pub fn start_job(&mut self, job: JobId, alloc: JobAlloc, bandwidth_gbs: f64) {
-        assert!(!self.allocs.contains_key(&job), "{job} is already placed");
+        assert!(self.alloc_of(job).is_none(), "{job} is already placed");
         assert!(!alloc.entries.is_empty(), "empty allocation for {job}");
         // Validate first so a panic cannot leave a half-applied ledger.
         for e in &alloc.entries {
@@ -144,10 +135,7 @@ impl Cluster {
         per_lender.clear();
         for e in &alloc.entries {
             for &(lender, mb) in &e.remote {
-                match per_lender.binary_search_by_key(&lender, |&(l, _)| l) {
-                    Ok(pos) => per_lender[pos].1 += mb,
-                    Err(pos) => per_lender.insert(pos, (lender, mb)),
-                }
+                tally(&mut per_lender, lender, mb);
             }
         }
         for &(lender, mb) in &per_lender {
@@ -174,7 +162,7 @@ impl Cluster {
         for &(lender, mb) in &per_lender {
             self.touch(lender, |n| n.lent_mb = mb_add(n.lent_mb, mb));
             self.total_alloc_mb = mb_add(self.total_alloc_mb, mb);
-            self.borrowers.entry(lender).or_default().push(job);
+            self.borrowers[lender.0 as usize].push(job);
         }
         for e in &alloc.entries {
             for &(lender, mb) in &e.remote {
@@ -185,7 +173,7 @@ impl Cluster {
             }
         }
         self.scratch_per_lender = per_lender;
-        self.allocs.insert(job, alloc);
+        self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
         self.debug_check();
@@ -197,7 +185,12 @@ impl Cluster {
     /// # Panics
     /// Panics if the job is not placed.
     pub fn finish_job(&mut self, job: JobId) -> JobAlloc {
-        let alloc = self.allocs.remove(&job).expect("finish of unplaced job");
+        let alloc = self.take_alloc(job, "finish");
+        // Release the borrowed MB aggregated per lender, as `start_job`
+        // reserves it, so each lender is re-indexed once rather than
+        // once per slice.
+        let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
+        per_lender.clear();
         for e in &alloc.entries {
             debug_assert_eq!(self.nodes[e.node.0 as usize].running, Some(job));
             self.touch(e.node, |n| {
@@ -207,33 +200,29 @@ impl Cluster {
             self.total_alloc_mb = mb_sub(self.total_alloc_mb, e.local_mb);
             self.idle_nodes += 1;
             for &(lender, mb) in &e.remote {
-                self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, mb));
-                self.total_alloc_mb = mb_sub(self.total_alloc_mb, mb);
+                tally(&mut per_lender, lender, mb);
                 self.total_remote_mb = mb_sub(self.total_remote_mb, mb);
                 if self.is_cross(e.node, lender) {
                     self.total_cross_mb = mb_sub(self.total_cross_mb, mb);
                 }
             }
         }
-        // Clear contention contributions and the reverse index.
-        if let Some(contribs) = self.demand_contribs.remove(&job) {
-            for (lender, gbs) in contribs {
-                let n = &mut self.nodes[lender.0 as usize];
-                n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
-            }
+        for &(lender, mb) in &per_lender {
+            self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, mb));
+            self.total_alloc_mb = mb_sub(self.total_alloc_mb, mb);
+            self.unlink_borrower(lender, job);
         }
-        let mut lenders = std::mem::take(&mut self.scratch_lenders);
-        alloc.lenders_into(&mut lenders);
-        for &lender in &lenders {
-            if let Some(bs) = self.borrowers.get_mut(&lender) {
-                bs.retain(|&j| j != job);
-                if bs.is_empty() {
-                    self.borrowers.remove(&lender);
-                }
-            }
+        self.scratch_per_lender = per_lender;
+        // Clear contention contributions and the version stamp (the
+        // clock itself never rewinds, so a later restart gets a fresh,
+        // never-seen stamp).
+        let slot = &mut self.jobs[job.0 as usize];
+        slot.version = 0;
+        let contribs = std::mem::take(&mut slot.demand);
+        for (lender, gbs) in contribs {
+            let n = &mut self.nodes[lender.0 as usize];
+            n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
         }
-        self.scratch_lenders = lenders;
-        self.clear_alloc_version(job);
         self.debug_check();
         alloc
     }
@@ -247,7 +236,7 @@ impl Cluster {
     /// # Panics
     /// Panics if the job is not placed.
     pub fn shrink_job(&mut self, job: JobId, target_mb: u64, bandwidth_gbs: f64) -> u64 {
-        let mut alloc = self.allocs.remove(&job).expect("shrink of unplaced job");
+        let mut alloc = self.take_alloc(job, "shrink");
         let mut released = 0u64;
         let mut touched_lenders = std::mem::take(&mut self.scratch_touched);
         touched_lenders.clear();
@@ -292,18 +281,13 @@ impl Cluster {
         alloc.lenders_into(&mut still);
         for &lender in &touched_lenders {
             if !still.contains(&lender) {
-                if let Some(bs) = self.borrowers.get_mut(&lender) {
-                    bs.retain(|&j| j != job);
-                    if bs.is_empty() {
-                        self.borrowers.remove(&lender);
-                    }
-                }
+                self.unlink_borrower(lender, job);
             }
         }
         self.scratch_lenders = still;
         self.scratch_touched = touched_lenders;
         self.total_alloc_mb = mb_sub(self.total_alloc_mb, released);
-        self.allocs.insert(job, alloc);
+        self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
         self.debug_check();
@@ -344,7 +328,7 @@ impl Cluster {
             );
         }
         {
-            let alloc = self.allocs.get(&job).expect("grow of unplaced job");
+            let alloc = self.alloc_of(job).expect("grow of unplaced job");
             assert!(
                 alloc.entries.iter().any(|e| e.node == node),
                 "grow on a node outside the job's allocation"
@@ -363,12 +347,15 @@ impl Cluster {
             if self.is_cross(node, lender) {
                 self.total_cross_mb = mb_add(self.total_cross_mb, mb);
             }
-            let bs = self.borrowers.entry(lender).or_default();
+            let bs = &mut self.borrowers[lender.0 as usize];
             if !bs.contains(&job) {
                 bs.push(job);
             }
         }
-        let alloc = self.allocs.get_mut(&job).expect("grow of unplaced job");
+        let alloc = self.jobs[job.0 as usize]
+            .alloc
+            .as_mut()
+            .expect("grow of unplaced job");
         let entry = alloc
             .entries
             .iter_mut()
@@ -393,33 +380,30 @@ impl Cluster {
     /// the slice-weighted share of the job's traffic that crosses `L`'s
     /// link.
     pub(super) fn refresh_demand(&mut self, job: JobId, bandwidth_gbs: f64) {
-        if let Some(old) = self.demand_contribs.remove(&job) {
-            for (lender, gbs) in old {
-                let n = &mut self.nodes[lender.0 as usize];
-                n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
-            }
+        let slot = &mut self.jobs[job.0 as usize];
+        let mut contribs = std::mem::take(&mut slot.demand);
+        let alloc = slot.alloc.as_ref().expect("demand of unplaced job");
+        for &(lender, gbs) in &contribs {
+            let n = &mut self.nodes[lender.0 as usize];
+            n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
         }
-        let alloc = &self.allocs[&job];
+        contribs.clear();
         let total = alloc.total_mb();
-        if total == 0 {
-            return;
-        }
-        let mut contribs: Vec<(NodeId, f64)> = Vec::new();
-        for e in &alloc.entries {
-            for &(lender, mb) in &e.remote {
-                let gbs = bandwidth_gbs * mb as f64 / total as f64;
-                if let Some(slot) = contribs.iter_mut().find(|(l, _)| *l == lender) {
-                    slot.1 += gbs;
-                } else {
-                    contribs.push((lender, gbs));
+        if total > 0 {
+            for e in &alloc.entries {
+                for &(lender, mb) in &e.remote {
+                    let gbs = bandwidth_gbs * mb as f64 / total as f64;
+                    if let Some(c) = contribs.iter_mut().find(|(l, _)| *l == lender) {
+                        c.1 += gbs;
+                    } else {
+                        contribs.push((lender, gbs));
+                    }
                 }
             }
+            for &(lender, gbs) in &contribs {
+                self.nodes[lender.0 as usize].remote_demand_gbs += gbs;
+            }
         }
-        for &(lender, gbs) in &contribs {
-            self.nodes[lender.0 as usize].remote_demand_gbs += gbs;
-        }
-        if !contribs.is_empty() {
-            self.demand_contribs.insert(job, contribs);
-        }
+        self.jobs[job.0 as usize].demand = contribs;
     }
 }

@@ -102,7 +102,7 @@ impl Cluster {
         lender: NodeId,
         bandwidth_gbs: f64,
     ) -> Vec<(NodeId, u64)> {
-        let mut alloc = self.allocs.remove(&job).expect("revoke of unplaced job");
+        let mut alloc = self.take_alloc(job, "revoke");
         let mut lost: Vec<(NodeId, u64)> = Vec::new();
         let mut total = 0u64;
         for e in &mut alloc.entries {
@@ -129,14 +129,9 @@ impl Cluster {
                     self.total_cross_mb = mb_sub(self.total_cross_mb, mb);
                 }
             }
-            if let Some(bs) = self.borrowers.get_mut(&lender) {
-                bs.retain(|&j| j != job);
-                if bs.is_empty() {
-                    self.borrowers.remove(&lender);
-                }
-            }
+            self.unlink_borrower(lender, job);
         }
-        self.allocs.insert(job, alloc);
+        self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
         self.debug_check();

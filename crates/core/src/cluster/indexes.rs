@@ -10,6 +10,7 @@
 
 use super::{Cluster, NodeId};
 use crate::error::CoreError;
+use crate::job::JobId;
 use std::collections::{BTreeMap, HashMap};
 
 /// Insert `id` into the `key` bucket, keeping ids sorted ascending.
@@ -40,10 +41,24 @@ impl Cluster {
         let err = |msg: String| Err(CoreError::Ledger(msg));
         let mut lent_expected: HashMap<NodeId, u64> = HashMap::new();
         let mut local_expected: HashMap<NodeId, u64> = HashMap::new();
-        for (job, alloc) in &self.allocs {
+        // Borrower-index links a placed job's lenders must have; the
+        // lists may hold nothing else.
+        let mut links = 0usize;
+        let mut lenders = Vec::new();
+        for (i, slot) in self.jobs.iter().enumerate() {
+            let job = JobId(i as u32);
+            let Some(alloc) = &slot.alloc else {
+                if slot.version != 0 || !slot.demand.is_empty() {
+                    return err(format!("{job} not placed but keeps ledger state"));
+                }
+                continue;
+            };
+            if slot.version == 0 {
+                return err(format!("{job} placed without a version stamp"));
+            }
             for e in &alloc.entries {
                 let n = self.node(e.node);
-                if n.running != Some(*job) {
+                if n.running != Some(job) {
                     return err(format!("{job} allocated on {:?} but not running", e.node));
                 }
                 *local_expected.entry(e.node).or_insert(0) += e.local_mb;
@@ -51,6 +66,16 @@ impl Cluster {
                     *lent_expected.entry(lender).or_insert(0) += mb;
                 }
             }
+            alloc.lenders_into(&mut lenders);
+            for &l in &lenders {
+                if !self.borrowers_of(l).contains(&job) {
+                    return err(format!("{job} borrows from {l:?} but is not indexed there"));
+                }
+            }
+            links += lenders.len();
+        }
+        if self.borrowers.iter().map(Vec::len).sum::<usize>() != links {
+            return err("borrower index holds stale links".to_string());
         }
         for (id, n) in self.iter() {
             if n.local_alloc_mb + n.lent_mb + n.degraded_mb > n.capacity_mb {
@@ -106,7 +131,7 @@ impl Cluster {
         // from the allocation ledger.
         let mut remote_sum = 0u64;
         let mut cross_sum = 0u64;
-        for alloc in self.allocs.values() {
+        for alloc in self.jobs.iter().filter_map(|s| s.alloc.as_ref()) {
             for e in &alloc.entries {
                 for &(lender, mb) in &e.remote {
                     remote_sum += mb;

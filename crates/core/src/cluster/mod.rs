@@ -54,7 +54,20 @@ pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
 use indexes::{index_insert, index_remove};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+/// One job's row of the cluster's per-job ledger.
+#[derive(Clone, Debug, Default)]
+struct JobSlot {
+    /// The running allocation; `None` while the job is not placed.
+    alloc: Option<JobAlloc>,
+    /// Remote bandwidth contributions as `(lender, gbs)` pairs, mirrored
+    /// into `Node::remote_demand_gbs`.
+    demand: Vec<(NodeId, f64)>,
+    /// Allocation version stamp (0 = not placed); see
+    /// [`Cluster::alloc_version`].
+    version: u64,
+}
 
 /// Whole-cluster state: node ledgers plus the per-job allocation table
 /// and the lender→borrowers index used for contention propagation.
@@ -62,12 +75,13 @@ use std::collections::{BTreeMap, HashMap};
 pub struct Cluster {
     nodes: Vec<Node>,
     lend_cap_fraction: f64,
-    allocs: HashMap<JobId, JobAlloc>,
-    /// Per-job remote bandwidth contributions: `(lender, gbs)` pairs,
-    /// mirrored into `Node::remote_demand_gbs`.
-    demand_contribs: HashMap<JobId, Vec<(NodeId, f64)>>,
-    /// Reverse index: which jobs borrow from each lender.
-    borrowers: HashMap<NodeId, Vec<JobId>>,
+    /// Dense per-job ledger, indexed by job id and grown lazily on a
+    /// job's first start. Job ids are dense workload indices, so an
+    /// indexed load replaces hashing the id on every lookup.
+    jobs: Vec<JobSlot>,
+    /// Reverse index, one list per node: which jobs borrow from it, in
+    /// the order they first borrowed.
+    borrowers: Vec<Vec<JobId>>,
     idle_nodes: usize,
     total_capacity_mb: u64,
     /// Running total of allocated memory (local + lent), maintained by
@@ -106,11 +120,6 @@ pub struct Cluster {
     /// stamp observed once can never recur — the dynamic-memory fast
     /// path compares stamps to prove an allocation unchanged.
     alloc_clock: u64,
-    /// Per-job allocation version stamps, indexed by job id and grown
-    /// lazily on first bump (0 = not placed). A flat vector rather than
-    /// a map: the fast path reads this on every memory update, and an
-    /// indexed load beats hashing the id.
-    alloc_versions: Vec<u64>,
     /// Reusable buffers for mutation internals (per-lender aggregation,
     /// lender-set snapshots); kept here so the hot path never allocates.
     scratch_per_lender: Vec<(NodeId, u64)>,
@@ -135,7 +144,7 @@ impl Cluster {
         spec.validate().expect("invalid topology spec");
         let topology = spec.build(capacities.len() as u32);
         let total_capacity_mb = capacities.iter().sum();
-        let idle_nodes = capacities.len();
+        let node_count = capacities.len();
         let nodes = capacities
             .into_iter()
             .map(|capacity_mb| Node {
@@ -159,10 +168,9 @@ impl Cluster {
         let mut cluster = Self {
             nodes,
             lend_cap_fraction,
-            allocs: HashMap::new(),
-            demand_contribs: HashMap::new(),
-            borrowers: HashMap::new(),
-            idle_nodes,
+            jobs: Vec::new(),
+            borrowers: vec![Vec::new(); node_count],
+            idle_nodes: node_count,
             total_capacity_mb,
             total_alloc_mb: 0,
             total_offline_mb: 0,
@@ -175,7 +183,6 @@ impl Cluster {
             total_cross_mb: 0,
             schedulable_count: 0,
             alloc_clock: 0,
-            alloc_versions: Vec::new(),
             scratch_per_lender: Vec::new(),
             scratch_lenders: Vec::new(),
             scratch_touched: Vec::new(),
@@ -358,7 +365,32 @@ impl Cluster {
 
     /// The allocation of a running job, if any.
     pub fn alloc_of(&self, job: JobId) -> Option<&JobAlloc> {
-        self.allocs.get(&job)
+        self.jobs.get(job.0 as usize)?.alloc.as_ref()
+    }
+
+    /// The job's ledger row, created (with every later id's) on first
+    /// use.
+    #[inline]
+    fn slot_mut(&mut self, job: JobId) -> &mut JobSlot {
+        let i = job.0 as usize;
+        if i >= self.jobs.len() {
+            self.jobs.resize_with(i + 1, JobSlot::default);
+        }
+        &mut self.jobs[i]
+    }
+
+    /// Take a placed job's allocation out of its row, for a mutation
+    /// that puts it back with [`Self::put_alloc`].
+    fn take_alloc(&mut self, job: JobId, what: &str) -> JobAlloc {
+        self.jobs
+            .get_mut(job.0 as usize)
+            .and_then(|s| s.alloc.take())
+            .unwrap_or_else(|| panic!("{what} of unplaced job"))
+    }
+
+    /// Store a job's (new) allocation in its row.
+    fn put_alloc(&mut self, job: JobId, alloc: JobAlloc) {
+        self.slot_mut(job).alloc = Some(alloc);
     }
 
     /// The job's allocation version: a stamp off a cluster-wide
@@ -370,49 +402,43 @@ impl Cluster {
     /// means the job is not placed. The dynamic-memory update loop uses
     /// this to skip the Decider when nothing could have changed.
     pub fn alloc_version(&self, job: JobId) -> u64 {
-        self.alloc_versions
-            .get(job.0 as usize)
-            .copied()
-            .unwrap_or(0)
+        self.jobs.get(job.0 as usize).map_or(0, |s| s.version)
     }
 
     /// Advance the allocation clock and stamp `job` with the new value.
     #[inline]
     pub(super) fn bump_alloc_version(&mut self, job: JobId) {
         self.alloc_clock += 1;
-        let slot = job.0 as usize;
-        if slot >= self.alloc_versions.len() {
-            self.alloc_versions.resize(slot + 1, 0);
-        }
-        self.alloc_versions[slot] = self.alloc_clock;
-    }
-
-    /// Drop a finished job's version stamp (the clock itself never
-    /// rewinds, so a later restart gets a fresh, never-seen stamp).
-    #[inline]
-    pub(super) fn clear_alloc_version(&mut self, job: JobId) {
-        if let Some(v) = self.alloc_versions.get_mut(job.0 as usize) {
-            *v = 0;
-        }
+        let clock = self.alloc_clock;
+        self.slot_mut(job).version = clock;
     }
 
     /// Jobs currently borrowing memory from `lender`.
     pub fn borrowers_of(&self, lender: NodeId) -> &[JobId] {
-        self.borrowers
-            .get(&lender)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        &self.borrowers[lender.0 as usize]
+    }
+
+    /// Drop `job` from `lender`'s borrower list.
+    #[inline]
+    fn unlink_borrower(&mut self, lender: NodeId, job: JobId) {
+        self.borrowers[lender.0 as usize].retain(|&j| j != job);
     }
 
     /// Maximum remote-bandwidth demand across the lenders of `job`'s
     /// allocation, GB/s. Zero for fully local jobs.
+    ///
+    /// Folds over every remote slice rather than the distinct lenders:
+    /// `max` is idempotent, so a lender that several entries borrow
+    /// from cannot change the result, and the fold needs no buffer.
     pub fn hottest_lender_demand_gbs(&self, job: JobId) -> f64 {
-        let Some(alloc) = self.allocs.get(&job) else {
+        let Some(alloc) = self.alloc_of(job) else {
             return 0.0;
         };
         alloc
-            .lenders()
-            .map(|l| self.node(l).remote_demand_gbs)
+            .entries
+            .iter()
+            .flat_map(|e| &e.remote)
+            .map(|&(l, _)| self.node(l).remote_demand_gbs)
             .fold(0.0, f64::max)
     }
 
@@ -487,7 +513,7 @@ impl Cluster {
     /// is exactly [`JobAlloc::remote_fraction`]. May exceed 1; the
     /// contention model clamps. Zero for unplaced jobs.
     pub fn priced_remote_fraction(&self, job: JobId) -> f64 {
-        let Some(alloc) = self.allocs.get(&job) else {
+        let Some(alloc) = self.alloc_of(job) else {
             return 0.0;
         };
         if self.is_flat() {

@@ -264,6 +264,55 @@ fn hottest_lender_is_the_max_across_lenders() {
 }
 
 #[test]
+fn shared_lender_across_entries_is_counted_once_and_fully_released() {
+    let mut c = cluster4();
+    let empty = cluster4();
+    // Both compute entries borrow from node 3; the second also from 2.
+    let alloc = JobAlloc {
+        entries: vec![
+            AllocEntry {
+                node: NodeId(0),
+                local_mb: 800,
+                remote: vec![(NodeId(3), 200)],
+            },
+            AllocEntry {
+                node: NodeId(1),
+                local_mb: 700,
+                remote: vec![(NodeId(3), 100), (NodeId(2), 200)],
+            },
+        ],
+    };
+    c.start_job(JobId(1), alloc.clone(), 10.0);
+    assert_eq!(c.node(NodeId(3)).lent_mb, 300);
+    assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(1)]);
+    assert_eq!(c.borrowers_of(NodeId(2)), &[JobId(1)]);
+    // Node 3 carries 10 × (200 + 100) / 2000 = 1.5 GB/s, node 2
+    // 10 × 200 / 2000 = 1.0 GB/s; every term is exact in binary.
+    assert_eq!(c.node(NodeId(3)).remote_demand_gbs, 1.5);
+    assert_eq!(c.node(NodeId(2)).remote_demand_gbs, 1.0);
+    assert_eq!(c.hottest_lender_demand_gbs(JobId(1)), 1.5);
+
+    assert_eq!(c.finish_job(JobId(1)), alloc);
+    assert_eq!(c.check_invariants(), Ok(()));
+    for (id, n) in c.iter() {
+        assert_eq!(n.lent_mb, 0, "{id:?} still lends");
+        assert_eq!(n.local_alloc_mb, 0, "{id:?} keeps local memory");
+        assert_eq!(n.running, None, "{id:?} still runs a job");
+        assert_eq!(n.remote_demand_gbs, 0.0, "{id:?} keeps demand");
+        assert!(c.borrowers_of(id).is_empty(), "{id:?} keeps borrowers");
+    }
+    assert_eq!(c.hottest_lender_demand_gbs(JobId(1)), 0.0);
+    assert_eq!(c.alloc_version(JobId(1)), 0);
+    assert_eq!(c.total_allocated_mb(), 0);
+    assert_eq!(c.total_remote_mb(), 0);
+    assert_eq!(c.idle_count(), 4);
+    assert!(c.free_by_free_desc().eq(empty.free_by_free_desc()));
+    assert!(c
+        .schedulable_by_free_desc()
+        .eq(empty.schedulable_by_free_desc()));
+}
+
+#[test]
 fn fully_local_job_has_zero_hot_demand() {
     let mut c = cluster4();
     c.start_job(JobId(1), local_alloc(&[0], 500), 9.0);

@@ -107,6 +107,19 @@ impl Runner {
                         break;
                     }
                     let Some(r) = res else { break };
+                    // Admission first: the EASY test reads only the
+                    // request and the reservation, never the allocation,
+                    // so a candidate it rejects needs no placement. This
+                    // also leaves such a candidate out of `failed`,
+                    // which is exact by the monotonicity above: a later
+                    // request it would have dominated fails its own
+                    // placement at the same cluster state.
+                    let ends_before = self.now.as_secs() + time_limit_s <= r.at_s;
+                    let total_req = nodes as u64 * req;
+                    let within_surplus = nodes <= r.surplus_nodes && total_req <= r.surplus_mem_mb;
+                    if !ends_before && !within_surplus {
+                        continue;
+                    }
                     if failed.iter().any(|&(fn_, fm)| nodes >= fn_ && req >= fm) {
                         continue; // dominated by a fresher failure
                     }
@@ -114,22 +127,15 @@ impl Runner {
                         failed.push((nodes, req));
                         continue;
                     };
-                    let ends_before = self.now.as_secs() + time_limit_s <= r.at_s;
-                    let total_req = nodes as u64 * req;
-                    let within_surplus = nodes <= r.surplus_nodes && total_req <= r.surplus_mem_mb;
-                    if ends_before {
-                        self.start_job(jid, alloc, req);
-                        started.push(jid);
-                        failed.clear();
-                    } else if within_surplus {
+                    if !ends_before {
                         // Consumes part of the projected surplus at the
                         // reservation time.
                         r.surplus_nodes -= nodes;
                         r.surplus_mem_mb -= total_req;
-                        self.start_job(jid, alloc, req);
-                        started.push(jid);
-                        failed.clear();
                     }
+                    self.start_job(jid, alloc, req);
+                    started.push(jid);
+                    failed.clear();
                 }
             }
         }
@@ -313,6 +319,12 @@ impl Runner {
     /// Recompute the speed of every job borrowing from the given lenders
     /// (snapshotting each borrower list into scratch, since
     /// `update_speed` needs `&mut self`).
+    ///
+    /// A job borrowing from several of `lenders` is updated once per
+    /// lender, on purpose. Merging the duplicates leaves every job
+    /// record unchanged but pops fewer stale `JobEnd` events, and each
+    /// pop advances the metrics integrals: the run-level utilisation and
+    /// remote-fraction averages would then differ in their last bits.
     pub(crate) fn update_borrower_speeds(&mut self, lenders: &[NodeId]) {
         let mut borrowers = std::mem::take(&mut self.scratch.borrowers);
         for &l in lenders {

@@ -3,7 +3,9 @@
 # CLI smoke groups, lints as errors, and formatting. The root tests run
 # once, inside the debug workspace suite, where every simulation also
 # checks the indexed planners and the dynloop fast path against their
-# full-scan oracle. CI and pre-commit both call this; keep it in sync
+# full-scan oracle; the golden-digest tests run a second time on the
+# release build, whose hot path has no debug checks. CI and pre-commit
+# both call this; keep it in sync
 # with ROADMAP.md's tier-1 definition.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,6 +18,9 @@ cargo build --release --workspace
 
 echo "== tier-1 + workspace tests (debug: oracle checks on) =="
 cargo test --workspace -q
+
+echo "== golden digests on the optimised build (what users and the benchmark run) =="
+cargo test --release -q --test determinism_golden --test topology --test fast_path
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small

@@ -345,6 +345,53 @@ proptest! {
         prop_assert_eq!(cluster.total_cross_rack_mb(), 0);
     }
 
+    /// Placement failure is monotone in `(nodes, mem)` at a fixed
+    /// cluster state, for every placing policy on flat and racked
+    /// fabrics: if `place(n, m)` fails, so does every `place(n', m')`
+    /// with `n' ≥ n` and `m' ≥ m`. The scheduler's dominance pruning
+    /// and its admission-first backfill test both rely on this.
+    #[test]
+    fn placement_failure_is_monotone_in_nodes_and_memory(
+        caps in prop::collection::vec(512u64..4096, 3..12),
+        rack_size in 0u32..6,
+        cross_idx in 0usize..4,
+        ops in prop::collection::vec((1u32..4, 64u64..6000, 0u8..6), 0..40),
+        probes in prop::collection::vec((1u32..5, 64u64..8000, 0u32..3, 0u64..3000), 1..8),
+    ) {
+        let cross_cap = [0.0, 0.25, 0.5, 1.0][cross_idx];
+        let spec = if rack_size == 0 {
+            TopologySpec::Flat
+        } else {
+            TopologySpec::Racks { size: rack_size, cross_cap }
+        };
+        let n = caps.len();
+        let mut cluster = Cluster::new_with_topology(caps, 0.5, spec);
+        let mut placed: Vec<JobId> = Vec::new();
+        let mut degraded = vec![0u64; n];
+        let mut next_id = 0u32;
+        for (nodes, req, action) in ops {
+            apply_op(
+                &mut cluster, &mut placed, &mut degraded, &mut next_id, nodes, req, action,
+            );
+        }
+        let mut scratch = PlacementScratch::new();
+        for kind in PolicySpec::all_default() {
+            let policy = kind.build();
+            for &(nodes, mem, dn, dm) in &probes {
+                if policy.place(&cluster, nodes, mem, &mut scratch).is_some() {
+                    continue;
+                }
+                for (n2, m2) in [(nodes + dn, mem), (nodes, mem + dm), (nodes + dn, mem + dm)] {
+                    prop_assert!(
+                        policy.place(&cluster, n2, m2, &mut scratch).is_none(),
+                        "{}: ({}, {}) fails but ({}, {}) places",
+                        kind.label(), nodes, mem, n2, m2
+                    );
+                }
+            }
+        }
+    }
+
     /// On racked clusters the index-backed placement and growth paths
     /// return exactly what their full-scan reference twins return, at
     /// every step of a random placement sequence.
