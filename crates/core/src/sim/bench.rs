@@ -13,8 +13,9 @@ use super::hooks::{MemManagement, MemoryPolicy, StaticAlloc};
 use super::runner::Runner;
 use super::state::{Status, Workload};
 
-/// Benchmark fixture for the scheduling pass, used by the
-/// `engine_micro` benches and the `dmhpc bench-sched` subcommand.
+/// Benchmark fixture for the scheduling pass, used by the criterion
+/// `sched_pass` group in `engine_micro` (indexed vs full-scan) and the
+/// repository benchmark's `sched.pass_us` layer number.
 ///
 /// Freezes a runner at steady-state queue pressure: ~70% of nodes busy
 /// with long-running jobs and a deep pending queue whose requests mix
@@ -88,15 +89,6 @@ impl SchedPassBench {
         }
         debug_assert_eq!(runner.cluster.check_invariants(), Ok(()));
         Self { runner }
-    }
-
-    /// Attach a trace sink to the frozen runner, so the bench can
-    /// measure the cost of tracing a pass relative to the `NullSink`
-    /// default.
-    pub fn with_sink(mut self, sink: Box<dyn crate::trace::TraceSink>) -> Self {
-        self.runner.trace_on = sink.enabled();
-        self.runner.sink = sink;
-        self
     }
 
     /// Run one `schedule_pass` on this (mutable) state; returns how many

@@ -20,8 +20,10 @@
 //!   machine-readable exports and surfaced only in human-facing tables.
 //!
 //! Like tracing ([`crate::trace`]), telemetry is disabled by default
-//! and gated by one cached bool in the runner: the bench-sched ≥3x
-//! performance gate doubles as the zero-cost guard. Results travel
+//! and gated by one cached bool in the runner, so the off path costs
+//! one branch per phase. The repository benchmark (`perfbench/`) times
+//! every workload with telemetry off, and reports the on-path cost as
+//! `telemetry.overhead_frac`. Results travel
 //! through a shared [`TelemetryCollector`] handle — the caller keeps a
 //! clone, the runner flushes its locally-accumulated state into it once
 //! at finalize, and [`TelemetryCollector::snapshot`] reads it back.

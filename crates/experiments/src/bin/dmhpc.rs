@@ -8,7 +8,7 @@
 //! commands: table1 table2 table3 table4
 //!           fig2 fig4 fig5 fig6 fig7 fig8 fig9
 //!           ablate fault-sweep validate all policies
-//!           export simulate chart bench-sched bench-huge trace-run
+//!           export simulate chart trace-run
 //!           report sweep-status help
 //! ```
 
@@ -325,251 +325,6 @@ fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
         print!("{}", report::render(&c.snapshot(), "run telemetry"));
     }
     Ok(())
-}
-
-/// Median time of one `schedule_pass` on a clone of `fixture`, in ns.
-/// Each sample times exactly one pass; the clone is not timed.
-fn time_pass(fixture: &dmhpc_core::sim::SchedPassBench, samples: usize) -> f64 {
-    let mut ns: Vec<f64> = Vec::with_capacity(samples);
-    // Warm-up: fault in code and caches.
-    for _ in 0..samples / 10 + 1 {
-        let mut f = fixture.clone();
-        std::hint::black_box(f.run_pass());
-    }
-    for _ in 0..samples {
-        let mut f = fixture.clone();
-        let start = std::time::Instant::now();
-        std::hint::black_box(f.run_pass());
-        ns.push(start.elapsed().as_nanos() as f64);
-    }
-    ns.sort_unstable_by(|a, b| a.total_cmp(b));
-    ns[ns.len() / 2]
-}
-
-/// Time the scheduling pass on the indexed hot path against the
-/// retained full-scan reference, at the synthetic scales plus the
-/// paper's 1490-node Grizzly scale, and record the speedups as JSON.
-fn cmd_bench_sched(opts: &OptMap) -> Result<(), String> {
-    use dmhpc_core::sim::SchedPassBench;
-    let out = opts
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sched.json".to_string());
-    let samples: usize = opt_parse(opts, "samples", 200)?;
-    let queued: usize = opt_parse(opts, "queued", 256)?;
-    let seed: u64 = opt_parse(opts, "seed", 0xBE7C)?;
-    const ACCEPT_NODES: u32 = 1490;
-    const ACCEPT_SPEEDUP: f64 = 3.0;
-
-    let mut rows = String::new();
-    let mut accept_speedup = 0.0;
-    let mut accept_indexed = 0.0;
-    println!("schedule_pass, median of {samples} samples ({queued} queued jobs):");
-    for (i, &nodes) in [256u32, 1024, ACCEPT_NODES].iter().enumerate() {
-        let indexed = time_pass(&SchedPassBench::new(nodes, queued, seed, false), samples);
-        let reference = time_pass(&SchedPassBench::new(nodes, queued, seed, true), samples);
-        let speedup = reference / indexed;
-        if nodes == ACCEPT_NODES {
-            accept_speedup = speedup;
-            accept_indexed = indexed;
-        }
-        println!(
-            "  {nodes:>5} nodes: indexed {:>10.0} ns   reference {:>10.0} ns   speedup {speedup:.2}x",
-            indexed, reference
-        );
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"nodes\": {nodes}, \"indexed_ns\": {indexed:.0}, \"reference_ns\": {reference:.0}, \"speedup\": {speedup:.3}}}"
-        ));
-    }
-    // Informational: the same pass with a live CountingSink attached,
-    // to show what tracing costs when it is actually on. The acceptance
-    // gate above runs with the default NullSink, so the ≥3x bar doubles
-    // as the guard that trace emit points stay off the hot path.
-    let traced = time_pass(
-        &SchedPassBench::new(ACCEPT_NODES, queued, seed, false)
-            .with_sink(Box::new(dmhpc_core::CountingSink::new(900.0))),
-        samples,
-    );
-    let traced_ratio = traced / accept_indexed;
-    println!(
-        "  tracing (CountingSink) at {ACCEPT_NODES} nodes: {traced:.0} ns \
-         ({traced_ratio:.2}x the NullSink pass)"
-    );
-    let pass = accept_speedup >= ACCEPT_SPEEDUP;
-    let json = format!(
-        "{{\n  \"bench\": \"schedule_pass\",\n  \"queued_jobs\": {queued},\n  \"samples\": {samples},\n  \"seed\": {seed},\n  \"results\": [\n{rows}\n  ],\n  \"trace\": {{\"nodes\": {ACCEPT_NODES}, \"null_sink_ns\": {accept_indexed:.0}, \"counting_sink_ns\": {traced:.0}, \"ratio\": {traced_ratio:.3}}},\n  \"acceptance\": {{\"nodes\": {ACCEPT_NODES}, \"required_speedup\": {ACCEPT_SPEEDUP}, \"measured_speedup\": {accept_speedup:.3}, \"pass\": {pass}}}\n}}\n"
-    );
-    std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
-    println!(
-        "acceptance at {ACCEPT_NODES} nodes: {accept_speedup:.2}x (>= {ACCEPT_SPEEDUP}x required) -> {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-    println!("wrote {out}");
-    if pass {
-        Ok(())
-    } else {
-        Err(format!(
-            "schedule_pass speedup {accept_speedup:.2}x below the {ACCEPT_SPEEDUP}x acceptance bar"
-        ))
-    }
-}
-
-/// Run one Huge-tier sweep leg end-to-end through the zero-copy
-/// pipeline and gate the per-point workload-provisioning speedup (deep
-/// `Workload::clone` vs `Arc::clone`, both measured in this run) the
-/// way `bench-sched` gates the indexed scheduler against its full-scan
-/// reference. Writes `BENCH_huge.json`; `--points-out` additionally
-/// writes the aggregated sweep points as CSV so `scripts/verify.sh` can
-/// diff a threads-1 run against a threads-N run byte for byte.
-fn cmd_bench_huge(threads: usize, opts: &OptMap) -> Result<(), Failure> {
-    use dmhpc_experiments::bench_huge::{self, HugeLegConfig};
-    let out = opts
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_huge.json".to_string());
-    let smoke = opts.contains_key("smoke");
-    let mut cfg = if smoke {
-        HugeLegConfig::smoke()
-    } else {
-        HugeLegConfig::full()
-    };
-    let common = CommonRunOpts::from_opts(opts)?;
-    cfg.samples = opt_parse(opts, "samples", cfg.samples)?;
-    cfg.telemetry = common.telemetry;
-    cfg.topology = common.single_topology("bench-huge")?;
-    const ACCEPT_SPEEDUP: f64 = 2.0;
-
-    let label = if smoke { "smoke" } else { "full" };
-    println!(
-        "bench-huge ({label}): {} nodes, {} jobs, {} mem points x {} policies, topology {}",
-        cfg.nodes,
-        cfg.jobs,
-        cfg.mem_points.len(),
-        cfg.policies.len(),
-        cfg.topology
-    );
-    let report = bench_huge::run_durable(cfg, threads, &common.durable)?;
-    let cfg = &report.cfg;
-    println!(
-        "  build: {:.2}s ({} jobs, {} usage points)",
-        report.build_s, report.workload_jobs, report.usage_points
-    );
-    let mut sims = String::new();
-    for (i, p) in report.sim_points.iter().enumerate() {
-        println!(
-            "  sim {:>3}% {:<12} {:>8.2}s   completed {:>6}   feasible {}",
-            p.mem_pct, p.policy, p.sim_s, p.completed, p.feasible
-        );
-        if i > 0 {
-            sims.push_str(",\n");
-        }
-        sims.push_str(&format!(
-            "    {{\"mem_pct\": {}, \"policy\": \"{}\", \"sim_s\": {:.3}, \"completed\": {}, \"feasible\": {}}}",
-            p.mem_pct, p.policy, p.sim_s, p.completed, p.feasible
-        ));
-    }
-    println!(
-        "  simulate: {:.2}s total   aggregate: {:.4}s",
-        report.simulate_s, report.aggregate_s
-    );
-    let speedup = report.provisioning_speedup();
-    let end_to_end_speedup = report.cloned_total_s() / report.shared_total_s();
-    println!(
-        "  provisioning per point: deep clone {:.0} ns vs Arc share {:.0} ns ({speedup:.0}x)",
-        report.clone_ns, report.share_ns
-    );
-    println!(
-        "  end-to-end leg: shared {:.2}s vs per-point-clone {:.2}s (clone overhead {:.3}s, {end_to_end_speedup:.4}x)",
-        report.shared_total_s(),
-        report.cloned_total_s(),
-        report.clone_overhead_s
-    );
-    // The phase profile rides the JSON only when telemetry was on:
-    // wall-clock totals are non-deterministic, so the off-by-default
-    // output stays byte-comparable to pre-telemetry runs.
-    let profile_json = if report.profile.is_empty() {
-        String::new()
-    } else {
-        let phases: Vec<String> = dmhpc_core::telemetry::Phase::ALL
-            .iter()
-            .map(|&ph| {
-                format!(
-                    "\"{}\": {{\"ns\": {}, \"calls\": {}}}",
-                    ph.name(),
-                    report.profile.phase_ns(ph),
-                    report.profile.phase_calls(ph)
-                )
-            })
-            .collect();
-        println!("  wall-clock phase profile (all points merged):");
-        print!("{}", report::phase_table(&report.profile).render());
-        format!("  \"profile\": {{{}}},\n", phases.join(", "))
-    };
-    let policies: Vec<String> = cfg.policies.iter().map(|p| format!("\"{p}\"")).collect();
-    let pass = speedup >= ACCEPT_SPEEDUP;
-    let json = format!(
-        "{{\n  \"bench\": \"huge_sweep_leg\",\n  \"mode\": \"{label}\",\n  \"nodes\": {},\n  \"jobs\": {},\n  \"usage_points\": {},\n  \"leg\": {{\"trace\": \"large 50%\", \"overest\": 0.6, \"mem_points\": {}, \"policies\": [{}]}},\n  \"phases_s\": {{\"build\": {:.3}, \"simulate\": {:.3}, \"aggregate\": {:.6}}},\n  \"sims\": [\n{sims}\n  ],\n  \"provisioning\": {{\"samples\": {}, \"clone_ns\": {:.0}, \"share_ns\": {:.0}, \"speedup\": {speedup:.1}}},\n  \"end_to_end\": {{\"shared_s\": {:.3}, \"clone_overhead_s\": {:.4}, \"cloned_s\": {:.3}, \"speedup\": {end_to_end_speedup:.4}}},\n{profile_json}  \"acceptance\": {{\"metric\": \"per_point_workload_provisioning\", \"required_speedup\": {ACCEPT_SPEEDUP}, \"measured_speedup\": {speedup:.1}, \"pass\": {pass}}}\n}}\n",
-        cfg.nodes,
-        cfg.jobs,
-        report.usage_points,
-        cfg.mem_points.len(),
-        policies.join(", "),
-        report.build_s,
-        report.simulate_s,
-        report.aggregate_s,
-        cfg.samples,
-        report.clone_ns,
-        report.share_ns,
-        report.shared_total_s(),
-        report.clone_overhead_s,
-        report.cloned_total_s(),
-    );
-    std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
-    if let Some(points_out) = opts.get("points-out") {
-        let mut t = TextTable::new(vec![
-            "trace",
-            "overest",
-            "mem_pct",
-            "policy",
-            "topology",
-            "throughput_jps",
-            "feasible",
-            "completed",
-            "median_response_s",
-            "cross_rack_fraction",
-        ]);
-        for p in &report.points {
-            t.row(vec![
-                p.trace.clone(),
-                format!("{}", p.overest),
-                p.mem_pct.to_string(),
-                p.policy.to_string(),
-                p.topology.to_string(),
-                format!("{:.9}", p.throughput_jps),
-                p.feasible.to_string(),
-                p.completed.to_string(),
-                format!("{:.6}", p.median_response_s),
-                format!("{:.9}", p.cross_rack_fraction),
-            ]);
-        }
-        std::fs::write(points_out, t.to_csv()).map_err(|e| format!("write {points_out}: {e}"))?;
-    }
-    println!(
-        "acceptance (workload provisioning per point): {speedup:.0}x (>= {ACCEPT_SPEEDUP}x required) -> {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-    println!("wrote {out}");
-    if pass {
-        Ok(())
-    } else {
-        Err(format!(
-            "workload provisioning speedup {speedup:.2}x below the {ACCEPT_SPEEDUP}x acceptance bar"
-        )
-        .into())
-    }
 }
 
 /// The scenario `trace-run` traces: the fault sweep's stress system
@@ -1146,8 +901,6 @@ fn main() {
         "trace-run" => cmd_trace_run(args.scale, &args.opts).map_err(Failure::Run),
         "fault-sweep" => cmd_fault_sweep(args.scale, args.threads, args.csv, &args.opts),
         "simulate" => cmd_simulate(args.scale, &args.opts).map_err(Failure::Run),
-        "bench-sched" => cmd_bench_sched(&args.opts).map_err(Failure::Run),
-        "bench-huge" => cmd_bench_huge(args.threads, &args.opts),
         "chart" => cmd_chart(args.scale, args.threads, &args.opts),
         "sweep-status" => cmd_sweep_status(&args.opts).map_err(Failure::Run),
         "report" => cmd_report(args.scale, &args.opts).map_err(Failure::Run),

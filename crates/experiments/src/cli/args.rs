@@ -8,7 +8,7 @@ use super::opts::OptMap;
 
 /// Parsed command line of one `dmhpc` invocation.
 pub struct Args {
-    /// The subcommand (`fig5`, `fault-sweep`, `bench-huge`, …).
+    /// The subcommand (`fig5`, `fault-sweep`, `chart`, …).
     pub command: String,
     /// Problem scale every experiment accepts.
     pub scale: Scale,
@@ -45,9 +45,6 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
             // Valueless flags: record presence in opts.
             "--summary" => {
                 opts.insert("summary".to_string(), "1".to_string());
-            }
-            "--smoke" => {
-                opts.insert("smoke".to_string(), "1".to_string());
             }
             "--telemetry" => {
                 opts.insert("telemetry".to_string(), "1".to_string());
@@ -98,14 +95,6 @@ pub fn usage() -> String {
      \x20                                        run an SWF trace through the simulator\n\
      \x20 chart   [--large F] [--over O] [--width N] [--policies SPECS]\n\
      \x20                                        ASCII throughput panel for one sweep leg\n\
-     \x20 bench-sched [--out FILE] [--samples N] [--queued N]\n\
-     \x20                                        time schedule_pass (indexed vs reference scans)\n\
-     \x20                                        and write BENCH_sched.json\n\
-     \x20 bench-huge  [--out FILE] [--points-out FILE] [--samples N] [--smoke]\n\
-     \x20                                        run one Huge-tier sweep leg end-to-end (build,\n\
-     \x20                                        simulate, aggregate), gate the shared-workload\n\
-     \x20                                        provisioning speedup, write BENCH_huge.json;\n\
-     \x20                                        --smoke trims the leg for CI\n\
      \x20 trace-run [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
      \x20           [--out FILE] [--filter kind=K1,K2] [--from S] [--to S] [--summary]\n\
      \x20           [--diff A,B] [--check FILE] [--sample-s S]\n\
@@ -125,7 +114,7 @@ pub fn usage() -> String {
      \x20                                        text, CSV, or JSONL)\n\
      \x20 help                                   show this message\n\
      \n\
-     simulate, trace-run, fault-sweep and bench-huge accept --telemetry\n\
+     simulate, trace-run and fault-sweep accept --telemetry\n\
      [--sample-interval S] to sample gauge series (sim time, default 60 s)\n\
      and profile simulator phases (wall clock); off by default and\n\
      bit-inert on every simulated outcome\n\
@@ -137,12 +126,11 @@ pub fn usage() -> String {
      policy specs like 'baseline,dynamic,overcommit:factor=0.8' (see\n\
      `dmhpc policies` for the registry; defaults to every policy)\n\
      \n\
-     fig5, fig8, chart, fault-sweep and bench-huge accept --topology SPECS,\n\
+     fig5, fig8, chart and fault-sweep accept --topology SPECS,\n\
      a comma-separated list of topology specs like 'flat,racks:size=16'\n\
-     (see `dmhpc topologies` for the registry; defaults to flat; bench-huge\n\
-     takes exactly one spec)\n\
+     (see `dmhpc topologies` for the registry; defaults to flat)\n\
      \n\
-     fig5, fig8, chart, fault-sweep and bench-huge run through the durable\n\
+     fig5, fig8, chart and fault-sweep run through the durable\n\
      execution layer and accept:\n\
      \x20 --manifest PATH    journal each point to PATH as it completes\n\
      \x20 --resume PATH      skip points already journaled in PATH, append new ones\n\
@@ -158,7 +146,6 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::opts::opt_parse;
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
         parse_args_from(argv.iter().map(|s| s.to_string()))
@@ -216,8 +203,6 @@ mod tests {
             "export",
             "simulate",
             "chart",
-            "bench-sched",
-            "bench-huge",
             "trace-run",
             "sweep-status",
             "report",
@@ -258,26 +243,5 @@ mod tests {
         assert_eq!(args.opts.get("sample-interval").unwrap(), "30");
         let args = parse(&["fig5", "--progress"]).unwrap();
         assert!(args.opts.contains_key("progress"));
-    }
-
-    #[test]
-    fn bench_huge_flags_parse() {
-        let args = parse(&[
-            "bench-huge",
-            "--smoke",
-            "--samples",
-            "4",
-            "--points-out",
-            "/tmp/pts.csv",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(args.command, "bench-huge");
-        assert!(args.opts.contains_key("smoke"));
-        assert_eq!(args.threads, 2);
-        let samples: usize = opt_parse(&args.opts, "samples", 32).unwrap();
-        assert_eq!(samples, 4);
-        assert_eq!(args.opts.get("points-out").unwrap(), "/tmp/pts.csv");
     }
 }

@@ -184,20 +184,6 @@ impl CommonRunOpts {
             progress: progress_mode_from_opts(opts)?,
         })
     }
-
-    /// The single topology a one-run-at-a-time command accepts.
-    ///
-    /// # Errors
-    /// Returns `context` in the message when `--topology` named more
-    /// than one spec.
-    pub fn single_topology(&self, context: &str) -> Result<TopologySpec, String> {
-        match self.topologies.as_slice() {
-            [topo] => Ok(*topo),
-            _ => Err(format!(
-                "{context} runs one topology per invocation; pass a single --topology spec"
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -431,7 +417,6 @@ mod tests {
         assert_eq!(common.telemetry, telemetry_from_opts(&args.opts).unwrap());
         assert_eq!(common.durable.retries, 2);
         assert_eq!(common.progress, ProgressMode::Off);
-        assert_eq!(common.single_topology("bench").unwrap().name(), "racks");
 
         // Defaults mirror the individual readers' defaults.
         let bare = CommonRunOpts::from_opts(&parse(&["fig5"]).unwrap().opts).unwrap();
@@ -444,11 +429,6 @@ mod tests {
         let bad = parse(&["fig5", "--policies", "greedy"]).unwrap();
         let err = CommonRunOpts::from_opts(&bad.opts).unwrap_err();
         assert!(err.starts_with("--policies:"), "{err}");
-        let multi = parse(&["fig5", "--topology", "flat,racks"]).unwrap();
-        let common = CommonRunOpts::from_opts(&multi.opts).unwrap();
-        let err = common.single_topology("bench-huge").unwrap_err();
-        assert!(err.contains("bench-huge"), "{err}");
-        assert!(err.contains("single --topology"), "{err}");
     }
 
     #[test]

@@ -194,10 +194,15 @@ fn escape_json(s: &str) -> String {
 /// Parse one manifest line into a [`Payload`]. Accepts exactly what
 /// [`Payload::to_json`] emits: objects of integers, escaped strings,
 /// booleans, and nested objects.
+///
+/// # Errors
+/// Returns the offset of the first malformed byte, and rejects objects
+/// nested deeper than `MAX_NESTING` instead of recursing into them.
 pub fn parse_manifest_line(line: &str) -> Result<Payload, String> {
     let mut p = Parser {
         b: line.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let obj = p.object()?;
@@ -208,9 +213,16 @@ pub fn parse_manifest_line(line: &str) -> Result<Payload, String> {
     Ok(obj)
 }
 
+/// Deepest object nesting a manifest line may use. Real records nest 3
+/// deep (record → payload → point/phases); the cap keeps a corrupt line
+/// of thousands of `{` from overflowing the parser's stack.
+const MAX_NESTING: usize = 32;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Objects currently open below the top-level one.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -260,7 +272,15 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         match self.b.get(self.i) {
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'{') => Ok(Value::Map(self.object()?)),
+            Some(b'{') => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!("objects nested too deep at offset {}", self.i));
+                }
+                self.depth += 1;
+                let map = self.object()?;
+                self.depth -= 1;
+                Ok(Value::Map(map))
+            }
             Some(b't') if self.b[self.i..].starts_with(b"true") => {
                 self.i += 4;
                 Ok(Value::Bool(true))
@@ -1379,6 +1399,17 @@ mod tests {
             Err(CoreError::Parse { line: 2, .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth| "{\"a\":".repeat(depth) + "{}" + &"}".repeat(depth);
+        assert!(parse_manifest_line(&nested(MAX_NESTING)).is_ok());
+        // Recursing into 100,000 open objects would overflow the stack.
+        for line in [nested(MAX_NESTING + 1), "{\"a\":".repeat(100_000)] {
+            let err = parse_manifest_line(&line).unwrap_err();
+            assert!(err.contains("nested too deep"), "{err}");
+        }
     }
 
     #[test]

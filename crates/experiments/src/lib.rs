@@ -21,11 +21,12 @@
 //!
 //! Scales: `small` (tests/benches), `medium` (default), `full` (the
 //! paper's 1024/1490-node configuration), `huge` (the 10,240-node /
-//! 100k-job stress tier behind `dmhpc bench-huge`).
+//! 100k-job stress tier; `dmhpc chart --scale huge --manifest FILE`
+//! times one leg of it point by point, and `dmhpc sweep-status FILE`
+//! prints each point's wall time).
 
 #![warn(missing_docs)]
 
-pub mod bench_huge;
 pub mod chart;
 pub mod cli;
 pub mod durable;

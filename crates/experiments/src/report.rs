@@ -186,18 +186,9 @@ pub fn decode_profile(p: &Payload) -> Result<Profile, String> {
 
 /// Pull the nested `"phases"` map out of a journaled point payload, if
 /// the point carried one (pre-telemetry journals and non-telemetry runs
-/// did not — those yield `None`, never an error). Searches one level of
-/// nesting too, so wrappers like bench-huge's timed points are found.
+/// did not — those yield `None`, never an error).
 pub fn profile_from_payload(p: &Payload) -> Option<Profile> {
-    if let Ok(map) = p.map("phases") {
-        return decode_profile(map).ok();
-    }
-    if let Ok(inner) = p.map("point") {
-        if let Ok(map) = inner.map("phases") {
-            return decode_profile(map).ok();
-        }
-    }
-    None
+    decode_profile(p.map("phases").ok()?).ok()
 }
 
 #[cfg(test)]
@@ -283,13 +274,10 @@ mod tests {
         let decoded = decode_profile(&encode_profile(&profile)).unwrap();
         assert_eq!(decoded, profile);
 
-        // Nested lookups: direct, wrapped, and absent.
+        // Nested lookups: present and absent.
         let mut point = Payload::new();
         point.push_map("phases", encode_profile(&profile));
         assert_eq!(profile_from_payload(&point), Some(profile));
-        let mut wrapper = Payload::new();
-        wrapper.push_map("point", point);
-        assert_eq!(profile_from_payload(&wrapper), Some(profile));
         assert_eq!(profile_from_payload(&Payload::new()), None);
     }
 }

@@ -46,7 +46,8 @@ impl Default for ImportOptions {
 
 /// Build a workload from SWF records and optional usage sidecars.
 ///
-/// Records with non-positive runtimes or processor counts are rejected
+/// Records with non-finite times, non-positive runtimes or processor
+/// counts, or node counts and memory sizes out of range are rejected
 /// (malformed archives are common; the error names the job).
 pub fn workload_from_swf(
     records: &[SwfRecord],
@@ -65,11 +66,19 @@ pub fn workload_from_swf(
     // SWF archives are submit-ordered by convention, but enforce it.
     kept.sort_by(|a, b| a.submit_time.total_cmp(&b.submit_time));
     for r in kept {
+        let invalid =
+            |what: String| CoreError::invalid_trace(format!("job {}: {what}", r.job_number));
+        for (name, t) in [
+            ("submit time", r.submit_time),
+            ("run time", r.run_time),
+            ("requested time", r.requested_time),
+        ] {
+            if !t.is_finite() {
+                return Err(invalid(format!("non-finite {name}")));
+            }
+        }
         if r.run_time <= 0.0 {
-            return Err(CoreError::invalid_trace(format!(
-                "job {}: non-positive run time",
-                r.job_number
-            )));
+            return Err(invalid("non-positive run time".into()));
         }
         let procs = if r.requested_processors > 0 {
             r.requested_processors
@@ -77,22 +86,37 @@ pub fn workload_from_swf(
             r.allocated_processors
         };
         if procs <= 0 {
-            return Err(CoreError::invalid_trace(format!(
-                "job {}: no processor count",
-                r.job_number
-            )));
+            return Err(invalid("no processor count".into()));
         }
-        let nodes = (procs as u64).div_ceil(opts.cores_per_node as u64).max(1) as u32;
-        let kb_to_node_mb = |kb: i64| -> Option<u64> {
-            (kb > 0).then(|| kb as u64 * opts.cores_per_node as u64 / 1024)
+        let nodes = u32::try_from((procs as u64).div_ceil(opts.cores_per_node as u64).max(1))
+            .map_err(|_| invalid(format!("{procs} processors exceed the node count range")))?;
+        let kb_to_node_mb = |kb: i64| -> Result<Option<u64>, CoreError> {
+            if kb <= 0 {
+                return Ok(None);
+            }
+            (kb as u64)
+                .checked_mul(opts.cores_per_node as u64)
+                .map(|node_kb| Some(node_kb / 1024))
+                .ok_or_else(|| invalid(format!("{kb} KB per processor overflows a node's memory")))
         };
-        let used_mb = kb_to_node_mb(r.used_memory_kb);
-        let requested_mb = kb_to_node_mb(r.requested_memory_kb);
-        let request = requested_mb.or(used_mb).ok_or_else(|| {
-            CoreError::invalid_trace(format!("job {}: no memory information", r.job_number))
-        })?;
-        let trace = usage
-            .and_then(|m| m.get(&JobId((r.job_number - 1).max(0) as u32)).cloned())
+        let used_mb = kb_to_node_mb(r.used_memory_kb)?;
+        let requested_mb = kb_to_node_mb(r.requested_memory_kb)?;
+        let request = requested_mb
+            .or(used_mb)
+            .ok_or_else(|| invalid("no memory information".into()))?;
+        let sidecar = match usage {
+            Some(m) => {
+                // Sidecars are keyed by job number − 1 (job 1 is id 0).
+                let key = r
+                    .job_number
+                    .checked_sub(1)
+                    .and_then(|k| u32::try_from(k.max(0)).ok())
+                    .ok_or_else(|| invalid("job number out of the usage-file id range".into()))?;
+                m.get(&JobId(key)).cloned()
+            }
+            None => None,
+        };
+        let trace = sidecar
             .or_else(|| used_mb.map(MemoryUsageTrace::flat))
             .unwrap_or_else(|| MemoryUsageTrace::flat(request));
         let time_limit = if r.requested_time > 0.0 {
@@ -227,6 +251,58 @@ mod tests {
             .to_string()
             .contains("processor"));
         assert!(workload_from_swf(&[], None, &ImportOptions::default()).is_err());
+    }
+
+    /// Import `r` alone, with an empty usage sidecar: it must fail as an
+    /// invalid trace naming the job and saying `what`.
+    fn assert_rejected(r: SwfRecord, what: &str) {
+        let job = format!("job {}: ", r.job_number);
+        let usage = BTreeMap::new();
+        let err = workload_from_swf(&[r], Some(&usage), &ImportOptions::default()).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, CoreError::InvalidTrace(_)), "{err:?}");
+        assert!(msg.starts_with(&job) && msg.contains(what), "{msg}");
+    }
+
+    #[test]
+    fn rejects_memory_that_overflows_a_node() {
+        let r = record(7, 0.0, 32, 100.0, 900_000_000_000_000_000);
+        assert_rejected(r, "overflows");
+        let mut r = record(7, 0.0, 32, 100.0, -1);
+        r.used_memory_kb = i64::MAX;
+        assert_rejected(r, "overflows");
+    }
+
+    #[test]
+    fn rejects_non_finite_times() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let valid = || record(7, 0.0, 32, 100.0, 2048);
+            let (mut run, mut submit, mut requested) = (valid(), valid(), valid());
+            (run.run_time, submit.submit_time, requested.requested_time) = (bad, bad, bad);
+            assert_rejected(run, "non-finite run time");
+            assert_rejected(submit, "non-finite submit time");
+            assert_rejected(requested, "non-finite requested time");
+        }
+    }
+
+    #[test]
+    fn rejects_processor_counts_beyond_the_node_range() {
+        let r = record(7, 0.0, 1_000_000_000_000_000_000, 100.0, 2048);
+        assert_rejected(r, "processors");
+        // The largest count that still fits imports.
+        let max = record(7, 0.0, i64::from(u32::MAX) * 32, 100.0, 2048);
+        let w = workload_from_swf(&[max], None, &ImportOptions::default()).unwrap();
+        assert_eq!(w.jobs[0].nodes, u32::MAX);
+    }
+
+    #[test]
+    fn rejects_job_numbers_outside_the_usage_id_range() {
+        for n in [i64::MIN, i64::MAX] {
+            let r = record(n, 0.0, 32, 100.0, 2048);
+            assert_rejected(r.clone(), "job number");
+            // Without a usage file the job number is never used as a key.
+            assert!(workload_from_swf(&[r], None, &ImportOptions::default()).is_ok());
+        }
     }
 
     #[test]
