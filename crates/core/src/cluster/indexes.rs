@@ -1,37 +1,104 @@
 //! The incremental free-memory indexes and the whole-cluster invariant
 //! audit that keeps them honest.
 //!
-//! Both indexes are `BTreeMap<free_mb, Vec<NodeId>>` with ids ascending
+//! Every index is a `BTreeMap<free_mb, Bucket>` with ids ascending
 //! within each bucket, so forward iteration yields `(free asc, id asc)`
 //! and reverse bucket iteration yields `(free desc, id asc)` — exactly
-//! the two orders the placement policy sorts by. They are maintained
-//! solely by [`Cluster::touch`]; [`Cluster::check_invariants`] compares
-//! them against a from-scratch rebuild.
+//! the two orders the placement policy sorts by. Free MB values are
+//! nearly always distinct per node, so a bucket holds its lone node
+//! inline and allocates only for ties: re-keying a node (every ledger
+//! change does) costs two tree operations and no heap traffic. The
+//! indexes are maintained solely by [`Cluster::touch`];
+//! [`Cluster::check_invariants`] compares them against a from-scratch
+//! rebuild.
 
 use super::{Cluster, NodeId};
 use crate::error::CoreError;
 use crate::job::JobId;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-/// Insert `id` into the `key` bucket, keeping ids sorted ascending.
-pub(super) fn index_insert(index: &mut BTreeMap<u64, Vec<NodeId>>, key: u64, id: NodeId) {
-    let ids = index.entry(key).or_default();
-    match ids.binary_search(&id) {
-        Ok(_) => debug_assert!(false, "{id:?} already indexed at {key}"),
-        Err(pos) => ids.insert(pos, id),
+/// The nodes indexed at one free-memory value.
+#[derive(Clone, Debug)]
+pub(super) enum Bucket {
+    /// A single node, stored inline.
+    One(NodeId),
+    /// Two or more tied nodes, ids ascending.
+    Many(Vec<NodeId>),
+}
+
+impl Bucket {
+    /// The bucket's node ids, ascending.
+    #[inline]
+    pub(super) fn ids(&self) -> &[NodeId] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
     }
 }
 
-/// Remove `id` from the `key` bucket, dropping the bucket when empty.
-pub(super) fn index_remove(index: &mut BTreeMap<u64, Vec<NodeId>>, key: u64, id: NodeId) {
-    let ids = index.get_mut(&key).expect("index bucket missing");
-    let pos = ids
-        .binary_search(&id)
-        .expect("node missing from index bucket");
-    ids.remove(pos);
-    if ids.is_empty() {
-        index.remove(&key);
+/// A free-memory index: free MB → the nodes with exactly that much free.
+pub(super) type FreeIndex = BTreeMap<u64, Bucket>;
+
+/// Insert `id` into the `key` bucket, keeping ids sorted ascending.
+pub(super) fn index_insert(index: &mut FreeIndex, key: u64, id: NodeId) {
+    match index.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(Bucket::One(id));
+        }
+        Entry::Occupied(mut slot) => {
+            let bucket = slot.get_mut();
+            match bucket {
+                Bucket::One(other) => {
+                    debug_assert_ne!(*other, id, "{id:?} already indexed at {key}");
+                    let pair = if *other < id {
+                        vec![*other, id]
+                    } else {
+                        vec![id, *other]
+                    };
+                    *bucket = Bucket::Many(pair);
+                }
+                Bucket::Many(ids) => match ids.binary_search(&id) {
+                    Ok(_) => debug_assert!(false, "{id:?} already indexed at {key}"),
+                    Err(pos) => ids.insert(pos, id),
+                },
+            }
+        }
     }
+}
+
+/// Remove `id` from the `key` bucket, dropping the bucket when empty
+/// and storing a last tied node inline again.
+pub(super) fn index_remove(index: &mut FreeIndex, key: u64, id: NodeId) {
+    let Entry::Occupied(mut slot) = index.entry(key) else {
+        panic!("index bucket missing");
+    };
+    let bucket = slot.get_mut();
+    match bucket {
+        Bucket::One(only) => {
+            assert_eq!(*only, id, "node missing from index bucket");
+            slot.remove();
+        }
+        Bucket::Many(ids) => {
+            let pos = ids
+                .binary_search(&id)
+                .expect("node missing from index bucket");
+            ids.remove(pos);
+            if let [last] = ids[..] {
+                *bucket = Bucket::One(last);
+            }
+        }
+    }
+}
+
+/// Whether `index` holds exactly the buckets of `expected` (a rebuild
+/// with ids ascending), each tie in a `Many` bucket of two or more.
+fn index_matches(index: &FreeIndex, expected: &BTreeMap<u64, Vec<NodeId>>) -> bool {
+    index.len() == expected.len()
+        && index.iter().zip(expected).all(|((k, b), (ek, ids))| {
+            k == ek && b.ids() == &ids[..] && !matches!(b, Bucket::Many(v) if v.len() < 2)
+        })
 }
 
 impl Cluster {
@@ -166,10 +233,10 @@ impl Cluster {
                 sched_count += 1;
             }
         }
-        if free_expected != self.free_index {
+        if !index_matches(&self.free_index, &free_expected) {
             return err("free index out of sync with node ledgers".to_string());
         }
-        if sched_expected != self.sched_index {
+        if !index_matches(&self.sched_index, &sched_expected) {
             return err("schedulable index out of sync with node ledgers".to_string());
         }
         if sched_count != self.schedulable_count {
@@ -198,7 +265,11 @@ impl Cluster {
                         .push(id);
                 }
             }
-            if rack_expected != self.rack_free {
+            if !rack_expected
+                .iter()
+                .zip(&self.rack_free)
+                .all(|(expected, index)| index_matches(index, expected))
+            {
                 return err("rack lender indexes out of sync with node ledgers".to_string());
             }
         }

@@ -53,8 +53,7 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
-use indexes::{index_insert, index_remove};
-use std::collections::BTreeMap;
+use indexes::{index_insert, index_remove, FreeIndex};
 
 /// One job's row of the cluster's per-job ledger.
 #[derive(Clone, Debug, Default)]
@@ -95,16 +94,16 @@ pub struct Cluster {
     down_count: usize,
     /// Schedulable nodes (idle, within lend cap) keyed by free MB, node
     /// ids ascending per bucket. Serves best-fit placement directly.
-    sched_index: BTreeMap<u64, Vec<NodeId>>,
+    sched_index: FreeIndex,
     /// All nodes with free memory — the lender pool — keyed the same way.
-    free_index: BTreeMap<u64, Vec<NodeId>>,
+    free_index: FreeIndex,
     /// The fabric partition. Flat topologies carry no per-node table.
     topology: Topology,
     /// Per-rack lender indexes, keyed like `free_index`. Empty (never
     /// allocated, never maintained) on flat topologies, so the flat hot
     /// path pays one `Vec::is_empty` branch per mutation and nothing
     /// else.
-    rack_free: Vec<BTreeMap<u64, Vec<NodeId>>>,
+    rack_free: Vec<FreeIndex>,
     /// Running total of borrowed (remote) MB across all allocations.
     /// Maintained by every mutation so the metrics loop can integrate
     /// remote occupancy in O(1) per event.
@@ -161,7 +160,7 @@ impl Cluster {
         // with a single rack (flat included) the global lender pool is
         // already the rack's pool.
         let rack_free = if topology.racks() > 1 {
-            vec![BTreeMap::new(); topology.racks() as usize]
+            vec![FreeIndex::new(); topology.racks() as usize]
         } else {
             Vec::new()
         };
@@ -175,8 +174,8 @@ impl Cluster {
             total_alloc_mb: 0,
             total_offline_mb: 0,
             down_count: 0,
-            sched_index: BTreeMap::new(),
-            free_index: BTreeMap::new(),
+            sched_index: FreeIndex::new(),
+            free_index: FreeIndex::new(),
             topology,
             rack_free,
             total_remote_mb: 0,
@@ -342,7 +341,7 @@ impl Cluster {
     ) -> impl Iterator<Item = (u64, NodeId)> + '_ {
         self.sched_index
             .range(min_free..)
-            .flat_map(|(&f, ids)| ids.iter().map(move |&id| (f, id)))
+            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
     }
 
     /// All schedulable nodes, descending by free memory with ids
@@ -351,7 +350,7 @@ impl Cluster {
         self.sched_index
             .iter()
             .rev()
-            .flat_map(|(&f, ids)| ids.iter().map(move |&id| (f, id)))
+            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
     }
 
     /// The lender pool: every node with free memory, descending by free
@@ -360,7 +359,7 @@ impl Cluster {
         self.free_index
             .iter()
             .rev()
-            .flat_map(|(&f, ids)| ids.iter().map(move |&id| (f, id)))
+            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
     }
 
     /// The allocation of a running job, if any.
@@ -488,7 +487,7 @@ impl Cluster {
             .flat_map(|idx| {
                 idx.iter()
                     .rev()
-                    .flat_map(|(&f, ids)| ids.iter().map(move |&id| (f, id)))
+                    .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
             })
     }
 

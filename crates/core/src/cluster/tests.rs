@@ -159,6 +159,71 @@ fn grow_local_and_remote() {
     assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(1)]);
 }
 
+/// Every index iterator against a sorted rebuild from the node table,
+/// plus the full invariant audit.
+fn assert_indexes_match_rebuild(c: &Cluster) {
+    let desc = |keep: &dyn Fn(NodeId, &Node) -> bool| {
+        let mut v: Vec<(u64, NodeId)> = c
+            .iter()
+            .filter(|&(id, n)| keep(id, n))
+            .map(|(id, n)| (n.free_mb(), id))
+            .collect();
+        v.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
+        v
+    };
+    let sched = desc(&|id, _| c.schedulable(id));
+    let mut sched_asc = sched.clone();
+    sched_asc.sort();
+    assert_eq!(c.schedulable_by_free_asc(0).collect::<Vec<_>>(), sched_asc);
+    assert_eq!(c.schedulable_by_free_desc().collect::<Vec<_>>(), sched);
+    assert_eq!(
+        c.free_by_free_desc().collect::<Vec<_>>(),
+        desc(&|_, n| n.free_mb() > 0)
+    );
+    for rack in 0..c.topology().racks() {
+        assert_eq!(
+            c.rack_lenders_desc(rack).collect::<Vec<_>>(),
+            desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
+        );
+    }
+    assert_eq!(c.check_invariants(), Ok(()));
+}
+
+/// Ledger changes re-key nodes between lone-node buckets, tie buckets
+/// and no bucket at all; every index must keep `(free, id)` order.
+#[test]
+fn index_buckets_rekey_through_ties_and_back() {
+    let spec = TopologySpec::Racks {
+        size: 2,
+        cross_cap: 1.0,
+    };
+    // Eight equal nodes: every index starts as tie buckets.
+    let mut c = Cluster::new_with_topology(vec![1000; 8], 0.5, spec);
+    assert_indexes_match_rebuild(&c);
+    // Node 1 leaves the 1000 MB tie for a bucket of its own.
+    c.start_job(JobId(1), local_alloc(&[1], 300), 1.0);
+    assert_indexes_match_rebuild(&c);
+    // Node 0 joins it at 700 MB, ahead of it: a lone bucket becomes a
+    // tie with the new id first.
+    c.start_job(JobId(2), local_alloc(&[0], 300), 1.0);
+    assert_indexes_match_rebuild(&c);
+    // Node 1 returns to 1000 MB: the 700 MB tie is down to node 0.
+    c.finish_job(JobId(1));
+    assert_indexes_match_rebuild(&c);
+    // Node 0 fills up and leaves the lender indexes; node 3 lends into
+    // a bucket of its own, then rejoins the 1000 MB tie.
+    c.grow_entry(JobId(2), NodeId(0), 700, &[(NodeId(3), 250)], 1.0);
+    assert_eq!(c.node(NodeId(0)).free_mb(), 0);
+    assert_indexes_match_rebuild(&c);
+    assert_eq!(c.shrink_job(JobId(2), 1000, 1.0), 250);
+    assert_indexes_match_rebuild(&c);
+    c.finish_job(JobId(2));
+    assert_indexes_match_rebuild(&c);
+    // Back to the start: one eight-way tie in each global index.
+    assert_eq!(c.free_by_free_desc().count(), 8);
+    assert!(c.free_by_free_desc().all(|(f, _)| f == 1000));
+}
+
 /// The debug-build oracle check is wired: with the schedulable index
 /// out of step with the node table, indexed best fit picks a different
 /// node than the full scan, and `place_spread_with` panics.

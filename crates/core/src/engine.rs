@@ -123,31 +123,64 @@ impl PartialOrd for Event {
     }
 }
 
-/// Min-heap of events ordered by `(time, seq)`.
+/// The pending events, popped in one `(time, seq)` order from three
+/// lanes:
 ///
-/// Lazy deletion leaves stale `JobEnd`/`MemUpdate` events in the heap
-/// until they are popped. Under the dynamic policy a long-running
-/// borrower can be re-timed many times between pops, so the heap can
-/// grow well past the live event count. Callers report superseded
-/// events via [`note_stale`](Self::note_stale); once
+/// * **arrivals** — the events known before the run starts (every
+///   workload submit, the first scheduler tick, the pre-generated
+///   fault schedule), handed over once by
+///   [`with_arrivals`](Self::with_arrivals), sorted once and read with
+///   a cursor;
+/// * **tick slot** — the one pending run-time scheduler tick, set by
+///   [`schedule_tick`](Self::schedule_tick);
+/// * **heap** — everything [`push`](Self::push)ed at run time
+///   (job ends, memory updates, requeue submits).
+///
+/// Every lane takes its `seq` from one counter, so [`pop`](Self::pop)
+/// returns exactly the sequence a single min-heap fed the same pushes
+/// would. Keeping the start-up submits and the periodic tick out of the
+/// heap keeps it at the size of the run-time events and takes the
+/// bookkeeping events off its sift path.
+///
+/// Lazy deletion leaves stale `JobEnd`/`MemUpdate` events queued until
+/// they are popped. Under the dynamic policy a long-running borrower
+/// can be re-timed many times between pops, so the heap can grow well
+/// past the live event count. Callers report superseded events via
+/// [`note_stale`](Self::note_stale); once
 /// [`should_compact`](Self::should_compact) trips, a single
-/// [`compact`](Self::compact) sweep rebuilds the heap from the live
-/// events. Surviving events keep their original `(time, seq)` keys, so
-/// compaction never changes pop order — it is invisible to the
-/// simulation outcome.
+/// [`compact`](Self::compact) sweep drops them. Survivors keep their
+/// `(time, seq)` keys, so compaction never reorders live events, but it
+/// is *not* invisible to the outcome: the caller does run-level
+/// bookkeeping on every pop, stale ones included, so which stale events
+/// are still there to pop depends on when compaction fired. The trigger
+/// is deterministic and counts every pending event in every lane.
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
+    /// Start-up events sorted by `(time, seq)`; `arrivals[cursor..]`
+    /// are still pending.
+    arrivals: Vec<Event>,
+    cursor: usize,
+    /// The pending run-time `SchedTick`, if any.
+    tick: Option<Event>,
     heap: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
     /// Events known to be stale (superseded by a newer epoch) but still
-    /// sitting in the heap. Decremented when a stale event pops.
+    /// queued. Decremented when a stale event pops.
     stale: usize,
 }
 
-/// Compact once the heap holds at least this many events *and* stale
+/// Compact once at least this many events are pending *and* stale
 /// events outnumber live ones. The floor keeps small runs (where a full
 /// rebuild costs more than it saves) on the pure lazy-deletion path.
 const COMPACT_MIN_LEN: usize = 1024;
+
+/// Which lane holds the earliest pending event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    Arrivals,
+    Tick,
+    Heap,
+}
 
 impl EventQueue {
     /// An empty queue.
@@ -155,31 +188,90 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedule `kind` at `time`.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+    /// A queue holding the start-up `events`, stamped with `seq`s in the
+    /// given order (ties at one instant pop in that order).
+    pub fn with_arrivals(events: impl IntoIterator<Item = (SimTime, EventKind)>) -> Self {
+        let mut arrivals: Vec<Event> = events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (time, kind))| Event {
+                time,
+                seq: seq as u64,
+                kind,
+            })
+            .collect();
+        arrivals.sort_unstable();
+        Self {
+            next_seq: arrivals.len() as u64,
+            arrivals,
+            ..Self::default()
+        }
+    }
+
+    #[inline]
+    fn stamp(&mut self, time: SimTime, kind: EventKind) -> Event {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Event { time, seq, kind }));
+        Event { time, seq, kind }
+    }
+
+    /// Schedule `kind` at `time` on the run-time heap.
+    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+        let e = self.stamp(time, kind);
+        self.heap.push(Reverse(e));
+    }
+
+    /// Schedule the next scheduler tick at `time`. At most one run-time
+    /// tick may be pending.
+    pub fn schedule_tick(&mut self, time: SimTime) {
+        debug_assert!(self.tick.is_none(), "a scheduler tick is already pending");
+        self.tick = Some(self.stamp(time, EventKind::SchedTick));
+    }
+
+    /// The lane whose head is the earliest pending event.
+    #[inline]
+    fn first_lane(&self) -> Option<(Lane, &Event)> {
+        let mut best = self.arrivals.get(self.cursor).map(|e| (Lane::Arrivals, e));
+        for (lane, head) in [
+            (Lane::Tick, self.tick.as_ref()),
+            (Lane::Heap, self.heap.peek().map(|Reverse(e)| e)),
+        ] {
+            if let Some(e) = head {
+                if best.is_none_or(|(_, b)| e < b) {
+                    best = Some((lane, e));
+                }
+            }
+        }
+        best
     }
 
     /// Pop the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let (lane, &e) = self.first_lane()?;
+        match lane {
+            Lane::Arrivals => self.cursor += 1,
+            Lane::Tick => self.tick = None,
+            Lane::Heap => {
+                self.heap.pop();
+            }
+        }
+        Some(e)
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.first_lane().map(|(_, e)| e.time)
     }
 
-    /// Number of pending events (including stale ones).
+    /// Number of pending events in every lane (including stale ones).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.arrivals.len() - self.cursor + usize::from(self.tick.is_some()) + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Record that `n` queued events just became stale (their job's
@@ -199,16 +291,23 @@ impl EventQueue {
     }
 
     /// Whether the stale fraction warrants a [`compact`](Self::compact)
-    /// sweep (heap at least `COMPACT_MIN_LEN` long and more than half
-    /// stale).
+    /// sweep: at least `COMPACT_MIN_LEN` events pending across all lanes
+    /// and more than half of them stale.
     pub fn should_compact(&self) -> bool {
-        self.heap.len() >= COMPACT_MIN_LEN && self.stale * 2 > self.heap.len()
+        let len = self.len();
+        len >= COMPACT_MIN_LEN && self.stale * 2 > len
     }
 
-    /// Drop every queued event for which `keep` returns `false`,
-    /// preserving the `(time, seq)` keys of survivors (pop order is
-    /// unchanged). Resets the stale counter.
+    /// Drop every pending event, in every lane, for which `keep`
+    /// returns `false`. Survivors keep their `(time, seq)` keys, so the
+    /// order they pop in is unchanged. Resets the stale counter.
     pub fn compact<F: FnMut(&Event) -> bool>(&mut self, mut keep: F) {
+        self.arrivals.drain(..self.cursor);
+        self.cursor = 0;
+        self.arrivals.retain(|e| keep(e));
+        if self.tick.as_ref().is_some_and(|e| !keep(e)) {
+            self.tick = None;
+        }
         let events = std::mem::take(&mut self.heap).into_vec();
         self.heap = events.into_iter().filter(|Reverse(e)| keep(e)).collect();
         self.stale = 0;
@@ -321,6 +420,181 @@ mod tests {
         assert!(q.should_compact());
         q.compact(|_| true);
         assert!(!q.should_compact());
+    }
+
+    #[test]
+    fn len_and_should_compact_count_every_lane() {
+        let submits = (0..500).map(|i| (SimTime(i), EventKind::Submit(JobId(i as u32))));
+        let mut q = EventQueue::with_arrivals(submits);
+        q.schedule_tick(SimTime(30));
+        for i in 0..523 {
+            q.push(
+                SimTime(i),
+                EventKind::JobEnd {
+                    job: JobId(i as u32),
+                    epoch: 0,
+                },
+            );
+        }
+        // 500 arrivals + 1 tick + 523 heap events: the heap alone is
+        // below the size floor, the queue is not.
+        assert_eq!(q.len(), 1024);
+        q.note_stale(512);
+        // Exactly half stale is not a majority.
+        assert!(!q.should_compact());
+        q.note_stale(1);
+        assert!(q.should_compact());
+        q.compact(|e| !matches!(e.kind, EventKind::JobEnd { job, .. } if job.0 < 513));
+        assert_eq!(q.len(), 511);
+        assert!(!q.should_compact());
+        // The survivors of every lane drain in `(time, seq)` order.
+        let mut last = (SimTime::ZERO, 0);
+        let mut n = 0;
+        while let Some(e) = q.pop() {
+            assert!((e.time, e.seq) > last || n == 0);
+            last = (e.time, e.seq);
+            n += 1;
+        }
+        assert_eq!(n, 511);
+        assert!(q.is_empty());
+    }
+
+    /// A plain min-heap fed the same `(time, seq)` keys: the order every
+    /// lane of [`EventQueue`] together must reproduce.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<Event>>,
+        next_seq: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, time: SimTime, kind: EventKind) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse(Event { time, seq, kind }));
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random operation sequences pop the same events from the
+        /// lane-merged queue as from one `BinaryHeap`. Arrival times
+        /// come from a narrow range so same-instant ties are common.
+        #[test]
+        fn lanes_pop_like_one_heap(
+            submits in prop::collection::vec(0u64..64, 0..1100),
+            faults in prop::collection::vec((0u64..64, 0u64..4), 0..40),
+            ops in prop::collection::vec((0u64..32, 0u64..48, 0u64..1 << 16), 0..600),
+        ) {
+            // Start-up events in the runner's order: submits, the first
+            // tick, the fault schedule.
+            let mut startup: Vec<(SimTime, EventKind)> = submits
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (SimTime(t), EventKind::Submit(JobId(i as u32))))
+                .collect();
+            startup.push((SimTime::ZERO, EventKind::SchedTick));
+            startup.extend(faults.iter().map(|&(t, k)| {
+                let node = NodeId(k as u32);
+                let kind = match k {
+                    0 => EventKind::NodeFail { node },
+                    1 => EventKind::NodeRepair { node },
+                    2 => EventKind::PoolDegrade { node, mb: t },
+                    _ => EventKind::PoolRestore { node, mb: t },
+                };
+                (SimTime(t), kind)
+            }));
+            let mut q = EventQueue::with_arrivals(startup.iter().copied());
+            let mut reference = Reference::default();
+            for &(t, kind) in &startup {
+                reference.push(t, kind);
+            }
+            let mut now = SimTime::ZERO;
+            let mut tick_pending = true;
+            let mut stale = 0usize;
+            for &(op, a, b) in &ops {
+                match op {
+                    // Pop (the most common step: pops drive time).
+                    0..=11 => {
+                        let e = q.pop();
+                        prop_assert_eq!(e, reference.pop());
+                        if let Some(e) = e {
+                            now = e.time;
+                            match e.kind {
+                                EventKind::SchedTick => tick_pending = false,
+                                EventKind::JobEnd { .. } | EventKind::MemUpdate { .. }
+                                    if b % 2 == 1 =>
+                                {
+                                    q.note_stale_popped();
+                                    stale = stale.saturating_sub(1);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                    // Run-time push at or after `now`.
+                    12..=19 => {
+                        let job = JobId(b as u32);
+                        let kind = match b % 3 {
+                            0 => EventKind::JobEnd { job, epoch: a as u32 },
+                            1 => EventKind::MemUpdate { job, epoch: a as u32 },
+                            _ => EventKind::Submit(job),
+                        };
+                        q.push(SimTime(now.0 + a), kind);
+                        reference.push(SimTime(now.0 + a), kind);
+                    }
+                    // Set the tick slot, if no tick is pending.
+                    20..=22 => {
+                        if !tick_pending {
+                            q.schedule_tick(SimTime(now.0 + a));
+                            reference.push(SimTime(now.0 + a), EventKind::SchedTick);
+                            tick_pending = true;
+                        }
+                    }
+                    // Large stale reports, so that stale majorities of
+                    // a queue past the size floor occur between the
+                    // (rarer) compactions.
+                    23..=29 => {
+                        q.note_stale(8 * a as usize);
+                        stale += 8 * a as usize;
+                    }
+                    // Compact with a keep predicate that is a pure
+                    // function of the event's key.
+                    _ => {
+                        let keep = |e: &Event| !(e.seq.wrapping_mul(0x9E37_79B9) ^ b).is_multiple_of(4);
+                        q.compact(keep);
+                        let kept: Vec<_> = std::mem::take(&mut reference.heap)
+                            .into_vec()
+                            .into_iter()
+                            .filter(|Reverse(e)| keep(e))
+                            .collect();
+                        reference.heap = kept.into();
+                        tick_pending = reference
+                            .heap
+                            .iter()
+                            .any(|Reverse(e)| e.kind == EventKind::SchedTick);
+                        stale = 0;
+                    }
+                }
+                let len = reference.heap.len();
+                prop_assert_eq!(q.len(), len);
+                prop_assert_eq!(q.stale(), stale);
+                prop_assert_eq!(q.should_compact(), len >= 1024 && stale * 2 > len);
+                prop_assert_eq!(
+                    q.peek_time(),
+                    reference.heap.peek().map(|Reverse(e)| e.time)
+                );
+            }
+            while let Some(e) = reference.pop() {
+                prop_assert_eq!(q.pop(), Some(e));
+            }
+            prop_assert!(q.is_empty());
+        }
     }
 
     #[test]

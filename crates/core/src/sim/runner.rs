@@ -120,7 +120,9 @@ impl Runner {
             total_jobs: n as u32,
             ..Stats::default()
         };
-        let mut queue = EventQueue::new();
+        // Start-up events, in the order that stamps their tie-break
+        // seqs: submits in job-id order, the first tick, then faults.
+        let mut startup = Vec::with_capacity(n + 1);
         let mut st = vec![JobState::new(); n];
         // Feasibility screen on the empty cluster: unschedulable jobs are
         // excluded up front (they would pin the queue head forever). The
@@ -142,14 +144,14 @@ impl Runner {
                     .place(&cluster, job.nodes, screen_mb, &mut screen_scratch)
                     .is_some();
             if ok {
-                queue.push(SimTime::from_secs(job.submit_s), EventKind::Submit(job.id));
+                startup.push((SimTime::from_secs(job.submit_s), EventKind::Submit(job.id)));
                 submits += 1;
             } else {
                 st[job.id.0 as usize].status = Status::Unschedulable;
                 stats.unschedulable += 1;
             }
         }
-        queue.push(SimTime::ZERO, EventKind::SchedTick);
+        startup.push((SimTime::ZERO, EventKind::SchedTick));
         // Fault schedule: pre-generated from the fault seed before the
         // run starts, so injection is deterministic and never consults
         // the wallclock. Zero-rate configs generate nothing and take no
@@ -168,15 +170,15 @@ impl Runner {
         let faults_enabled = !schedule.is_empty()
             || faults.monitor_loss_prob > 0.0
             || faults.actuator_fail_prob > 0.0;
-        for &(t, fe) in &schedule.events {
+        startup.extend(schedule.events.iter().map(|&(t, fe)| {
             let kind = match fe {
                 FaultEvent::NodeFail { node } => EventKind::NodeFail { node },
                 FaultEvent::NodeRepair { node } => EventKind::NodeRepair { node },
                 FaultEvent::PoolDegrade { node, mb } => EventKind::PoolDegrade { node, mb },
                 FaultEvent::PoolRestore { node, mb } => EventKind::PoolRestore { node, mb },
             };
-            queue.push(t, kind);
-        }
+            (t, kind)
+        }));
         let monitor = crate::dynmem::Monitor::new(sim.cfg.mem_update_interval_s)
             .expect("SystemConfig carries a positive update interval");
         let trace_on = sim.sink.enabled();
@@ -200,7 +202,7 @@ impl Runner {
             model,
             max_restarts: sim.max_restarts,
             cluster,
-            queue,
+            queue: EventQueue::with_arrivals(startup),
             pending: PendingQueue::new(),
             st,
             running: Vec::new(),
@@ -344,11 +346,13 @@ impl Runner {
         self.finalize()
     }
 
-    /// Rebuild the event heap without stale entries once lazy deletion
-    /// has let them outnumber live ones (see
-    /// [`EventQueue::should_compact`]). Survivors keep their
-    /// `(time, seq)` keys, so this never changes the pop order or the
-    /// simulation outcome — it only bounds heap growth.
+    /// Drop stale events once lazy deletion has let them outnumber live
+    /// ones (see [`EventQueue::should_compact`]), bounding queue growth.
+    /// Survivors keep their `(time, seq)` keys, so live events pop in
+    /// the same order. The sweep is not outcome-neutral: every stale
+    /// pop advances the metric integrals, so *when* it fires is part of
+    /// the run's behaviour. The trigger is deterministic and counts the
+    /// pending events of every queue lane.
     fn compact_events(&mut self) {
         let st = &self.st;
         self.queue.compact(|e| match e.kind {
@@ -386,10 +390,8 @@ impl Runner {
 
     pub(crate) fn ensure_tick(&mut self) {
         if !self.tick_scheduled {
-            self.queue.push(
-                self.now.plus_secs(self.cfg.sched_interval_s),
-                EventKind::SchedTick,
-            );
+            self.queue
+                .schedule_tick(self.now.plus_secs(self.cfg.sched_interval_s));
             self.tick_scheduled = true;
         }
     }

@@ -1,0 +1,138 @@
+#!/usr/bin/env bash
+# Paired A/B timing of the repository benchmark (dmhpc-bench, declared
+# in BENCHMARK.json): a parent revision against the working tree.
+#
+#   scripts/bench-ab.sh PARENT_REV WORKLOAD [PAIRS=10] [DMHPC_BENCH_ARGS...]
+#
+# e.g. scripts/bench-ab.sh HEAD dynloop-steady 10 --seed 7
+#
+# Builds dmhpc-bench twice, each side with its own CARGO_TARGET_DIR:
+# PARENT_REV from a `git archive` export under $TMPDIR (no worktree is
+# registered, so an interrupted run leaves nothing behind in .git), and
+# the working tree as it is. Then runs PAIRS pairs of
+# `--workload WORKLOAD --seconds 15 --trace 0`, alternating which side
+# runs first, and prints every pair's wall_s, each side's median and
+# quartiles, the pairs the change won (ties count for neither) and every
+# failed run. The gain rule: the change wins at least nine tenths of
+# the pairs and its median beats the parent's by more than the parent's
+# interquartile range. Exits 1 if any run failed.
+#
+# perfbench/ and BENCHMARK.json are only read: the build's rewrite of
+# perfbench/Cargo.lock is undone on exit.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,8p' "$0" | sed 's/^# \{0,1\}//'
+    exit 2
+fi
+PARENT_REV=$1
+WORKLOAD=$2
+PAIRS=${3:-10}
+shift $(($# < 3 ? $# : 3))
+EXTRA=("$@")
+case $PAIRS in
+    '' | *[!0-9]* | 0) echo "bench-ab: PAIRS must be a positive whole number, got '$PAIRS'" >&2; exit 2 ;;
+esac
+
+REPO=$(cd "$(dirname "$0")/.." && pwd)
+REV=$(git -C "$REPO" rev-parse --verify "$PARENT_REV^{commit}")
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")
+# The build rewrites perfbench/Cargo.lock; put the working tree's back
+# on any exit. The parent tree is a throwaway export.
+cp -p "$REPO/perfbench/Cargo.lock" "$WORK/Cargo.lock"
+cleanup() {
+    cp -p "$WORK/Cargo.lock" "$REPO/perfbench/Cargo.lock"
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
+
+mkdir "$WORK/parent"
+git -C "$REPO" archive "$REV" | tar -x -C "$WORK/parent"
+
+# build SIDE TREE: build TREE's dmhpc-bench into $WORK/target-SIDE.
+build() {
+    echo "bench-ab: building $1 ($2)" >&2
+    CARGO_TARGET_DIR="$WORK/target-$1" cargo build --release --quiet --offline \
+        --manifest-path "$2/perfbench/Cargo.toml" --bin dmhpc-bench
+}
+build parent "$WORK/parent"
+build change "$REPO"
+
+FAILED=0
+# run SIDE: one benchmark run; prints its wall_s, or "FAIL".
+run() {
+    local out line wall
+    if out=$("$WORK/target-$1/release/dmhpc-bench" --workload "$WORKLOAD" --seconds 15 \
+        --trace 0 "${EXTRA[@]}" 2>"$WORK/stderr.$1"); then
+        line=$(printf '%s\n' "$out" | tail -n 1)
+        wall=$(printf '%s\n' "$line" | sed -n 's/.*"wall_s": {"value": \([^,]*\),.*/\1/p')
+        case $line in
+            *'"failed": 0,'*) [ -n "$wall" ] && { echo "$wall"; return; } ;;
+        esac
+    fi
+    echo "bench-ab: $1 run failed:" >&2
+    tail -n 5 "$WORK/stderr.$1" >&2 || true
+    echo FAIL
+}
+
+printf 'workload %s, parent %s, %s pair(s), extra args: %s\n' \
+    "$WORKLOAD" "$(git -C "$REPO" rev-parse --short "$REV")" "$PAIRS" "${EXTRA[*]:-none}"
+printf '%-5s %-7s %14s %14s %s\n' pair first parent_wall_s change_wall_s winner
+: >"$WORK/parent.txt"
+: >"$WORK/change.txt"
+WON=0
+for i in $(seq 1 "$PAIRS"); do
+    if [ $((i % 2)) -eq 1 ]; then
+        first=parent
+        p=$(run parent)
+        c=$(run change)
+    else
+        first=change
+        c=$(run change)
+        p=$(run parent)
+    fi
+    winner=tie
+    if [ "$p" = FAIL ] || [ "$c" = FAIL ]; then
+        winner=-
+    else
+        echo "$p" >>"$WORK/parent.txt"
+        echo "$c" >>"$WORK/change.txt"
+        winner=$(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "change" : (c > p) ? "parent" : "tie" }')
+    fi
+    [ "$p" = FAIL ] && FAILED=$((FAILED + 1))
+    [ "$c" = FAIL ] && FAILED=$((FAILED + 1))
+    [ "$winner" = change ] && WON=$((WON + 1))
+    printf '%-5s %-7s %14s %14s %s\n' "$i" "$first" "$p" "$c" "$winner"
+done
+
+# stats FILE: "median q1 q3" of the samples in FILE, quartiles by the
+# exclusive method dmhpc-bench --compare uses.
+stats() {
+    sort -g "$1" | awk '
+        { v[NR] = $1 }
+        function q(i,   m, j, d) {
+            m = NR + 1; j = int(i * m / 4)
+            if (j < 1) j = 1
+            if (j > NR - 1) j = NR - 1
+            d = i * m - j * 4
+            return (v[j] * (4 - d) + v[j + 1] * d) / 4
+        }
+        END {
+            if (NR == 0) { print "nan nan nan"; exit }
+            med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+            if (NR < 2) print med, med, med; else print med, q(1), q(3)
+        }'
+}
+read -r PM PQ1 PQ3 < <(stats "$WORK/parent.txt")
+read -r CM CQ1 CQ3 < <(stats "$WORK/change.txt")
+printf 'parent: median %s  q1 %s  q3 %s\n' "$PM" "$PQ1" "$PQ3"
+printf 'change: median %s  q1 %s  q3 %s\n' "$CM" "$CQ1" "$CQ3"
+COMPLETE=$(wc -l <"$WORK/parent.txt")
+printf 'change won %d of %d complete pair(s); failed runs: %d\n' "$WON" "$COMPLETE" "$FAILED"
+awk -v won="$WON" -v pairs="$PAIRS" -v pm="$PM" -v cm="$CM" -v q1="$PQ1" -v q3="$PQ3" 'BEGIN {
+    gain = pm - cm; iqr = q3 - q1
+    met = (won * 10 >= pairs * 9) && (gain > iqr)
+    printf "median gain %.4f s (%.1f%%) vs parent IQR %.4f s: gain claim %s\n",
+        gain, (pm > 0 ? 100 * gain / pm : 0), iqr, met ? "met" : "not met"
+}'
+[ "$FAILED" -eq 0 ]

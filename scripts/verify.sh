@@ -21,6 +21,9 @@ cargo test --workspace -q
 
 echo "== golden digests on the optimised build (what users and the benchmark run) =="
 cargo test --release -q --test determinism_golden --test topology --test fast_path --test sweep_zero_copy
+# The lane-merged event queue against a plain min-heap: an ordering slip
+# would change results without tripping any debug-only check.
+cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small
@@ -130,5 +133,8 @@ RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
 
 echo "== rustfmt check =="
 cargo fmt --check
+
+echo "== shell syntax (scripts not run above) =="
+bash -n scripts/bench-ab.sh
 
 echo "verify: all green"
