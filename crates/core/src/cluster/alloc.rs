@@ -238,8 +238,11 @@ impl Cluster {
     pub fn shrink_job(&mut self, job: JobId, target_mb: u64, bandwidth_gbs: f64) -> u64 {
         let mut alloc = self.take_alloc(job, "shrink");
         let mut released = 0u64;
-        let mut touched_lenders = std::mem::take(&mut self.scratch_touched);
-        touched_lenders.clear();
+        // Release the peeled MB aggregated per lender, as `finish_job`
+        // does, so a lender several entries borrow from is re-indexed
+        // once rather than once per slice.
+        let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
+        per_lender.clear();
         for e in &mut alloc.entries {
             let mut excess = e.total_mb().saturating_sub(target_mb);
             if excess == 0 {
@@ -256,13 +259,10 @@ impl Cluster {
                 let take = (*mb).min(excess);
                 *mb -= take;
                 excess -= take;
-                self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, take));
+                tally(&mut per_lender, lender, take);
                 self.total_remote_mb = mb_sub(self.total_remote_mb, take);
                 if self.is_cross(e.node, lender) {
                     self.total_cross_mb = mb_sub(self.total_cross_mb, take);
-                }
-                if !touched_lenders.contains(&lender) {
-                    touched_lenders.push(lender);
                 }
                 if *mb == 0 {
                     e.remote.pop();
@@ -276,16 +276,19 @@ impl Cluster {
                 });
             }
         }
+        for &(lender, mb) in &per_lender {
+            self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, mb));
+        }
         // Drop reverse-index entries for lenders no longer used.
         let mut still = std::mem::take(&mut self.scratch_lenders);
         alloc.lenders_into(&mut still);
-        for &lender in &touched_lenders {
+        for &(lender, _) in &per_lender {
             if !still.contains(&lender) {
                 self.unlink_borrower(lender, job);
             }
         }
         self.scratch_lenders = still;
-        self.scratch_touched = touched_lenders;
+        self.scratch_per_lender = per_lender;
         self.total_alloc_mb = mb_sub(self.total_alloc_mb, released);
         self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
@@ -390,18 +393,23 @@ impl Cluster {
         contribs.clear();
         let total = alloc.total_mb();
         if total > 0 {
+            // One row per lender in first-appearance order, each summed
+            // in slice order; `demand_row` maps a lender to its row.
             for e in &alloc.entries {
                 for &(lender, mb) in &e.remote {
                     let gbs = bandwidth_gbs * mb as f64 / total as f64;
-                    if let Some(c) = contribs.iter_mut().find(|(l, _)| *l == lender) {
-                        c.1 += gbs;
-                    } else {
+                    let row = &mut self.demand_row[lender.0 as usize];
+                    if *row == u32::MAX {
+                        *row = contribs.len() as u32;
                         contribs.push((lender, gbs));
+                    } else {
+                        contribs[*row as usize].1 += gbs;
                     }
                 }
             }
             for &(lender, gbs) in &contribs {
                 self.nodes[lender.0 as usize].remote_demand_gbs += gbs;
+                self.demand_row[lender.0 as usize] = u32::MAX;
             }
         }
         self.jobs[job.0 as usize].demand = contribs;

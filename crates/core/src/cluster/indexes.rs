@@ -1,104 +1,110 @@
 //! The incremental free-memory indexes and the whole-cluster invariant
 //! audit that keeps them honest.
 //!
-//! Every index is a `BTreeMap<free_mb, Bucket>` with ids ascending
-//! within each bucket, so forward iteration yields `(free asc, id asc)`
-//! and reverse bucket iteration yields `(free desc, id asc)` — exactly
-//! the two orders the placement policy sorts by. Free MB values are
-//! nearly always distinct per node, so a bucket holds its lone node
-//! inline and allocates only for ties: re-keying a node (every ledger
-//! change does) costs two tree operations and no heap traffic. The
-//! indexes are maintained solely by [`Cluster::touch`];
+//! Every index is one sorted `Vec<u64>` of packed keys
+//! `free_mb << 32 | node_id`, ascending. Ascending key order is exactly
+//! `(free asc, id asc)`, and walking the array from its end while
+//! yielding each tie run front to back gives `(free desc, id asc)` —
+//! the two orders the placement policy sorts by. Re-keying a node
+//! (every ledger change does) costs two binary searches and a shift of
+//! the keys between its old and new positions: no allocation and no
+//! pointer chasing. The shift is linear in the number of indexed
+//! nodes; that beats a B-tree up to a few thousand nodes but not at
+//! ten thousand (DESIGN.md §9). The packed key needs
+//! `capacity_mb <= u32::MAX`, which [`Cluster::new_with_topology`]
+//! asserts. The indexes are maintained solely by [`Cluster::touch`];
 //! [`Cluster::check_invariants`] compares them against a from-scratch
 //! rebuild.
 
 use super::{Cluster, NodeId};
 use crate::error::CoreError;
 use crate::job::JobId;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-/// The nodes indexed at one free-memory value.
-#[derive(Clone, Debug)]
-pub(super) enum Bucket {
-    /// A single node, stored inline.
-    One(NodeId),
-    /// Two or more tied nodes, ids ascending.
-    Many(Vec<NodeId>),
+/// The packed index key of `id` at `free` MB.
+#[inline]
+fn pack(free: u64, id: NodeId) -> u64 {
+    debug_assert!(free <= u64::from(u32::MAX), "{free} MB does not fit a key");
+    free << 32 | u64::from(id.0)
 }
 
-impl Bucket {
-    /// The bucket's node ids, ascending.
-    #[inline]
-    pub(super) fn ids(&self) -> &[NodeId] {
-        match self {
-            Bucket::One(id) => std::slice::from_ref(id),
-            Bucket::Many(ids) => ids,
+/// The `(free, id)` pair of a packed key.
+#[inline]
+fn unpack(key: u64) -> (u64, NodeId) {
+    (key >> 32, NodeId(key as u32))
+}
+
+/// A free-memory index: the packed keys of its nodes, sorted ascending.
+#[derive(Clone, Debug, Default)]
+pub(super) struct FreeIndex {
+    keys: Vec<u64>,
+}
+
+impl FreeIndex {
+    /// Index `id` at `free` MB.
+    pub(super) fn insert(&mut self, free: u64, id: NodeId) {
+        let key = pack(free, id);
+        match self.keys.binary_search(&key) {
+            Ok(_) => panic!("{id:?} already indexed at {free}"),
+            Err(pos) => self.keys.insert(pos, key),
         }
+    }
+
+    /// Drop `id`, indexed at `free` MB.
+    pub(super) fn remove(&mut self, free: u64, id: NodeId) {
+        let pos = self
+            .keys
+            .binary_search(&pack(free, id))
+            .expect("node missing from index");
+        self.keys.remove(pos);
+    }
+
+    /// Move `id` from `old` to `new` free MB, shifting only the keys
+    /// between its old and new positions.
+    pub(super) fn rekey(&mut self, old: u64, new: u64, id: NodeId) {
+        let (old_key, new_key) = (pack(old, id), pack(new, id));
+        let pos = self
+            .keys
+            .binary_search(&old_key)
+            .expect("node missing from index");
+        if new_key > old_key {
+            let end = pos + 1 + self.keys[pos + 1..].partition_point(|&k| k < new_key);
+            self.keys.copy_within(pos + 1..end, pos);
+            self.keys[end - 1] = new_key;
+        } else {
+            let start = self.keys[..pos].partition_point(|&k| k < new_key);
+            self.keys.copy_within(start..pos, start + 1);
+            self.keys[start] = new_key;
+        }
+    }
+
+    /// Nodes with at least `min_free` MB free, `(free asc, id asc)`.
+    pub(super) fn asc_from(&self, min_free: u64) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+        let start = self.keys.partition_point(|&k| k >> 32 < min_free);
+        self.keys[start..].iter().map(|&k| unpack(k))
+    }
+
+    /// Every node, `(free desc, id asc)`: tie runs from the back of
+    /// the array, each read front to back.
+    pub(super) fn desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+        self.keys
+            .chunk_by(|a, b| a >> 32 == b >> 32)
+            .rev()
+            .flatten()
+            .map(|&k| unpack(k))
+    }
+
+    /// The packed keys, ascending; for the invariant audit.
+    pub(super) fn keys(&self) -> &[u64] {
+        &self.keys
     }
 }
 
-/// A free-memory index: free MB → the nodes with exactly that much free.
-pub(super) type FreeIndex = BTreeMap<u64, Bucket>;
-
-/// Insert `id` into the `key` bucket, keeping ids sorted ascending.
-pub(super) fn index_insert(index: &mut FreeIndex, key: u64, id: NodeId) {
-    match index.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(Bucket::One(id));
-        }
-        Entry::Occupied(mut slot) => {
-            let bucket = slot.get_mut();
-            match bucket {
-                Bucket::One(other) => {
-                    debug_assert_ne!(*other, id, "{id:?} already indexed at {key}");
-                    let pair = if *other < id {
-                        vec![*other, id]
-                    } else {
-                        vec![id, *other]
-                    };
-                    *bucket = Bucket::Many(pair);
-                }
-                Bucket::Many(ids) => match ids.binary_search(&id) {
-                    Ok(_) => debug_assert!(false, "{id:?} already indexed at {key}"),
-                    Err(pos) => ids.insert(pos, id),
-                },
-            }
-        }
-    }
-}
-
-/// Remove `id` from the `key` bucket, dropping the bucket when empty
-/// and storing a last tied node inline again.
-pub(super) fn index_remove(index: &mut FreeIndex, key: u64, id: NodeId) {
-    let Entry::Occupied(mut slot) = index.entry(key) else {
-        panic!("index bucket missing");
-    };
-    let bucket = slot.get_mut();
-    match bucket {
-        Bucket::One(only) => {
-            assert_eq!(*only, id, "node missing from index bucket");
-            slot.remove();
-        }
-        Bucket::Many(ids) => {
-            let pos = ids
-                .binary_search(&id)
-                .expect("node missing from index bucket");
-            ids.remove(pos);
-            if let [last] = ids[..] {
-                *bucket = Bucket::One(last);
-            }
-        }
-    }
-}
-
-/// Whether `index` holds exactly the buckets of `expected` (a rebuild
-/// with ids ascending), each tie in a `Many` bucket of two or more.
-fn index_matches(index: &FreeIndex, expected: &BTreeMap<u64, Vec<NodeId>>) -> bool {
-    index.len() == expected.len()
-        && index.iter().zip(expected).all(|((k, b), (ek, ids))| {
-            k == ek && b.ids() == &ids[..] && !matches!(b, Bucket::Many(v) if v.len() < 2)
-        })
+/// The index a from-scratch rebuild would hold for `nodes`.
+fn rebuild(nodes: impl Iterator<Item = (u64, NodeId)>) -> Vec<u64> {
+    let mut keys: Vec<u64> = nodes.map(|(free, id)| pack(free, id)).collect();
+    keys.sort_unstable();
+    keys
 }
 
 impl Cluster {
@@ -221,27 +227,26 @@ impl Cluster {
             ));
         }
         // The incremental indexes must match a from-scratch rebuild.
-        let mut sched_expected: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        let mut free_expected: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        let mut sched_count = 0usize;
-        for (id, n) in self.iter() {
-            if n.free_mb() > 0 {
-                free_expected.entry(n.free_mb()).or_default().push(id);
-            }
-            if self.schedulable(id) {
-                sched_expected.entry(n.free_mb()).or_default().push(id);
-                sched_count += 1;
-            }
-        }
-        if !index_matches(&self.free_index, &free_expected) {
+        let free_expected = rebuild(
+            self.iter()
+                .filter(|(_, n)| n.free_mb() > 0)
+                .map(|(id, n)| (n.free_mb(), id)),
+        );
+        let sched_expected = rebuild(
+            self.iter()
+                .filter(|&(id, _)| self.schedulable(id))
+                .map(|(id, n)| (n.free_mb(), id)),
+        );
+        if self.free_index.keys() != &free_expected[..] {
             return err("free index out of sync with node ledgers".to_string());
         }
-        if !index_matches(&self.sched_index, &sched_expected) {
+        if self.sched_index.keys() != &sched_expected[..] {
             return err("schedulable index out of sync with node ledgers".to_string());
         }
-        if sched_count != self.schedulable_count {
+        if sched_expected.len() != self.schedulable_count {
             return err(format!(
-                "schedulable counter mismatch: rebuild {sched_count} vs counter {}",
+                "schedulable counter mismatch: rebuild {} vs counter {}",
+                sched_expected.len(),
                 self.schedulable_count
             ));
         }
@@ -255,21 +260,20 @@ impl Cluster {
             if self.rack_free.len() != self.topology.racks() as usize {
                 return err("rack index count mismatch".to_string());
             }
-            let mut rack_expected: Vec<BTreeMap<u64, Vec<NodeId>>> =
-                vec![BTreeMap::new(); self.rack_free.len()];
+            let mut rack_expected = vec![Vec::new(); self.rack_free.len()];
             for (id, n) in self.iter() {
                 if n.free_mb() > 0 {
-                    rack_expected[self.topology.rack_of(id) as usize]
-                        .entry(n.free_mb())
-                        .or_default()
-                        .push(id);
+                    rack_expected[self.topology.rack_of(id) as usize].push(pack(n.free_mb(), id));
                 }
             }
-            if !rack_expected
-                .iter()
+            let in_sync = rack_expected
+                .iter_mut()
                 .zip(&self.rack_free)
-                .all(|(expected, index)| index_matches(index, expected))
-            {
+                .all(|(expected, index)| {
+                    expected.sort_unstable();
+                    index.keys() == &expected[..]
+                });
+            if !in_sync {
                 return err("rack lender indexes out of sync with node ledgers".to_string());
             }
         }

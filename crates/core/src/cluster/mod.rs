@@ -24,15 +24,17 @@
 //! * `indexes` — the incremental free-memory indexes and the
 //!   invariant audit. To keep the scheduler hot path free of O(N)
 //!   scans, the cluster maintains two persistent indexes updated
-//!   incrementally by every mutation: a sorted set of schedulable nodes
-//!   keyed by free memory (serving best-fit placement directly) and the
-//!   lender pool of all nodes with free memory. Both store node ids
-//!   ascending within each free-memory bucket, so forward iteration
-//!   yields `(free asc, id asc)` and reverse bucket iteration yields
+//!   incrementally by every mutation: the schedulable nodes (serving
+//!   best-fit placement directly) and the lender pool of all nodes
+//!   with free memory. Each is one sorted array of packed
+//!   `free << 32 | id` keys, so a forward walk yields
+//!   `(free asc, id asc)` and a backward walk by tie runs yields
 //!   `(free desc, id asc)` — exactly the two orders the placement
 //!   policy sorts by, which keeps indexed placement bit-identical to
 //!   the full-scan twins in [`crate::oracle`] (debug builds assert it
-//!   on every placement and growth plan);
+//!   on every placement and growth plan). A ledger change re-keys a
+//!   node with two binary searches and a shift of the keys between
+//!   its old and new positions;
 //! * `faults` — node crash/repair, blade degradation, and lender
 //!   revocation;
 //! * [`topology`] — the fabric partition ([`TopologySpec`],
@@ -53,7 +55,7 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
-use indexes::{index_insert, index_remove, FreeIndex};
+use indexes::FreeIndex;
 
 /// One job's row of the cluster's per-job ledger.
 #[derive(Clone, Debug, Default)]
@@ -66,6 +68,19 @@ struct JobSlot {
     /// Allocation version stamp (0 = not placed); see
     /// [`Cluster::alloc_version`].
     version: u64,
+}
+
+/// Move `id` from `old` to `new` free MB in a lender index, which holds
+/// exactly the nodes with free memory: one re-key while the node stays
+/// a member, an insert or remove when it joins or leaves.
+#[inline]
+fn resync(index: &mut FreeIndex, old: u64, new: u64, id: NodeId) {
+    match (old > 0, new > 0) {
+        (true, true) => index.rekey(old, new, id),
+        (true, false) => index.remove(old, id),
+        (false, true) => index.insert(new, id),
+        (false, false) => {}
+    }
 }
 
 /// Whole-cluster state: node ledgers plus the per-job allocation table
@@ -92,8 +107,8 @@ pub struct Cluster {
     total_offline_mb: u64,
     /// Number of nodes currently down.
     down_count: usize,
-    /// Schedulable nodes (idle, within lend cap) keyed by free MB, node
-    /// ids ascending per bucket. Serves best-fit placement directly.
+    /// Schedulable nodes (idle, within lend cap) sorted by `(free, id)`.
+    /// Serves best-fit placement directly.
     sched_index: FreeIndex,
     /// All nodes with free memory — the lender pool — keyed the same way.
     free_index: FreeIndex,
@@ -123,7 +138,9 @@ pub struct Cluster {
     /// lender-set snapshots); kept here so the hot path never allocates.
     scratch_per_lender: Vec<(NodeId, u64)>,
     scratch_lenders: Vec<NodeId>,
-    scratch_touched: Vec<NodeId>,
+    /// Per-node row of `refresh_demand`'s contribution list, `u32::MAX`
+    /// when the node has none; every used slot is reset before return.
+    demand_row: Vec<u32>,
 }
 
 impl Cluster {
@@ -139,6 +156,11 @@ impl Cluster {
         spec: TopologySpec,
     ) -> Self {
         assert!(!capacities.is_empty(), "cluster needs at least one node");
+        // The free-memory indexes pack `free_mb << 32 | node_id` keys.
+        assert!(
+            capacities.iter().all(|&c| c <= u64::from(u32::MAX)),
+            "node capacity exceeds u32::MAX MB"
+        );
         assert!((0.0..=1.0).contains(&lend_cap_fraction));
         spec.validate().expect("invalid topology spec");
         let topology = spec.build(capacities.len() as u32);
@@ -160,7 +182,7 @@ impl Cluster {
         // with a single rack (flat included) the global lender pool is
         // already the rack's pool.
         let rack_free = if topology.racks() > 1 {
-            vec![FreeIndex::new(); topology.racks() as usize]
+            vec![FreeIndex::default(); topology.racks() as usize]
         } else {
             Vec::new()
         };
@@ -174,8 +196,8 @@ impl Cluster {
             total_alloc_mb: 0,
             total_offline_mb: 0,
             down_count: 0,
-            sched_index: FreeIndex::new(),
-            free_index: FreeIndex::new(),
+            sched_index: FreeIndex::default(),
+            free_index: FreeIndex::default(),
             topology,
             rack_free,
             total_remote_mb: 0,
@@ -184,20 +206,20 @@ impl Cluster {
             alloc_clock: 0,
             scratch_per_lender: Vec::new(),
             scratch_lenders: Vec::new(),
-            scratch_touched: Vec::new(),
+            demand_row: vec![u32::MAX; node_count],
         };
         // Every node starts idle with its full capacity free.
         for i in 0..cluster.nodes.len() {
             let id = NodeId(i as u32);
             let free = cluster.nodes[i].free_mb();
             if free > 0 {
-                index_insert(&mut cluster.free_index, free, id);
+                cluster.free_index.insert(free, id);
                 if !cluster.rack_free.is_empty() {
                     let rack = cluster.topology.rack_of(id) as usize;
-                    index_insert(&mut cluster.rack_free[rack], free, id);
+                    cluster.rack_free[rack].insert(free, id);
                 }
             }
-            index_insert(&mut cluster.sched_index, free, id);
+            cluster.sched_index.insert(free, id);
         }
         cluster.schedulable_count = cluster.nodes.len();
         cluster
@@ -215,27 +237,17 @@ impl Cluster {
         let new_free = self.nodes[i].free_mb();
         let new_sched = self.schedulable(id);
         if old_free != new_free {
-            if old_free > 0 {
-                index_remove(&mut self.free_index, old_free, id);
-            }
-            if new_free > 0 {
-                index_insert(&mut self.free_index, new_free, id);
-            }
+            resync(&mut self.free_index, old_free, new_free, id);
             if !self.rack_free.is_empty() {
                 let rack = self.topology.rack_of(id) as usize;
-                if old_free > 0 {
-                    index_remove(&mut self.rack_free[rack], old_free, id);
-                }
-                if new_free > 0 {
-                    index_insert(&mut self.rack_free[rack], new_free, id);
-                }
+                resync(&mut self.rack_free[rack], old_free, new_free, id);
             }
         }
-        if old_sched && (!new_sched || old_free != new_free) {
-            index_remove(&mut self.sched_index, old_free, id);
-        }
-        if new_sched && (!old_sched || old_free != new_free) {
-            index_insert(&mut self.sched_index, new_free, id);
+        match (old_sched, new_sched) {
+            (true, true) if old_free != new_free => self.sched_index.rekey(old_free, new_free, id),
+            (true, false) => self.sched_index.remove(old_free, id),
+            (false, true) => self.sched_index.insert(new_free, id),
+            _ => {}
         }
         if old_sched != new_sched {
             if new_sched {
@@ -339,27 +351,19 @@ impl Cluster {
         &self,
         min_free: u64,
     ) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.sched_index
-            .range(min_free..)
-            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
+        self.sched_index.asc_from(min_free)
     }
 
     /// All schedulable nodes, descending by free memory with ids
     /// ascending within ties — the phase-2 compute-node order.
     pub fn schedulable_by_free_desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.sched_index
-            .iter()
-            .rev()
-            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
+        self.sched_index.desc()
     }
 
     /// The lender pool: every node with free memory, descending by free
     /// with ids ascending within ties.
     pub fn free_by_free_desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.free_index
-            .iter()
-            .rev()
-            .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
+        self.free_index.desc()
     }
 
     /// The allocation of a running job, if any.
@@ -484,11 +488,7 @@ impl Cluster {
         self.rack_free
             .get(rack as usize)
             .into_iter()
-            .flat_map(|idx| {
-                idx.iter()
-                    .rev()
-                    .flat_map(|(&f, bucket)| bucket.ids().iter().map(move |&id| (f, id)))
-            })
+            .flat_map(FreeIndex::desc)
     }
 
     /// Locality-aware lender order for a borrower homed on `home`:

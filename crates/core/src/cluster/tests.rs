@@ -180,30 +180,33 @@ fn assert_indexes_match_rebuild(c: &Cluster) {
         c.free_by_free_desc().collect::<Vec<_>>(),
         desc(&|_, n| n.free_mb() > 0)
     );
-    for rack in 0..c.topology().racks() {
-        assert_eq!(
-            c.rack_lenders_desc(rack).collect::<Vec<_>>(),
-            desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
-        );
+    // Rack indexes exist only on multi-rack topologies.
+    if c.topology().racks() > 1 {
+        for rack in 0..c.topology().racks() {
+            assert_eq!(
+                c.rack_lenders_desc(rack).collect::<Vec<_>>(),
+                desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
+            );
+        }
     }
     assert_eq!(c.check_invariants(), Ok(()));
 }
 
-/// Ledger changes re-key nodes between lone-node buckets, tie buckets
-/// and no bucket at all; every index must keep `(free, id)` order.
+/// Ledger changes re-key nodes into and out of tie runs and out of the
+/// lender indexes altogether; every index must keep `(free, id)` order.
 #[test]
-fn index_buckets_rekey_through_ties_and_back() {
+fn index_rekeys_through_ties_and_back() {
     let spec = TopologySpec::Racks {
         size: 2,
         cross_cap: 1.0,
     };
-    // Eight equal nodes: every index starts as tie buckets.
+    // Eight equal nodes: every index starts as one tie run.
     let mut c = Cluster::new_with_topology(vec![1000; 8], 0.5, spec);
     assert_indexes_match_rebuild(&c);
-    // Node 1 leaves the 1000 MB tie for a bucket of its own.
+    // Node 1 leaves the 1000 MB tie for a key of its own.
     c.start_job(JobId(1), local_alloc(&[1], 300), 1.0);
     assert_indexes_match_rebuild(&c);
-    // Node 0 joins it at 700 MB, ahead of it: a lone bucket becomes a
+    // Node 0 joins it at 700 MB, ahead of it: a lone key becomes a
     // tie with the new id first.
     c.start_job(JobId(2), local_alloc(&[0], 300), 1.0);
     assert_indexes_match_rebuild(&c);
@@ -211,7 +214,7 @@ fn index_buckets_rekey_through_ties_and_back() {
     c.finish_job(JobId(1));
     assert_indexes_match_rebuild(&c);
     // Node 0 fills up and leaves the lender indexes; node 3 lends into
-    // a bucket of its own, then rejoins the 1000 MB tie.
+    // a key of its own, then rejoins the 1000 MB tie.
     c.grow_entry(JobId(2), NodeId(0), 700, &[(NodeId(3), 250)], 1.0);
     assert_eq!(c.node(NodeId(0)).free_mb(), 0);
     assert_indexes_match_rebuild(&c);
@@ -235,8 +238,8 @@ fn desynced_index_trips_the_placement_oracle() {
     let mut c = Cluster::new(vec![1000, 2000], 0.5);
     // Re-key node 0 (1000 MB free) as if it had 5000 MB free: the index
     // now ranks it behind node 1, while the scan still best-fits it.
-    indexes::index_remove(&mut c.sched_index, 1000, NodeId(0));
-    indexes::index_insert(&mut c.sched_index, 5000, NodeId(0));
+    c.sched_index.remove(1000, NodeId(0));
+    c.sched_index.insert(5000, NodeId(0));
     place_spread_with(&c, 1, 500, &mut PlacementScratch::new());
 }
 
@@ -495,4 +498,210 @@ fn two_borrowers_share_lender_demand() {
     c.finish_job(JobId(1));
     assert!(c.node(NodeId(2)).remote_demand_gbs.abs() < 1e-9);
     assert!((c.node(NodeId(3)).remote_demand_gbs - 2.0).abs() < 1e-9);
+}
+
+mod free_index {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Free values for the property: a narrow range so ties are common,
+    /// plus the largest value a packed key holds.
+    fn free_of(pick: u64) -> u64 {
+        if pick == 7 {
+            u64::from(u32::MAX)
+        } else {
+            pick
+        }
+    }
+
+    proptest! {
+        /// Random insert/remove/rekey sequences leave the sorted-array
+        /// index yielding the same `(free asc, id asc)` and
+        /// `(free desc, id asc)` orders as a `BTreeSet` reference.
+        #[test]
+        fn free_index_orders_match_btreeset(
+            ops in prop::collection::vec((0u64..3, 0u32..12, 0u64..8), 0..300),
+        ) {
+            let mut index = FreeIndex::default();
+            let mut reference: BTreeSet<(u64, NodeId)> = BTreeSet::new();
+            let mut at: BTreeMap<NodeId, u64> = BTreeMap::new();
+            for &(op, id, pick) in &ops {
+                let (id, free) = (NodeId(id), free_of(pick));
+                match (op, at.get(&id).copied()) {
+                    (_, None) => {
+                        index.insert(free, id);
+                        reference.insert((free, id));
+                        at.insert(id, free);
+                    }
+                    (0, Some(old)) => {
+                        index.remove(old, id);
+                        reference.remove(&(old, id));
+                        at.remove(&id);
+                    }
+                    (_, Some(old)) => {
+                        index.rekey(old, free, id);
+                        reference.remove(&(old, id));
+                        reference.insert((free, id));
+                        at.insert(id, free);
+                    }
+                }
+                for min in [0, 1, 3, 6, u64::from(u32::MAX), u64::from(u32::MAX) + 1] {
+                    let want: Vec<_> = reference.iter().copied().filter(|&(f, _)| f >= min).collect();
+                    prop_assert_eq!(index.asc_from(min).collect::<Vec<_>>(), want);
+                }
+                let mut want: Vec<_> = reference.iter().copied().collect();
+                want.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
+                prop_assert_eq!(index.desc().collect::<Vec<_>>(), want);
+            }
+        }
+    }
+}
+
+/// `shrink_job` re-indexes each lender once after peeling every entry:
+/// four entries borrowing from the same two lenders, shrunk part-way
+/// and then fully to local, against hand-computed ledgers.
+#[test]
+fn shrink_across_entries_sharing_lenders_reindexes_once_per_lender() {
+    let mut c = Cluster::new(vec![1000; 8], 0.5);
+    let alloc = JobAlloc {
+        entries: (0..4)
+            .map(|n| AllocEntry {
+                node: NodeId(n),
+                local_mb: 500,
+                remote: vec![(NodeId(4), 100), (NodeId(5), 100)],
+            })
+            .collect(),
+    };
+    c.start_job(JobId(1), alloc, 8.0);
+    assert_eq!(c.node(NodeId(4)).lent_mb, 400);
+    assert_eq!(c.node(NodeId(5)).lent_mb, 400);
+    assert_eq!(c.total_remote_mb(), 800);
+    assert_indexes_match_rebuild(&c);
+    // 700 -> 650 per entry: each entry peels 50 MB off its last lender,
+    // node 5, which ends up lending 4 × 50.
+    assert_eq!(c.shrink_job(JobId(1), 650, 8.0), 200);
+    assert_eq!(c.node(NodeId(4)).lent_mb, 400);
+    assert_eq!(c.node(NodeId(5)).lent_mb, 200);
+    assert_eq!(c.total_remote_mb(), 600);
+    assert_eq!(c.total_allocated_mb(), 4 * 650);
+    assert_eq!(c.borrowers_of(NodeId(5)), &[JobId(1)]);
+    assert_indexes_match_rebuild(&c);
+    // 650 -> 500: node 5's last 50 MB and node 4's 100 MB go from every
+    // entry; both lenders are empty and unlinked, the job fully local.
+    assert_eq!(c.shrink_job(JobId(1), 500, 8.0), 600);
+    assert_eq!(c.node(NodeId(4)).lent_mb, 0);
+    assert_eq!(c.node(NodeId(5)).lent_mb, 0);
+    assert_eq!(c.total_remote_mb(), 0);
+    assert_eq!(c.total_allocated_mb(), 4 * 500);
+    assert!(c.borrowers_of(NodeId(4)).is_empty());
+    assert!(c.borrowers_of(NodeId(5)).is_empty());
+    assert!(c
+        .alloc_of(JobId(1))
+        .unwrap()
+        .entries
+        .iter()
+        .all(|e| e.remote.is_empty() && e.local_mb == 500));
+    assert_eq!(c.node(NodeId(4)).remote_demand_gbs, 0.0);
+    assert_eq!(c.node(NodeId(5)).remote_demand_gbs, 0.0);
+    assert_indexes_match_rebuild(&c);
+}
+
+/// The linear-find demand fold `refresh_demand` used before its dense
+/// row map, kept verbatim as the reference for the bit-identity test.
+fn reference_refresh_demand(
+    alloc: &JobAlloc,
+    bandwidth_gbs: f64,
+    contribs: &mut Vec<(NodeId, f64)>,
+    demand: &mut [f64],
+) {
+    for &(lender, gbs) in contribs.iter() {
+        let d = &mut demand[lender.0 as usize];
+        *d = (*d - gbs).max(0.0);
+    }
+    contribs.clear();
+    let total = alloc.total_mb();
+    if total > 0 {
+        for e in &alloc.entries {
+            for &(lender, mb) in &e.remote {
+                let gbs = bandwidth_gbs * mb as f64 / total as f64;
+                if let Some(c) = contribs.iter_mut().find(|(l, _)| *l == lender) {
+                    c.1 += gbs;
+                } else {
+                    contribs.push((lender, gbs));
+                }
+            }
+        }
+        for &(lender, gbs) in contribs.iter() {
+            demand[lender.0 as usize] += gbs;
+        }
+    }
+}
+
+mod demand_refresh {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Compute nodes of the three jobs; nodes 10..16 only lend.
+    const COMPUTE: [&[u32]; 3] = [&[0, 1, 2, 3], &[4, 5, 6], &[7, 8, 9]];
+    const LENDERS: u32 = 6;
+
+    proptest! {
+        /// `Node::remote_demand_gbs` after random starts, grows and
+        /// shrinks with lenders repeated across entries is bit-identical
+        /// to the linear-find fold.
+        #[test]
+        fn refresh_demand_matches_find_fold_bitwise(
+            starts in prop::collection::vec((100u64..600, 0u32..LENDERS, 1u64..60, 0u32..LENDERS, 1u64..60), 10..11),
+            ops in prop::collection::vec((0u64..4, 0u64..3, 0u64..4, 0u32..LENDERS, 1u64..60, 0u32..LENDERS), 0..80),
+        ) {
+            let mut c = Cluster::new(vec![8000; 16], 0.5);
+            let mut demand = vec![0.0f64; 16];
+            let mut contribs: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); 3];
+            let bandwidth = [7.3, 11.9, 3.1];
+            let lender = |l: u32| NodeId(10 + l);
+            let mut rows = starts.iter();
+            for (j, nodes) in COMPUTE.iter().enumerate() {
+                let entries = nodes
+                    .iter()
+                    .map(|&n| {
+                        let &(local, l1, mb1, l2, mb2) = rows.next().unwrap();
+                        let mut remote = vec![(lender(l1), mb1)];
+                        if l2 != l1 {
+                            remote.push((lender(l2), mb2));
+                        }
+                        AllocEntry { node: NodeId(n), local_mb: local, remote }
+                    })
+                    .collect();
+                let job = JobId(j as u32);
+                c.start_job(job, JobAlloc { entries }, bandwidth[j]);
+                reference_refresh_demand(c.alloc_of(job).unwrap(), bandwidth[j], &mut contribs[j], &mut demand);
+            }
+            for &(op, j, entry, l1, mb, l2) in &ops {
+                let job = JobId(j as u32);
+                let j = j as usize;
+                if op == 0 {
+                    // Shrink every entry to somewhere inside its range.
+                    let alloc = c.alloc_of(job).unwrap();
+                    let min = alloc.entries.iter().map(AllocEntry::total_mb).min().unwrap();
+                    c.shrink_job(job, min.saturating_sub(mb), bandwidth[j]);
+                } else {
+                    let node = NodeId(COMPUTE[j][entry as usize % COMPUTE[j].len()]);
+                    let mut add = vec![(lender(l1), mb)];
+                    if l2 != l1 {
+                        add.push((lender(l2), mb / 2 + 1));
+                    }
+                    c.grow_entry(job, node, mb % 7, &add, bandwidth[j]);
+                }
+                reference_refresh_demand(c.alloc_of(job).unwrap(), bandwidth[j], &mut contribs[j], &mut demand);
+                for (id, n) in c.iter() {
+                    prop_assert!(
+                        n.remote_demand_gbs.to_bits() == demand[id.0 as usize].to_bits(),
+                        "{id:?}: {} vs fold {}", n.remote_demand_gbs, demand[id.0 as usize]
+                    );
+                }
+            }
+            prop_assert_eq!(c.check_invariants(), Ok(()));
+        }
+    }
 }

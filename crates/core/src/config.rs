@@ -202,6 +202,15 @@ impl SystemConfig {
                 self.link_capacity_gbs
             ));
         }
+        // The cluster's free-memory indexes pack a node's free MB into
+        // the high 32 bits of a key.
+        let max_mb = u64::from(u32::MAX);
+        if self.memory_mix.normal_mb > max_mb || self.memory_mix.large_mb > max_mb {
+            return bad(format!(
+                "node capacity must be at most {max_mb} MB, got normal {} / large {}",
+                self.memory_mix.normal_mb, self.memory_mix.large_mb
+            ));
+        }
         self.topology.validate()?;
         self.faults.validate()
     }
@@ -260,6 +269,21 @@ mod tests {
         c.lend_cap_fraction = 0.5;
         c.faults.monitor_loss_prob = 2.0;
         assert!(c.validate().is_err());
+        c.faults.monitor_loss_prob = 0.0;
+        c.validate().unwrap();
+        // Node capacity is bounded by the packed index key: u32::MAX MB
+        // is the largest accepted, on either node class.
+        let max_mb = u64::from(u32::MAX);
+        c.memory_mix = MemoryMix::new(max_mb, max_mb, 0.5);
+        c.validate().unwrap();
+        c.memory_mix = MemoryMix::new(64, max_mb + 1, 0.5);
+        assert!(matches!(c.validate(), Err(CoreError::InvalidConfig(_))));
+        c.memory_mix = MemoryMix {
+            normal_mb: max_mb + 1,
+            large_mb: 128,
+            large_fraction: 0.0,
+        };
+        assert!(matches!(c.validate(), Err(CoreError::InvalidConfig(_))));
     }
 
     #[test]

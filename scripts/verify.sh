@@ -21,9 +21,11 @@ cargo test --workspace -q
 
 echo "== golden digests on the optimised build (what users and the benchmark run) =="
 cargo test --release -q --test determinism_golden --test topology --test fast_path --test sweep_zero_copy
-# The lane-merged event queue against a plain min-heap: an ordering slip
+# The lane-merged event queue against a plain min-heap, and the
+# sorted-array free-memory index against a BTreeSet: an ordering slip
 # would change results without tripping any debug-only check.
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
+cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small
