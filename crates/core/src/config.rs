@@ -1,8 +1,13 @@
 //! Simulated system configurations (paper Table 4).
 
 use crate::cluster::{MemoryMix, TopologySpec};
+use crate::engine::SimTime;
 use crate::error::CoreError;
 use crate::faults::FaultConfig;
+
+/// The band each memory-update delay is drawn from, as multiples of
+/// `mem_update_interval_s` (the paper's "on average every 5 minutes").
+pub(crate) const UPDATE_JITTER: std::ops::Range<f64> = 0.8..1.2;
 
 /// How jobs that run out of memory under the dynamic policy are handled
 /// (paper §2.2).
@@ -137,6 +142,12 @@ impl SystemConfig {
     pub fn with_mitigation(mut self, mitigation: OomMitigation) -> Self {
         self.oom_mitigation = mitigation;
         self
+    }
+
+    /// The longest delay between two memory updates of a job: the top
+    /// of the jitter band ([`UPDATE_JITTER`]) around the interval.
+    pub(crate) fn longest_update_interval(&self) -> SimTime {
+        SimTime::from_secs(self.mem_update_interval_s * UPDATE_JITTER.end)
     }
 
     /// Replace the memory-update interval (ablation).

@@ -6,11 +6,12 @@
 //!
 //! Job-end and memory-update events are *re-schedulable*: when a job's
 //! speed changes, its pending events become stale. Rather than removing
-//! them from the heap (O(n)), each carries an **epoch**; the simulation
+//! them from the queue (O(n)), each carries an **epoch**; the simulation
 //! bumps the job's epoch and pushes a fresh event, and stale pops are
 //! discarded (standard lazy deletion).
 
 use crate::cluster::NodeId;
+use crate::config::SystemConfig;
 use crate::job::JobId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -123,7 +124,7 @@ impl PartialOrd for Event {
     }
 }
 
-/// The pending events, popped in one `(time, seq)` order from three
+/// The pending events, popped in one `(time, seq)` order from four
 /// lanes:
 ///
 /// * **arrivals** — the events known before the run starts (every
@@ -133,18 +134,30 @@ impl PartialOrd for Event {
 ///   a cursor;
 /// * **tick slot** — the one pending run-time scheduler tick, set by
 ///   [`schedule_tick`](Self::schedule_tick);
-/// * **heap** — everything [`push`](Self::push)ed at run time
-///   (job ends, memory updates, requeue submits).
+/// * **ring** — every run-time [`push`](Self::push) that falls within
+///   the near-future span: a ring of `RING` time buckets, each a
+///   power of two µs wide;
+/// * **heap** — the run-time pushes beyond that span (job ends hours
+///   ahead, long backoffs).
 ///
 /// Every lane takes its `seq` from one counter, so [`pop`](Self::pop)
 /// returns exactly the sequence a single min-heap fed the same pushes
 /// would. Keeping the start-up submits and the periodic tick out of the
 /// heap keeps it at the size of the run-time events and takes the
-/// bookkeeping events off its sift path.
+/// bookkeeping events off its sift path; the ring takes the periodic
+/// memory updates off it too.
+///
+/// The ring holds only events whose bucket lies in `[base, base +
+/// RING)`, where `base` is the bucket of the latest popped event, so no
+/// two pending buckets share a ring position and a forward scan of the
+/// occupancy bitmap meets them in time order. The earliest bucket is kept sorted descending by `(time, seq)`, so a pop
+/// takes its last element: a push into it is a binary-search insert, a
+/// push into a later bucket an append, and a bucket is sorted once when
+/// it becomes the earliest.
 ///
 /// Lazy deletion leaves stale `JobEnd`/`MemUpdate` events queued until
 /// they are popped. Under the dynamic policy a long-running borrower
-/// can be re-timed many times between pops, so the heap can grow well
+/// can be re-timed many times between pops, so the queue can grow well
 /// past the live event count. Callers report superseded events via
 /// [`note_stale`](Self::note_stale); once
 /// [`should_compact`](Self::should_compact) trips, a single
@@ -154,7 +167,7 @@ impl PartialOrd for Event {
 /// bookkeeping on every pop, stale ones included, so which stale events
 /// are still there to pop depends on when compaction fired. The trigger
 /// is deterministic and counts every pending event in every lane.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct EventQueue {
     /// Start-up events sorted by `(time, seq)`; `arrivals[cursor..]`
     /// are still pending.
@@ -162,6 +175,22 @@ pub struct EventQueue {
     cursor: usize,
     /// The pending run-time `SchedTick`, if any.
     tick: Option<Event>,
+    /// Near-future buckets: bucket `slot` (event time `>> shift`) lives
+    /// at `ring[slot % RING]`.
+    ring: Box<[Vec<Event>; RING]>,
+    /// One bit per ring bucket, set while the bucket is non-empty.
+    occupied: [u64; RING / 64],
+    /// Events in the ring.
+    ring_len: usize,
+    /// Slot of the earliest occupied bucket while the ring is non-empty
+    /// (that bucket is sorted descending); its bucket is empty
+    /// otherwise.
+    head: u64,
+    /// Slot of the latest popped event: every ring event lies in
+    /// `[base, base + RING)`.
+    base: u64,
+    /// Bucket width is `1 << shift` µs.
+    shift: u32,
     heap: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
     /// Events known to be stale (superseded by a newer epoch) but still
@@ -174,23 +203,42 @@ pub struct EventQueue {
 /// rebuild costs more than it saves) on the pure lazy-deletion path.
 const COMPACT_MIN_LEN: usize = 1024;
 
+/// Buckets in the near-future ring.
+const RING: usize = 512;
+
 /// Which lane holds the earliest pending event.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Lane {
     Arrivals,
     Tick,
+    Ring,
     Heap,
 }
 
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EventQueue {
-    /// An empty queue.
+    /// An empty queue whose ring spans the paper system's
+    /// longest memory-update interval.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_arrivals(SystemConfig::synthetic_1024().longest_update_interval(), [])
     }
 
     /// A queue holding the start-up `events`, stamped with `seq`s in the
-    /// given order (ties at one instant pop in that order).
-    pub fn with_arrivals(events: impl IntoIterator<Item = (SimTime, EventKind)>) -> Self {
+    /// given order (ties at one instant pop in that order). Run-time
+    /// pushes up to `near_span` past the current time go to the ring,
+    /// whose buckets are the narrowest power of two µs wide at which
+    /// `RING - 1` of them cover `near_span` (so a push up to `near_span`
+    /// ahead lands in the ring from any point within the current
+    /// bucket).
+    pub fn with_arrivals(
+        near_span: SimTime,
+        events: impl IntoIterator<Item = (SimTime, EventKind)>,
+    ) -> Self {
         let mut arrivals: Vec<Event> = events
             .into_iter()
             .enumerate()
@@ -201,10 +249,20 @@ impl EventQueue {
             })
             .collect();
         arrivals.sort_unstable();
+        let width = near_span.0.div_ceil(RING as u64 - 1).max(1);
         Self {
             next_seq: arrivals.len() as u64,
             arrivals,
-            ..Self::default()
+            cursor: 0,
+            tick: None,
+            ring: Box::new(std::array::from_fn(|_| Vec::new())),
+            occupied: [0; RING / 64],
+            ring_len: 0,
+            head: 0,
+            base: 0,
+            shift: width.next_power_of_two().trailing_zeros(),
+            heap: BinaryHeap::new(),
+            stale: 0,
         }
     }
 
@@ -215,10 +273,29 @@ impl EventQueue {
         Event { time, seq, kind }
     }
 
-    /// Schedule `kind` at `time` on the run-time heap.
+    /// Schedule `kind` at `time`: on the ring if its bucket is within
+    /// `RING` buckets of the latest pop's, on the heap otherwise.
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let e = self.stamp(time, kind);
-        self.heap.push(Reverse(e));
+        let slot = time.0 >> self.shift;
+        if slot.wrapping_sub(self.base) >= RING as u64 {
+            self.heap.push(Reverse(e));
+            return;
+        }
+        let i = slot as usize % RING;
+        let bucket = &mut self.ring[i];
+        if self.ring_len == 0 || slot < self.head {
+            // A new earliest bucket: it was empty, so it is sorted.
+            self.head = slot;
+            bucket.push(e);
+        } else if slot == self.head {
+            let at = bucket.partition_point(|x| *x > e);
+            bucket.insert(at, e);
+        } else {
+            bucket.push(e);
+        }
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.ring_len += 1;
     }
 
     /// Schedule the next scheduler tick at `time`. At most one run-time
@@ -234,6 +311,7 @@ impl EventQueue {
         let mut best = self.arrivals.get(self.cursor).map(|e| (Lane::Arrivals, e));
         for (lane, head) in [
             (Lane::Tick, self.tick.as_ref()),
+            (Lane::Ring, self.ring[self.head as usize % RING].last()),
             (Lane::Heap, self.heap.peek().map(|Reverse(e)| e)),
         ] {
             if let Some(e) = head {
@@ -252,11 +330,45 @@ impl EventQueue {
         match lane {
             Lane::Arrivals => self.cursor += 1,
             Lane::Tick => self.tick = None,
+            Lane::Ring => {
+                let i = self.head as usize % RING;
+                self.ring[i].pop();
+                self.ring_len -= 1;
+                if self.ring[i].is_empty() {
+                    self.occupied[i / 64] &= !(1 << (i % 64));
+                    self.advance_head();
+                }
+            }
             Lane::Heap => {
                 self.heap.pop();
             }
         }
+        self.base = self.base.max(e.time.0 >> self.shift);
         Some(e)
+    }
+
+    /// The head bucket is empty: make the next occupied bucket (if any)
+    /// the head and sort it. Every ring event is at or after the old
+    /// head and within `RING` buckets of `base <= head`, so scanning the
+    /// bitmap forward from the old head, wrapping once, meets the
+    /// pending buckets in time order.
+    fn advance_head(&mut self) {
+        if self.ring_len == 0 {
+            return;
+        }
+        let from = self.head as usize % RING;
+        // The last step revisits the first word, whose bits at and past
+        // `from` are clear by then: a hit there has wrapped around.
+        let next = (0..=RING / 64)
+            .find_map(|k| {
+                let w = (from / 64 + k) % (RING / 64);
+                let mask = if k == 0 { !0u64 << (from % 64) } else { !0 };
+                let bits = self.occupied[w] & mask;
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            })
+            .expect("a non-empty ring has an occupied bucket");
+        self.head += ((next + RING - from) % RING) as u64;
+        self.ring[next].sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// Time of the earliest pending event.
@@ -266,7 +378,10 @@ impl EventQueue {
 
     /// Number of pending events in every lane (including stale ones).
     pub fn len(&self) -> usize {
-        self.arrivals.len() - self.cursor + usize::from(self.tick.is_some()) + self.heap.len()
+        self.arrivals.len() - self.cursor
+            + usize::from(self.tick.is_some())
+            + self.ring_len
+            + self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -307,6 +422,19 @@ impl EventQueue {
         self.arrivals.retain(|e| keep(e));
         if self.tick.as_ref().is_some_and(|e| !keep(e)) {
             self.tick = None;
+        }
+        // `retain` keeps each bucket's order, so the head stays sorted.
+        self.ring_len = 0;
+        self.occupied = [0; RING / 64];
+        for (i, bucket) in self.ring.iter_mut().enumerate() {
+            bucket.retain(|e| keep(e));
+            if !bucket.is_empty() {
+                self.ring_len += bucket.len();
+                self.occupied[i / 64] |= 1 << (i % 64);
+            }
+        }
+        if self.ring[self.head as usize % RING].is_empty() {
+            self.advance_head();
         }
         let events = std::mem::take(&mut self.heap).into_vec();
         self.heap = events.into_iter().filter(|Reverse(e)| keep(e)).collect();
@@ -425,19 +553,22 @@ mod tests {
     #[test]
     fn len_and_should_compact_count_every_lane() {
         let submits = (0..500).map(|i| (SimTime(i), EventKind::Submit(JobId(i as u32))));
-        let mut q = EventQueue::with_arrivals(submits);
+        let mut q = EventQueue::with_arrivals(SimTime::from_secs(360.0), submits);
         q.schedule_tick(SimTime(30));
+        // Even jobs end within the ring's span, odd ones far past it.
         for i in 0..523 {
+            let t = if i % 2 == 0 { i } else { (1 << 40) + i };
             q.push(
-                SimTime(i),
+                SimTime(t),
                 EventKind::JobEnd {
                     job: JobId(i as u32),
                     epoch: 0,
                 },
             );
         }
-        // 500 arrivals + 1 tick + 523 heap events: the heap alone is
-        // below the size floor, the queue is not.
+        assert_eq!((q.ring_len, q.heap.len()), (262, 261));
+        // 500 arrivals + 1 tick + 262 ring + 261 heap events: no lane
+        // alone reaches the size floor, the queue does.
         assert_eq!(q.len(), 1024);
         q.note_stale(512);
         // Exactly half stale is not a majority.
@@ -445,6 +576,7 @@ mod tests {
         q.note_stale(1);
         assert!(q.should_compact());
         q.compact(|e| !matches!(e.kind, EventKind::JobEnd { job, .. } if job.0 < 513));
+        assert_eq!((q.ring_len, q.heap.len()), (5, 5));
         assert_eq!(q.len(), 511);
         assert!(!q.should_compact());
         // The survivors of every lane drain in `(time, seq)` order.
@@ -479,121 +611,151 @@ mod tests {
         }
     }
 
+    /// A push offset on scale `a`: `2^a` plus up to `2^a - 1` of jitter
+    /// from `b` for `a <= 44`, zero (the current instant) for `a == 45`,
+    /// and `u64::MAX` (the push time saturates) above.
+    fn offset(a: u64, b: u64) -> u64 {
+        match a {
+            0..=44 => (1 << a) + b % (1 << a),
+            45 => 0,
+            _ => u64::MAX,
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
         /// Random operation sequences pop the same events from the
-        /// lane-merged queue as from one `BinaryHeap`. Arrival times
-        /// come from a narrow range so same-instant ties are common.
+        /// lane-merged queue as from one `BinaryHeap`, at the default
+        /// ring span and at one of 4 µs buckets, where the ring wraps
+        /// around many times per case. Arrival times come from a narrow
+        /// range so same-instant ties are common; run-time pushes land
+        /// from the current instant to `u64::MAX`, singly or in bursts
+        /// into one bucket (often the one being drained).
         #[test]
         fn lanes_pop_like_one_heap(
             submits in prop::collection::vec(0u64..64, 0..1100),
             faults in prop::collection::vec((0u64..64, 0u64..4), 0..40),
-            ops in prop::collection::vec((0u64..32, 0u64..48, 0u64..1 << 16), 0..600),
+            ops in prop::collection::vec((0u64..32, 0u64..48, 0u64..1 << 16), 0..800),
         ) {
-            // Start-up events in the runner's order: submits, the first
-            // tick, the fault schedule.
-            let mut startup: Vec<(SimTime, EventKind)> = submits
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime(t), EventKind::Submit(JobId(i as u32))))
-                .collect();
-            startup.push((SimTime::ZERO, EventKind::SchedTick));
-            startup.extend(faults.iter().map(|&(t, k)| {
-                let node = NodeId(k as u32);
-                let kind = match k {
-                    0 => EventKind::NodeFail { node },
-                    1 => EventKind::NodeRepair { node },
-                    2 => EventKind::PoolDegrade { node, mb: t },
-                    _ => EventKind::PoolRestore { node, mb: t },
-                };
-                (SimTime(t), kind)
-            }));
-            let mut q = EventQueue::with_arrivals(startup.iter().copied());
-            let mut reference = Reference::default();
-            for &(t, kind) in &startup {
-                reference.push(t, kind);
-            }
-            let mut now = SimTime::ZERO;
-            let mut tick_pending = true;
-            let mut stale = 0usize;
-            for &(op, a, b) in &ops {
-                match op {
-                    // Pop (the most common step: pops drive time).
-                    0..=11 => {
-                        let e = q.pop();
-                        prop_assert_eq!(e, reference.pop());
-                        if let Some(e) = e {
-                            now = e.time;
-                            match e.kind {
-                                EventKind::SchedTick => tick_pending = false,
-                                EventKind::JobEnd { .. } | EventKind::MemUpdate { .. }
-                                    if b % 2 == 1 =>
-                                {
-                                    q.note_stale_popped();
-                                    stale = stale.saturating_sub(1);
+            for near_span in [SimTime::from_secs(360.0), SimTime(2_000)] {
+                // Start-up events in the runner's order: submits, the
+                // first tick, the fault schedule.
+                let mut startup: Vec<(SimTime, EventKind)> = submits
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| (SimTime(t), EventKind::Submit(JobId(i as u32))))
+                    .collect();
+                startup.push((SimTime::ZERO, EventKind::SchedTick));
+                startup.extend(faults.iter().map(|&(t, k)| {
+                    let node = NodeId(k as u32);
+                    let kind = match k {
+                        0 => EventKind::NodeFail { node },
+                        1 => EventKind::NodeRepair { node },
+                        2 => EventKind::PoolDegrade { node, mb: t },
+                        _ => EventKind::PoolRestore { node, mb: t },
+                    };
+                    (SimTime(t), kind)
+                }));
+                let mut q = EventQueue::with_arrivals(near_span, startup.iter().copied());
+                let mut reference = Reference::default();
+                for &(t, kind) in &startup {
+                    reference.push(t, kind);
+                }
+                let mut now = SimTime::ZERO;
+                let mut tick_pending = true;
+                let mut stale = 0usize;
+                for &(op, a, b) in &ops {
+                    match op {
+                        // Pop (the most common step: pops drive time).
+                        0..=11 => {
+                            let e = q.pop();
+                            prop_assert_eq!(e, reference.pop());
+                            if let Some(e) = e {
+                                now = e.time;
+                                match e.kind {
+                                    EventKind::SchedTick => tick_pending = false,
+                                    EventKind::JobEnd { .. } | EventKind::MemUpdate { .. }
+                                        if b % 2 == 1 =>
+                                    {
+                                        q.note_stale_popped();
+                                        stale = stale.saturating_sub(1);
+                                    }
+                                    _ => {}
                                 }
-                                _ => {}
                             }
                         }
-                    }
-                    // Run-time push at or after `now`.
-                    12..=19 => {
-                        let job = JobId(b as u32);
-                        let kind = match b % 3 {
-                            0 => EventKind::JobEnd { job, epoch: a as u32 },
-                            1 => EventKind::MemUpdate { job, epoch: a as u32 },
-                            _ => EventKind::Submit(job),
-                        };
-                        q.push(SimTime(now.0 + a), kind);
-                        reference.push(SimTime(now.0 + a), kind);
-                    }
-                    // Set the tick slot, if no tick is pending.
-                    20..=22 => {
-                        if !tick_pending {
-                            q.schedule_tick(SimTime(now.0 + a));
-                            reference.push(SimTime(now.0 + a), EventKind::SchedTick);
-                            tick_pending = true;
+                        // Run-time push at or after `now`.
+                        12..=17 => {
+                            let job = JobId(b as u32);
+                            let kind = match b % 3 {
+                                0 => EventKind::JobEnd { job, epoch: a as u32 },
+                                1 => EventKind::MemUpdate { job, epoch: a as u32 },
+                                _ => EventKind::Submit(job),
+                            };
+                            let t = SimTime(now.0.saturating_add(offset(a, b)));
+                            q.push(t, kind);
+                            reference.push(t, kind);
+                        }
+                        // A burst of pushes a few µs apart, so they
+                        // share a bucket.
+                        18..=19 => {
+                            let t0 = now.0.saturating_add(offset(a, b));
+                            for i in 0..2 + b % 31 {
+                                let t = SimTime(t0.saturating_add((i * b) % 3));
+                                let kind = EventKind::MemUpdate { job: JobId(i as u32), epoch: 0 };
+                                q.push(t, kind);
+                                reference.push(t, kind);
+                            }
+                        }
+                        // Set the tick slot, if no tick is pending.
+                        20..=22 => {
+                            if !tick_pending {
+                                let t = SimTime(now.0.saturating_add(offset(a, b)));
+                                q.schedule_tick(t);
+                                reference.push(t, EventKind::SchedTick);
+                                tick_pending = true;
+                            }
+                        }
+                        // Large stale reports, so that stale majorities
+                        // of a queue past the size floor occur between
+                        // the (rarer) compactions.
+                        23..=29 => {
+                            q.note_stale(8 * a as usize);
+                            stale += 8 * a as usize;
+                        }
+                        // Compact with a keep predicate that is a pure
+                        // function of the event's key.
+                        _ => {
+                            let keep = |e: &Event| !(e.seq.wrapping_mul(0x9E37_79B9) ^ b).is_multiple_of(4);
+                            q.compact(keep);
+                            let kept: Vec<_> = std::mem::take(&mut reference.heap)
+                                .into_vec()
+                                .into_iter()
+                                .filter(|Reverse(e)| keep(e))
+                                .collect();
+                            reference.heap = kept.into();
+                            tick_pending = reference
+                                .heap
+                                .iter()
+                                .any(|Reverse(e)| e.kind == EventKind::SchedTick);
+                            stale = 0;
                         }
                     }
-                    // Large stale reports, so that stale majorities of
-                    // a queue past the size floor occur between the
-                    // (rarer) compactions.
-                    23..=29 => {
-                        q.note_stale(8 * a as usize);
-                        stale += 8 * a as usize;
-                    }
-                    // Compact with a keep predicate that is a pure
-                    // function of the event's key.
-                    _ => {
-                        let keep = |e: &Event| !(e.seq.wrapping_mul(0x9E37_79B9) ^ b).is_multiple_of(4);
-                        q.compact(keep);
-                        let kept: Vec<_> = std::mem::take(&mut reference.heap)
-                            .into_vec()
-                            .into_iter()
-                            .filter(|Reverse(e)| keep(e))
-                            .collect();
-                        reference.heap = kept.into();
-                        tick_pending = reference
-                            .heap
-                            .iter()
-                            .any(|Reverse(e)| e.kind == EventKind::SchedTick);
-                        stale = 0;
-                    }
+                    let len = reference.heap.len();
+                    prop_assert_eq!(q.len(), len);
+                    prop_assert_eq!(q.stale(), stale);
+                    prop_assert_eq!(q.should_compact(), len >= 1024 && stale * 2 > len);
+                    prop_assert_eq!(
+                        q.peek_time(),
+                        reference.heap.peek().map(|Reverse(e)| e.time)
+                    );
                 }
-                let len = reference.heap.len();
-                prop_assert_eq!(q.len(), len);
-                prop_assert_eq!(q.stale(), stale);
-                prop_assert_eq!(q.should_compact(), len >= 1024 && stale * 2 > len);
-                prop_assert_eq!(
-                    q.peek_time(),
-                    reference.heap.peek().map(|Reverse(e)| e.time)
-                );
+                while let Some(e) = reference.pop() {
+                    prop_assert_eq!(q.pop(), Some(e));
+                }
+                prop_assert!(q.is_empty());
             }
-            while let Some(e) = reference.pop() {
-                prop_assert_eq!(q.pop(), Some(e));
-            }
-            prop_assert!(q.is_empty());
         }
     }
 

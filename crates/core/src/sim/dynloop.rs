@@ -14,7 +14,8 @@ use super::state::{FailReason, Status};
 impl Runner {
     /// Jittered memory-update interval ("on average every 5 minutes").
     pub(crate) fn next_update_interval(&mut self) -> f64 {
-        self.cfg.mem_update_interval_s * self.rng.range_f64(0.8, 1.2)
+        let band = crate::config::UPDATE_JITTER;
+        self.cfg.mem_update_interval_s * self.rng.range_f64(band.start, band.end)
     }
 
     /// Wallclock (at current speed) until the job's usage next exceeds

@@ -189,6 +189,9 @@ impl Runner {
             .map(TelemetryCollector::spec)
             .unwrap_or_default();
         let class_peaks = vec![0u64; sim.workload.pool.len()];
+        // The ring lane spans the longest memory-update re-arm, so every
+        // periodic update lands in it.
+        let queue = EventQueue::with_arrivals(sim.cfg.longest_update_interval(), startup);
         Self {
             rng: Rng64::stream(sim.seed, 0xD15A),
             fault_rng: Rng64::stream(faults.seed, STREAM_SIM_FAULTS),
@@ -202,7 +205,7 @@ impl Runner {
             model,
             max_restarts: sim.max_restarts,
             cluster,
-            queue: EventQueue::with_arrivals(startup),
+            queue,
             pending: PendingQueue::new(),
             st,
             running: Vec::new(),

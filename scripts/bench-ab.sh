@@ -12,7 +12,9 @@
 # the working tree as it is. Then runs PAIRS pairs of
 # `--workload WORKLOAD --seconds 15 --trace 0`, alternating which side
 # runs first, and prints every pair's wall_s, each side's median and
-# quartiles, the pairs the change won (ties count for neither) and every
+# quartiles of wall_s, critical_point_s and setup_s and its median
+# peak_rss_mb (every end-to-end timing metric, from the same runs), the
+# pairs the change won on wall_s (ties count for neither) and every
 # failed run. The gain rule: the change wins at least nine tenths of
 # the pairs and its median beats the parent's by more than the parent's
 # interquartile range. Exits 1 if any run failed.
@@ -59,15 +61,19 @@ build parent "$WORK/parent"
 build change "$REPO"
 
 FAILED=0
-# run SIDE: one benchmark run; prints its wall_s, or "FAIL".
+# run SIDE: one benchmark run; prints its "wall_s critical_point_s
+# setup_s peak_rss_mb", or "FAIL".
 run() {
-    local out line wall
+    local out line m v vals=()
     if out=$("$WORK/target-$1/release/dmhpc-bench" --workload "$WORKLOAD" --seconds 15 \
         --trace 0 "${EXTRA[@]}" 2>"$WORK/stderr.$1"); then
         line=$(printf '%s\n' "$out" | tail -n 1)
-        wall=$(printf '%s\n' "$line" | sed -n 's/.*"wall_s": {"value": \([^,]*\),.*/\1/p')
+        for m in wall_s critical_point_s setup_s peak_rss_mb; do
+            v=$(printf '%s\n' "$line" | sed -n "s/.*\"$m\": {\"value\": \([^,]*\),.*/\1/p")
+            [ -n "$v" ] && vals+=("$v")
+        done
         case $line in
-            *'"failed": 0,'*) [ -n "$wall" ] && { echo "$wall"; return; } ;;
+            *'"failed": 0,'*) [ ${#vals[@]} -eq 4 ] && { echo "${vals[*]}"; return; } ;;
         esac
     fi
     echo "bench-ab: $1 run failed:" >&2
@@ -97,18 +103,19 @@ for i in $(seq 1 "$PAIRS"); do
     else
         echo "$p" >>"$WORK/parent.txt"
         echo "$c" >>"$WORK/change.txt"
-        winner=$(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "change" : (c > p) ? "parent" : "tie" }')
+        winner=$(awk -v p="${p%% *}" -v c="${c%% *}" 'BEGIN { print (c < p) ? "change" : (c > p) ? "parent" : "tie" }')
     fi
     [ "$p" = FAIL ] && FAILED=$((FAILED + 1))
     [ "$c" = FAIL ] && FAILED=$((FAILED + 1))
     [ "$winner" = change ] && WON=$((WON + 1))
-    printf '%-5s %-7s %14s %14s %s\n' "$i" "$first" "$p" "$c" "$winner"
+    printf '%-5s %-7s %14s %14s %s\n' "$i" "$first" "${p%% *}" "${c%% *}" "$winner"
 done
 
-# stats FILE: "median q1 q3" of the samples in FILE, quartiles by the
+# stats FILE COLUMN: "median q1 q3" of column COLUMN of FILE (1 wall_s,
+# 2 critical_point_s, 3 setup_s, 4 peak_rss_mb), quartiles by the
 # exclusive method dmhpc-bench --compare uses.
 stats() {
-    sort -g "$1" | awk '
+    awk -v c="$2" '{ print $c }' "$1" | sort -g | awk '
         { v[NR] = $1 }
         function q(i,   m, j, d) {
             m = NR + 1; j = int(i * m / 4)
@@ -123,10 +130,19 @@ stats() {
             if (NR < 2) print med, med, med; else print med, q(1), q(3)
         }'
 }
-read -r PM PQ1 PQ3 < <(stats "$WORK/parent.txt")
-read -r CM CQ1 CQ3 < <(stats "$WORK/change.txt")
+read -r PM PQ1 PQ3 < <(stats "$WORK/parent.txt" 1)
+read -r CM CQ1 CQ3 < <(stats "$WORK/change.txt" 1)
 printf 'parent: median %s  q1 %s  q3 %s\n' "$PM" "$PQ1" "$PQ3"
 printf 'change: median %s  q1 %s  q3 %s\n' "$CM" "$CQ1" "$CQ3"
+# The other end-to-end metrics of the same runs, for the no-regression
+# check against their BENCHMARK.json bounds.
+for side in parent change; do
+    read -r cp cq1 cq3 < <(stats "$WORK/$side.txt" 2)
+    read -r sm sq1 sq3 < <(stats "$WORK/$side.txt" 3)
+    read -r rss _ < <(stats "$WORK/$side.txt" 4)
+    printf '%s: critical_point_s median %s  q1 %s  q3 %s; setup_s median %s  q1 %s  q3 %s; peak_rss_mb median %s\n' \
+        "$side" "$cp" "$cq1" "$cq3" "$sm" "$sq1" "$sq3" "$rss"
+done
 COMPLETE=$(wc -l <"$WORK/parent.txt")
 printf 'change won %d of %d complete pair(s); failed runs: %d\n' "$WON" "$COMPLETE" "$FAILED"
 awk -v won="$WON" -v pairs="$PAIRS" -v pm="$PM" -v cm="$CM" -v q1="$PQ1" -v q3="$PQ3" 'BEGIN {

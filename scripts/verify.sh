@@ -21,9 +21,11 @@ cargo test --workspace -q
 
 echo "== golden digests on the optimised build (what users and the benchmark run) =="
 cargo test --release -q --test determinism_golden --test topology --test fast_path --test sweep_zero_copy
-# The lane-merged event queue against a plain min-heap, and the
-# sorted-array free-memory index against a BTreeSet: an ordering slip
-# would change results without tripping any debug-only check.
+# The lane-merged event queue (arrivals, tick slot, near-future bucket
+# ring with its wrap-around and sorted head bucket, far heap) against a
+# plain min-heap, and the sorted-array free-memory index against a
+# BTreeSet: an ordering slip would change results without tripping any
+# debug-only check.
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
 
