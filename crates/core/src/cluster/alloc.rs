@@ -99,8 +99,52 @@ fn tally(per_lender: &mut Vec<(NodeId, u64)>, lender: NodeId, mb: u64) {
 }
 
 impl Cluster {
+    /// Book `local` + `remote` MB (`cross` of it cross-rack) to `job`'s
+    /// cached totals and to the cluster-wide counters.
+    #[inline]
+    fn credit(&mut self, job: JobId, local: u64, remote: u64, cross: u64) {
+        self.total_alloc_mb = mb_add(self.total_alloc_mb, local + remote);
+        self.total_remote_mb = mb_add(self.total_remote_mb, remote);
+        self.total_cross_mb = mb_add(self.total_cross_mb, cross);
+        let slot = self.slot_mut(job);
+        slot.total_mb = mb_add(slot.total_mb, local + remote);
+        slot.remote_mb = mb_add(slot.remote_mb, remote);
+        slot.cross_mb = mb_add(slot.cross_mb, cross);
+    }
+
+    /// Release what [`Self::credit`] booked.
+    #[inline]
+    pub(super) fn debit(&mut self, job: JobId, local: u64, remote: u64, cross: u64) {
+        self.total_alloc_mb = mb_sub(self.total_alloc_mb, local + remote);
+        self.total_remote_mb = mb_sub(self.total_remote_mb, remote);
+        self.total_cross_mb = mb_sub(self.total_cross_mb, cross);
+        let slot = self.slot_mut(job);
+        slot.total_mb = mb_sub(slot.total_mb, local + remote);
+        slot.remote_mb = mb_sub(slot.remote_mb, remote);
+        slot.cross_mb = mb_sub(slot.cross_mb, cross);
+    }
+
+    /// The cross-rack MB among `remote`, the borrows of compute node
+    /// `node`. Zero on flat topologies, without a look at the slices.
+    #[inline]
+    fn cross_mb_of(&self, node: NodeId, remote: &[(NodeId, u64)]) -> u64 {
+        if self.is_flat() {
+            return 0;
+        }
+        remote
+            .iter()
+            .filter(|&&(lender, _)| self.is_cross(node, lender))
+            .map(|&(_, mb)| mb)
+            .sum()
+    }
+
     /// Place a job on the cluster with the given allocation, recording
     /// its bandwidth demand `bandwidth_gbs` for contention accounting.
+    ///
+    /// Validation is linear in the allocation: duplicate lenders are
+    /// looked up among the entry's earlier slices, and each lender's
+    /// free check reads the local MB placed on it from a dense per-node
+    /// mark.
     ///
     /// # Panics
     /// Panics if the allocation violates the ledger (node busy, not
@@ -120,11 +164,12 @@ impl Cluster {
                 e.local_mb,
                 n.free_mb()
             );
-            let mut seen = Vec::new();
-            for &(lender, mb) in &e.remote {
+            for (k, &(lender, mb)) in e.remote.iter().enumerate() {
                 assert!(lender != e.node, "{job} borrows from its own node");
-                assert!(!seen.contains(&lender), "duplicate lender {lender:?}");
-                seen.push(lender);
+                assert!(
+                    !e.remote[..k].iter().any(|&(l, _)| l == lender),
+                    "duplicate lender {lender:?}"
+                );
                 assert!(mb > 0, "zero-size borrow from {lender:?}");
             }
         }
@@ -138,40 +183,40 @@ impl Cluster {
                 tally(&mut per_lender, lender, mb);
             }
         }
-        for &(lender, mb) in &per_lender {
-            // If the lender is also one of the job's compute nodes, its
-            // free memory shrinks by the local slice being placed there.
-            let local_here: u64 = alloc
-                .entries
-                .iter()
-                .filter(|e| e.node == lender)
-                .map(|e| e.local_mb)
-                .sum();
+        // If a lender is also one of the job's compute nodes, its free
+        // memory shrinks by the local slice being placed there. The
+        // marks are cleared before the check can panic.
+        for e in &alloc.entries {
+            self.local_mark[e.node.0 as usize] += e.local_mb;
+        }
+        let overdrawn = per_lender.iter().find_map(|&(lender, mb)| {
+            let local_here = self.local_mark[lender.0 as usize];
             let free = self.node(lender).free_mb().saturating_sub(local_here);
-            assert!(mb <= free, "lender {lender:?}: borrow {mb} > free {free}");
+            (mb > free).then_some((lender, mb, free))
+        });
+        for e in &alloc.entries {
+            self.local_mark[e.node.0 as usize] = 0;
+        }
+        if let Some((lender, mb, free)) = overdrawn {
+            panic!("lender {lender:?}: borrow {mb} > free {free}");
         }
         // Apply.
+        let (mut local, mut remote, mut cross) = (0u64, 0u64, 0u64);
         for e in &alloc.entries {
             self.touch(e.node, |n| {
                 n.running = Some(job);
                 n.local_alloc_mb = mb_add(n.local_alloc_mb, e.local_mb);
             });
-            self.total_alloc_mb = mb_add(self.total_alloc_mb, e.local_mb);
             self.idle_nodes -= 1;
+            local += e.local_mb;
+            cross += self.cross_mb_of(e.node, &e.remote);
         }
         for &(lender, mb) in &per_lender {
             self.touch(lender, |n| n.lent_mb = mb_add(n.lent_mb, mb));
-            self.total_alloc_mb = mb_add(self.total_alloc_mb, mb);
             self.borrowers[lender.0 as usize].push(job);
+            remote += mb;
         }
-        for e in &alloc.entries {
-            for &(lender, mb) in &e.remote {
-                self.total_remote_mb = mb_add(self.total_remote_mb, mb);
-                if self.is_cross(e.node, lender) {
-                    self.total_cross_mb = mb_add(self.total_cross_mb, mb);
-                }
-            }
-        }
+        self.credit(job, local, remote, cross);
         self.scratch_per_lender = per_lender;
         self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
@@ -191,27 +236,26 @@ impl Cluster {
         // once per slice.
         let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
         per_lender.clear();
+        let (mut local, mut remote, mut cross) = (0u64, 0u64, 0u64);
         for e in &alloc.entries {
             debug_assert_eq!(self.nodes[e.node.0 as usize].running, Some(job));
             self.touch(e.node, |n| {
                 n.running = None;
                 n.local_alloc_mb = mb_sub(n.local_alloc_mb, e.local_mb);
             });
-            self.total_alloc_mb = mb_sub(self.total_alloc_mb, e.local_mb);
             self.idle_nodes += 1;
+            local += e.local_mb;
+            cross += self.cross_mb_of(e.node, &e.remote);
             for &(lender, mb) in &e.remote {
                 tally(&mut per_lender, lender, mb);
-                self.total_remote_mb = mb_sub(self.total_remote_mb, mb);
-                if self.is_cross(e.node, lender) {
-                    self.total_cross_mb = mb_sub(self.total_cross_mb, mb);
-                }
+                remote += mb;
             }
         }
         for &(lender, mb) in &per_lender {
             self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, mb));
-            self.total_alloc_mb = mb_sub(self.total_alloc_mb, mb);
             self.unlink_borrower(lender, job);
         }
+        self.debit(job, local, remote, cross);
         self.scratch_per_lender = per_lender;
         // Clear contention contributions and the version stamp (the
         // clock itself never rewinds, so a later restart gets a fresh,
@@ -243,6 +287,7 @@ impl Cluster {
         // once rather than once per slice.
         let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
         per_lender.clear();
+        let (mut remote, mut cross) = (0u64, 0u64);
         for e in &mut alloc.entries {
             let mut excess = e.total_mb().saturating_sub(target_mb);
             if excess == 0 {
@@ -260,9 +305,9 @@ impl Cluster {
                 *mb -= take;
                 excess -= take;
                 tally(&mut per_lender, lender, take);
-                self.total_remote_mb = mb_sub(self.total_remote_mb, take);
+                remote += take;
                 if self.is_cross(e.node, lender) {
-                    self.total_cross_mb = mb_sub(self.total_cross_mb, take);
+                    cross += take;
                 }
                 if *mb == 0 {
                     e.remote.pop();
@@ -289,7 +334,7 @@ impl Cluster {
         }
         self.scratch_lenders = still;
         self.scratch_per_lender = per_lender;
-        self.total_alloc_mb = mb_sub(self.total_alloc_mb, released);
+        self.debit(job, released - remote, remote, cross);
         self.put_alloc(job, alloc);
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
@@ -342,19 +387,17 @@ impl Cluster {
         self.touch(node, |n| {
             n.local_alloc_mb = mb_add(n.local_alloc_mb, add_local)
         });
-        self.total_alloc_mb = mb_add(self.total_alloc_mb, add_local);
+        let mut remote = 0u64;
         for &(lender, mb) in add_remote {
             self.touch(lender, |n| n.lent_mb = mb_add(n.lent_mb, mb));
-            self.total_alloc_mb = mb_add(self.total_alloc_mb, mb);
-            self.total_remote_mb = mb_add(self.total_remote_mb, mb);
-            if self.is_cross(node, lender) {
-                self.total_cross_mb = mb_add(self.total_cross_mb, mb);
-            }
+            remote += mb;
             let bs = &mut self.borrowers[lender.0 as usize];
             if !bs.contains(&job) {
                 bs.push(job);
             }
         }
+        let cross = self.cross_mb_of(node, add_remote);
+        self.credit(job, add_local, remote, cross);
         let alloc = self.jobs[job.0 as usize]
             .alloc
             .as_mut()
@@ -391,7 +434,7 @@ impl Cluster {
             n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
         }
         contribs.clear();
-        let total = alloc.total_mb();
+        let total = slot.total_mb;
         if total > 0 {
             // One row per lender in first-appearance order, each summed
             // in slice order; `demand_row` maps a lender to its row.

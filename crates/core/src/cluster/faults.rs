@@ -122,13 +122,12 @@ impl Cluster {
         }
         if total > 0 {
             self.touch(lender, |n| n.lent_mb = mb_sub(n.lent_mb, total));
-            self.total_alloc_mb = mb_sub(self.total_alloc_mb, total);
-            self.total_remote_mb = mb_sub(self.total_remote_mb, total);
-            for &(node, mb) in &lost {
-                if self.is_cross(node, lender) {
-                    self.total_cross_mb = mb_sub(self.total_cross_mb, mb);
-                }
-            }
+            let cross = lost
+                .iter()
+                .filter(|&&(node, _)| self.is_cross(node, lender))
+                .map(|&(_, mb)| mb)
+                .sum();
+            self.debit(job, 0, total, cross);
             self.unlink_borrower(lender, job);
         }
         self.put_alloc(job, alloc);

@@ -79,7 +79,10 @@ impl FreeIndex {
     }
 
     /// Nodes with at least `min_free` MB free, `(free asc, id asc)`.
-    pub(super) fn asc_from(&self, min_free: u64) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+    pub(super) fn asc_from(
+        &self,
+        min_free: u64,
+    ) -> impl ExactSizeIterator<Item = (u64, NodeId)> + '_ {
         let start = self.keys.partition_point(|&k| k >> 32 < min_free);
         self.keys[start..].iter().map(|&k| unpack(k))
     }
@@ -118,10 +121,12 @@ impl Cluster {
         // lists may hold nothing else.
         let mut links = 0usize;
         let mut lenders = Vec::new();
+        let (mut remote_sum, mut cross_sum) = (0u64, 0u64);
         for (i, slot) in self.jobs.iter().enumerate() {
             let job = JobId(i as u32);
+            let totals = (slot.total_mb, slot.remote_mb, slot.cross_mb);
             let Some(alloc) = &slot.alloc else {
-                if slot.version != 0 || !slot.demand.is_empty() {
+                if slot.version != 0 || !slot.demand.is_empty() || totals != (0, 0, 0) {
                     return err(format!("{job} not placed but keeps ledger state"));
                 }
                 continue;
@@ -129,17 +134,36 @@ impl Cluster {
             if slot.version == 0 {
                 return err(format!("{job} placed without a version stamp"));
             }
+            // The job's cached totals must match a rebuild from its
+            // entries exactly.
+            let mut rebuilt = (0u64, 0u64, 0u64);
             for e in &alloc.entries {
                 let n = self.node(e.node);
                 if n.running != Some(job) {
                     return err(format!("{job} allocated on {:?} but not running", e.node));
                 }
                 *local_expected.entry(e.node).or_insert(0) += e.local_mb;
+                rebuilt.0 += e.local_mb;
                 for &(lender, mb) in &e.remote {
                     *lent_expected.entry(lender).or_insert(0) += mb;
+                    rebuilt.0 += mb;
+                    rebuilt.1 += mb;
+                    if self.is_cross(e.node, lender) {
+                        rebuilt.2 += mb;
+                    }
                 }
             }
+            if totals != rebuilt {
+                return err(format!(
+                    "{job} cached (total, remote, cross) MB {totals:?} vs rebuild {rebuilt:?}"
+                ));
+            }
+            remote_sum += rebuilt.1;
+            cross_sum += rebuilt.2;
             alloc.lenders_into(&mut lenders);
+            if !self.job_lenders(job).eq(lenders.iter().copied()) {
+                return err(format!("{job} demand rows differ from its lenders"));
+            }
             for &l in &lenders {
                 if !self.borrowers_of(l).contains(&job) {
                     return err(format!("{job} borrows from {l:?} but is not indexed there"));
@@ -202,18 +226,6 @@ impl Cluster {
         }
         // The remote/cross-rack occupancy counters must match a rebuild
         // from the allocation ledger.
-        let mut remote_sum = 0u64;
-        let mut cross_sum = 0u64;
-        for alloc in self.jobs.iter().filter_map(|s| s.alloc.as_ref()) {
-            for e in &alloc.entries {
-                for &(lender, mb) in &e.remote {
-                    remote_sum += mb;
-                    if self.is_cross(e.node, lender) {
-                        cross_sum += mb;
-                    }
-                }
-            }
-        }
         if remote_sum != self.total_remote_mb {
             return err(format!(
                 "remote counter mismatch: rebuild {remote_sum} vs counter {}",
@@ -239,6 +251,13 @@ impl Cluster {
         );
         if self.free_index.keys() != &free_expected[..] {
             return err("free index out of sync with node ledgers".to_string());
+        }
+        let lender_free: u64 = free_expected.iter().map(|&k| unpack(k).0).sum();
+        if lender_free != self.lender_free_mb {
+            return err(format!(
+                "lender free counter mismatch: rebuild {lender_free} vs counter {}",
+                self.lender_free_mb
+            ));
         }
         if self.sched_index.keys() != &sched_expected[..] {
             return err("schedulable index out of sync with node ledgers".to_string());

@@ -68,6 +68,13 @@ struct JobSlot {
     /// Allocation version stamp (0 = not placed); see
     /// [`Cluster::alloc_version`].
     version: u64,
+    /// Allocated MB (local + remote), kept by every mutation alongside
+    /// the cluster-wide counters so the contention inputs are O(1).
+    total_mb: u64,
+    /// Borrowed MB.
+    remote_mb: u64,
+    /// The cross-rack slice of `remote_mb`; zero on flat topologies.
+    cross_mb: u64,
 }
 
 /// Move `id` from `old` to `new` free MB in a lender index, which holds
@@ -128,6 +135,10 @@ pub struct Cluster {
     total_cross_mb: u64,
     /// Cached `sched_index` population for O(1) feasibility checks.
     schedulable_count: usize,
+    /// Free MB summed over `free_index`, the lender pool. Kept by
+    /// `touch`; unlike [`Self::free_pool_mb`] it does not assume down
+    /// nodes hold no allocation.
+    lender_free_mb: u64,
     /// Monotone clock stamping per-job allocation versions: every
     /// mutation that touches a job's allocation (start/shrink/grow/
     /// revoke) advances the clock and stamps the job with it, so a
@@ -141,6 +152,10 @@ pub struct Cluster {
     /// Per-node row of `refresh_demand`'s contribution list, `u32::MAX`
     /// when the node has none; every used slot is reset before return.
     demand_row: Vec<u32>,
+    /// Per-node local MB of the allocation `start_job` is validating,
+    /// 0 elsewhere; every used slot is reset before the check panics or
+    /// returns.
+    local_mark: Vec<u64>,
 }
 
 impl Cluster {
@@ -203,10 +218,12 @@ impl Cluster {
             total_remote_mb: 0,
             total_cross_mb: 0,
             schedulable_count: 0,
+            lender_free_mb: 0,
             alloc_clock: 0,
             scratch_per_lender: Vec::new(),
             scratch_lenders: Vec::new(),
             demand_row: vec![u32::MAX; node_count],
+            local_mark: vec![0; node_count],
         };
         // Every node starts idle with its full capacity free.
         for i in 0..cluster.nodes.len() {
@@ -214,6 +231,7 @@ impl Cluster {
             let free = cluster.nodes[i].free_mb();
             if free > 0 {
                 cluster.free_index.insert(free, id);
+                cluster.lender_free_mb += free;
                 if !cluster.rack_free.is_empty() {
                     let rack = cluster.topology.rack_of(id) as usize;
                     cluster.rack_free[rack].insert(free, id);
@@ -237,6 +255,7 @@ impl Cluster {
         let new_free = self.nodes[i].free_mb();
         let new_sched = self.schedulable(id);
         if old_free != new_free {
+            self.lender_free_mb = self.lender_free_mb - old_free + new_free;
             resync(&mut self.free_index, old_free, new_free, id);
             if !self.rack_free.is_empty() {
                 let rack = self.topology.rack_of(id) as usize;
@@ -350,7 +369,7 @@ impl Cluster {
     pub fn schedulable_by_free_asc(
         &self,
         min_free: u64,
-    ) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+    ) -> impl ExactSizeIterator<Item = (u64, NodeId)> + '_ {
         self.sched_index.asc_from(min_free)
     }
 
@@ -366,9 +385,26 @@ impl Cluster {
         self.free_index.desc()
     }
 
+    /// Free MB across the lender pool ([`Self::free_by_free_desc`]).
+    /// O(1).
+    pub(crate) fn lender_free_mb(&self) -> u64 {
+        self.lender_free_mb
+    }
+
     /// The allocation of a running job, if any.
     pub fn alloc_of(&self, job: JobId) -> Option<&JobAlloc> {
         self.jobs.get(job.0 as usize)?.alloc.as_ref()
+    }
+
+    /// Memory allocated to `job` (local + remote), MB; 0 when not
+    /// placed. O(1).
+    pub(crate) fn job_total_mb(&self, job: JobId) -> u64 {
+        self.jobs.get(job.0 as usize).map_or(0, |s| s.total_mb)
+    }
+
+    /// Memory `job` borrows from lenders, MB; 0 when not placed. O(1).
+    pub(crate) fn job_remote_mb(&self, job: JobId) -> u64 {
+        self.jobs.get(job.0 as usize).map_or(0, |s| s.remote_mb)
     }
 
     /// The job's ledger row, created (with every later id's) on first
@@ -416,6 +452,20 @@ impl Cluster {
         self.slot_mut(job).version = clock;
     }
 
+    /// The distinct lenders of `job`'s allocation in first-appearance
+    /// order (entries in order, each entry's slices in order), as
+    /// [`JobAlloc::lenders_into`] lists them; empty when not placed.
+    /// Read off the job's bandwidth-contribution rows, which
+    /// [`Self::check_invariants`] holds to that order: O(lenders), with
+    /// no de-duplication scan.
+    pub(crate) fn job_lenders(&self, job: JobId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.jobs
+            .get(job.0 as usize)
+            .map_or(&[][..], |s| &s.demand[..])
+            .iter()
+            .map(|&(l, _)| l)
+    }
+
     /// Jobs currently borrowing memory from `lender`.
     pub fn borrowers_of(&self, lender: NodeId) -> &[JobId] {
         &self.borrowers[lender.0 as usize]
@@ -430,19 +480,17 @@ impl Cluster {
     /// Maximum remote-bandwidth demand across the lenders of `job`'s
     /// allocation, GB/s. Zero for fully local jobs.
     ///
-    /// Folds over every remote slice rather than the distinct lenders:
-    /// `max` is idempotent, so a lender that several entries borrow
-    /// from cannot change the result, and the fold needs no buffer.
+    /// Folds over the job's bandwidth-contribution rows, one per
+    /// distinct lender, rather than over every remote slice: `max` is
+    /// order-free and idempotent, so the result is the slice fold's
+    /// ([`crate::oracle::hottest_lender_demand_reference`]).
     pub fn hottest_lender_demand_gbs(&self, job: JobId) -> f64 {
-        let Some(alloc) = self.alloc_of(job) else {
-            return 0.0;
-        };
-        alloc
-            .entries
-            .iter()
-            .flat_map(|e| &e.remote)
-            .map(|&(l, _)| self.node(l).remote_demand_gbs)
-            .fold(0.0, f64::max)
+        self.jobs.get(job.0 as usize).map_or(0.0, |s| {
+            s.demand
+                .iter()
+                .map(|&(l, _)| self.node(l).remote_demand_gbs)
+                .fold(0.0, f64::max)
+        })
     }
 
     /// The fabric partition this cluster was built on.
@@ -510,30 +558,20 @@ impl Cluster {
     /// Effective remote fraction of a job's allocation with cross-rack
     /// slices priced at [`CROSS_RACK_WEIGHT`]×. On flat topologies this
     /// is exactly [`JobAlloc::remote_fraction`]. May exceed 1; the
-    /// contention model clamps. Zero for unplaced jobs.
+    /// contention model clamps. Zero for unplaced jobs. O(1).
+    ///
+    /// One division of the job's cached totals. It equals the slice
+    /// fold of [`crate::oracle::priced_remote_fraction_reference`] bit
+    /// for bit: that fold adds integer MB weighted 1 or 2, and every
+    /// partial sum is an integer below 2^53, so it is exact too.
     pub fn priced_remote_fraction(&self, job: JobId) -> f64 {
-        let Some(alloc) = self.alloc_of(job) else {
+        let Some(s) = self.jobs.get(job.0 as usize) else {
             return 0.0;
         };
-        if self.is_flat() {
-            return alloc.remote_fraction();
-        }
-        let total = alloc.total_mb();
-        if total == 0 {
+        if s.total_mb == 0 {
             return 0.0;
         }
-        let mut weighted = 0.0;
-        for e in &alloc.entries {
-            let home = self.topology.rack_of(e.node);
-            for &(lender, mb) in &e.remote {
-                let w = if self.topology.rack_of(lender) != home {
-                    CROSS_RACK_WEIGHT
-                } else {
-                    1.0
-                };
-                weighted += w * mb as f64;
-            }
-        }
-        weighted / total as f64
+        let weighted = (s.remote_mb - s.cross_mb) as f64 + CROSS_RACK_WEIGHT * s.cross_mb as f64;
+        weighted / s.total_mb as f64
     }
 }

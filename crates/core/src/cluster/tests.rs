@@ -705,3 +705,127 @@ mod demand_refresh {
         }
     }
 }
+
+/// Phase-2 spread placement when the lender pool is 1 MB short of the
+/// borrowing the compute nodes need (`None`, from the pool-capacity
+/// early exit) and when it holds exactly enough (`Some`), on the flat
+/// fabric and on two racks of two, where every borrow crosses racks.
+/// Debug builds also check each answer against the oracle.
+#[test]
+fn spread_placement_pool_exactly_enough_or_one_mb_short() {
+    use crate::policy::{place_spread_with, PlacementScratch};
+    let racked = TopologySpec::Racks {
+        size: 2,
+        cross_cap: 1.0,
+    };
+    for spec in [TopologySpec::Flat, racked] {
+        for (occupied, fits) in [(500, true), (501, false)] {
+            let mut c = Cluster::new_with_topology(vec![1000; 4], 0.5, spec);
+            // Nodes 2 and 3 turn busy and lend what is left; nodes 0
+            // and 1 stay schedulable with 1000 MB each.
+            c.start_job(JobId(1), local_alloc(&[2, 3], occupied), 1.0);
+            assert_eq!(c.lender_free_mb(), 2000 + 2 * (1000 - occupied));
+            // Two entries of 1500 MB borrow 500 MB each: 1000 MB in all,
+            // against 2 × (1000 − occupied) MB of lender pool.
+            let placed = place_spread_with(&c, 2, 1500, &mut PlacementScratch::new());
+            assert_eq!(placed.is_some(), fits, "{spec}, {occupied} MB occupied");
+            if let Some(alloc) = placed {
+                assert_eq!(alloc.remote_mb(), 1000);
+                c.start_job(JobId(2), alloc, 1.0);
+                assert_eq!(c.lender_free_mb(), 0);
+                assert_eq!(c.check_invariants(), Ok(()));
+            }
+        }
+    }
+}
+
+mod contention_inputs {
+    use super::*;
+    use crate::oracle::{hottest_lender_demand_reference, priced_remote_fraction_reference};
+    use crate::policy::{place_spread_with, plan_growth, PlacementScratch};
+    use proptest::prelude::*;
+
+    const JOBS: u32 = 5;
+
+    /// Assert both contention inputs of every job against the oracle's
+    /// slice folds, bit for bit, and the ledger against a rebuild.
+    fn check(c: &Cluster) -> Result<(), String> {
+        for j in 0..JOBS {
+            let job = JobId(j);
+            let (got, want) = (
+                c.priced_remote_fraction(job),
+                priced_remote_fraction_reference(c, job),
+            );
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{job} remote fraction {got} vs fold {want}"
+            );
+            let (got, want) = (
+                c.hottest_lender_demand_gbs(job),
+                hottest_lender_demand_reference(c, job),
+            );
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{job} hottest lender {got} vs fold {want}"
+            );
+        }
+        prop_assert_eq!(c.check_invariants(), Ok(()));
+        Ok(())
+    }
+
+    proptest! {
+        /// Random start/grow/shrink/revoke/finish sequences on a flat
+        /// and a `racks:size=16` cluster leave the O(1) contention
+        /// inputs equal to the slice folds after every step.
+        #[test]
+        fn contention_inputs_match_slice_folds(
+            caps in prop::collection::vec(500u64..3000, 48..49),
+            ops in prop::collection::vec((0u64..5, 0u32..JOBS, 0u64..64, 1u64..4000), 1..120),
+        ) {
+            let racked: TopologySpec = "racks:size=16".parse().unwrap();
+            for spec in [TopologySpec::Flat, racked] {
+                let mut c = Cluster::new_with_topology(caps.clone(), 0.5, spec);
+                let mut scratch = PlacementScratch::new();
+                let mut compute = Vec::new();
+                let mut lenders = Vec::new();
+                for &(op, j, pick, mb) in &ops {
+                    let job = JobId(j);
+                    let bandwidth = 1.5 + f64::from(j) * 2.75;
+                    let Some(alloc) = c.alloc_of(job) else {
+                        // Start: 1-8 nodes at up to 7 GB each.
+                        let nodes = 1 + (pick % 8) as u32;
+                        if let Some(a) = place_spread_with(&c, nodes, 1000 + mb * 3 / 2, &mut scratch) {
+                            c.start_job(job, a, bandwidth);
+                        }
+                        check(&c)?;
+                        continue;
+                    };
+                    compute.clear();
+                    compute.extend(alloc.entries.iter().map(|e| e.node));
+                    alloc.lenders_into(&mut lenders);
+                    match op {
+                        0 | 1 => {
+                            let node = compute[pick as usize % compute.len()];
+                            if let Some((local, borrows)) = plan_growth(&c, node, &compute, mb) {
+                                c.grow_entry(job, node, local, &borrows, bandwidth);
+                            }
+                        }
+                        2 => {
+                            let min = alloc.entries.iter().map(AllocEntry::total_mb).min().unwrap();
+                            c.shrink_job(job, min.saturating_sub(mb), bandwidth);
+                        }
+                        3 if !lenders.is_empty() => {
+                            let lender = lenders[pick as usize % lenders.len()];
+                            c.revoke_lender(job, lender, bandwidth);
+                        }
+                        // Op 4, or op 3 on a fully local job.
+                        _ => {
+                            c.finish_job(job);
+                        }
+                    }
+                    check(&c)?;
+                }
+            }
+        }
+    }
+}

@@ -10,8 +10,15 @@
 //! cross-checks the indexed hot path call by call, while release builds
 //! compile the checks out. Property tests, the benches and the
 //! reference side of `SchedPassBench` call the twins directly.
+//!
+//! The contention inputs have twins here too: the speed refresh reads
+//! [`Cluster::priced_remote_fraction`] and
+//! [`Cluster::hottest_lender_demand_gbs`] off per-job cached totals and
+//! demand rows, and `debug_assert`s both against the slice folds below
+//! bit for bit.
 
-use crate::cluster::{AllocEntry, Cluster, JobAlloc, NodeId};
+use crate::cluster::{AllocEntry, Cluster, JobAlloc, NodeId, CROSS_RACK_WEIGHT};
+use crate::job::JobId;
 
 /// Schedulable nodes (idle and within the lend cap) as `(free, id)`,
 /// collected by a full scan — the reference placements sort this per
@@ -286,4 +293,46 @@ pub fn plan_growth_reference(
     } else {
         Some((local, borrows))
     }
+}
+
+/// Slice-fold twin of [`Cluster::priced_remote_fraction`]: every remote
+/// slice weighted by [`CROSS_RACK_WEIGHT`] when it crosses racks, over
+/// the allocation's total.
+pub fn priced_remote_fraction_reference(cluster: &Cluster, job: JobId) -> f64 {
+    let Some(alloc) = cluster.alloc_of(job) else {
+        return 0.0;
+    };
+    if cluster.is_flat() {
+        return alloc.remote_fraction();
+    }
+    let total = alloc.total_mb();
+    if total == 0 {
+        return 0.0;
+    }
+    let mut weighted = 0.0;
+    for e in &alloc.entries {
+        for &(lender, mb) in &e.remote {
+            let w = if cluster.is_cross(e.node, lender) {
+                CROSS_RACK_WEIGHT
+            } else {
+                1.0
+            };
+            weighted += w * mb as f64;
+        }
+    }
+    weighted / total as f64
+}
+
+/// Slice-fold twin of [`Cluster::hottest_lender_demand_gbs`]: the
+/// maximum lender demand over every remote slice of the allocation.
+pub fn hottest_lender_demand_reference(cluster: &Cluster, job: JobId) -> f64 {
+    let Some(alloc) = cluster.alloc_of(job) else {
+        return 0.0;
+    };
+    alloc
+        .entries
+        .iter()
+        .flat_map(|e| &e.remote)
+        .map(|&(l, _)| cluster.node(l).remote_demand_gbs)
+        .fold(0.0, f64::max)
 }

@@ -160,24 +160,18 @@ fn place_spread_indexed(
     }
     // Phase 1: enough nodes can hold the request entirely locally. The
     // index range walk yields best-fit order (least free first)
-    // directly.
-    let mut entries = Vec::with_capacity(n);
-    entries.extend(
-        cluster
-            .schedulable_by_free_asc(request_mb)
+    // directly, and knows its length, so a miss allocates nothing.
+    let fits = cluster.schedulable_by_free_asc(request_mb);
+    if fits.len() >= n {
+        let entries = fits
             .take(n)
             .map(|(_, id)| AllocEntry {
                 node: id,
                 local_mb: request_mb,
                 remote: vec![],
-            }),
-    );
-    if entries.len() == n {
+            })
+            .collect();
         return Some(JobAlloc { entries });
-    }
-    entries.clear();
-    if !cluster.is_flat() {
-        return place_spread_racked(cluster, n, request_mb, scratch);
     }
     // Phase 2: the n nodes with the most free memory become compute
     // nodes; the rest of the free pool lends.
@@ -185,6 +179,24 @@ fn place_spread_indexed(
     scratch
         .compute
         .extend(cluster.schedulable_by_free_desc().take(n));
+    // Pool-capacity early exit, before anything is allocated: the
+    // entries together must borrow `Σ (req − min(free_i, req))`, and the
+    // lenders (the free pool minus the compute nodes) hold
+    // `lender free − Σ free_i`. On flat fabrics the greedy walk below
+    // fails exactly when the first exceeds the second; on racked ones
+    // that is one of its failure cases, so the exit is exact on both.
+    let (need, compute_free) = scratch
+        .compute
+        .iter()
+        .fold((0u64, 0u64), |(need, sum), &(free, _)| {
+            (need + (request_mb - free.min(request_mb)), sum + free)
+        });
+    if need > cluster.lender_free_mb() - compute_free {
+        return None;
+    }
+    if !cluster.is_flat() {
+        return place_spread_racked(cluster, request_mb, scratch);
+    }
     let compute = &scratch.compute[..];
     // Lenders stream straight off the free index (most free first),
     // skipping the job's own compute nodes; `current` carries the
@@ -193,6 +205,7 @@ fn place_spread_indexed(
         .free_by_free_desc()
         .filter(|(_, id)| !compute.iter().any(|&(_, c)| c == *id));
     let mut current: Option<(u64, NodeId)> = None;
+    let mut entries = Vec::with_capacity(n);
     for &(free, id) in compute {
         let local = free.min(request_mb);
         let mut need = request_mb - local;
@@ -219,7 +232,8 @@ fn place_spread_indexed(
     Some(JobAlloc { entries })
 }
 
-/// Phase-2 spread placement on a racked topology. Compute nodes are
+/// Phase-2 spread placement on a racked topology, over the compute
+/// nodes already in `scratch.compute`. Compute nodes are
 /// still the globally most-free schedulable nodes — rack boundaries do
 /// not change where a job *runs* — but each entry's borrows walk the
 /// locality-aware lender order (own rack first, then cross-rack) and
@@ -229,18 +243,13 @@ fn place_spread_indexed(
 /// partially-consumed stream.
 fn place_spread_racked(
     cluster: &Cluster,
-    n: usize,
     request_mb: u64,
     scratch: &mut PlacementScratch,
 ) -> Option<JobAlloc> {
-    scratch.compute.clear();
-    scratch
-        .compute
-        .extend(cluster.schedulable_by_free_desc().take(n));
     scratch.taken.clear();
     let PlacementScratch { compute, taken, .. } = scratch;
     let compute = &compute[..];
-    let mut entries = Vec::with_capacity(n);
+    let mut entries = Vec::with_capacity(compute.len());
     for &(free, id) in compute {
         let local = free.min(request_mb);
         let mut need = request_mb - local;

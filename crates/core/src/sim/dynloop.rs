@@ -226,9 +226,8 @@ impl Runner {
         }
         let bw = self.workload.pool.get(job.profile).bandwidth_gbs;
 
+        let mut lenders_before = self.take_lenders(jid);
         let alloc = self.cluster.alloc_of(jid).expect("running job has alloc");
-        let mut lenders_before = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders_before);
         let mut entries = std::mem::take(&mut self.scratch.entries);
         entries.clear();
         entries.extend(alloc.entries.iter().map(|e| (e.node, e.total_mb())));
@@ -304,17 +303,11 @@ impl Runner {
         }
         if changed {
             self.change_counter += 1;
-            let mut after = std::mem::take(&mut self.scratch.touched);
-            self.cluster
-                .alloc_of(jid)
-                .expect("alloc")
-                .lenders_into(&mut after);
-            for &l in &after {
+            for l in self.cluster.job_lenders(jid) {
                 if !lenders_before.contains(&l) {
                     lenders_before.push(l);
                 }
             }
-            self.scratch.touched = after;
             self.refresh_speeds(jid, &lenders_before);
             self.ensure_tick();
         }

@@ -182,11 +182,7 @@ impl Runner {
             }
             self.scratch.compute_ids = compute_ids;
             if ok {
-                let mut lenders = std::mem::take(&mut self.scratch.lenders);
-                self.cluster
-                    .alloc_of(jid)
-                    .expect("alloc")
-                    .lenders_into(&mut lenders);
+                let mut lenders = self.take_lenders(jid);
                 if !lenders.contains(&eased) {
                     lenders.push(eased);
                 }

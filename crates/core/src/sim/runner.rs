@@ -436,9 +436,8 @@ impl Runner {
             }
         }
         self.advance_work(jid);
-        let alloc = self.cluster.finish_job(jid);
-        let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
+        let lenders = self.take_lenders(jid);
+        self.cluster.finish_job(jid);
         self.running.retain(|&r| r != jid);
         let job_submit = self.job(jid).submit_s;
         let base = self.job(jid).base_runtime_s;

@@ -4,6 +4,7 @@
 use crate::cluster::NodeId;
 use crate::engine::EventKind;
 use crate::job::JobId;
+use crate::oracle;
 use crate::policy::PlacementScratch;
 use crate::sched::{compute_reservation, Release};
 use crate::trace::TraceKind;
@@ -32,10 +33,10 @@ pub(crate) struct SchedScratch {
     pub(crate) lenders: Vec<NodeId>,
     /// Jobs whose speed needs recomputing after a ledger change.
     pub(crate) affected: Vec<JobId>,
+    /// Per-job membership mark of `affected`, all `false` between calls.
+    pub(crate) in_affected: Vec<bool>,
     /// Snapshot of one lender's borrower list.
     pub(crate) borrowers: Vec<JobId>,
-    /// Lender set after a dynamic resize (merged into `lenders`).
-    pub(crate) touched: Vec<NodeId>,
     /// Per-entry `(node, total_mb)` view for the Decider.
     pub(crate) entries: Vec<(NodeId, u64)>,
     /// Compute nodes of the job being resized.
@@ -162,7 +163,7 @@ impl Runner {
             let s = &self.st[r.0 as usize];
             let j = &self.workload.jobs[r.0 as usize];
             let est_end = (s.start.as_secs() + j.time_limit_s).max(self.now.as_secs());
-            let mem = self.cluster.alloc_of(r).map(|a| a.total_mb()).unwrap_or(0);
+            let mem = self.cluster.job_total_mb(r);
             Release {
                 at_s: est_end,
                 nodes: j.nodes,
@@ -197,10 +198,9 @@ impl Runner {
     /// recorded so management-mode checks can tell an undersized
     /// attempt from a right-sized one.
     pub(crate) fn start_job(&mut self, jid: JobId, alloc: crate::cluster::JobAlloc, sized_mb: u64) {
-        let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
         let bw = self.workload.pool.get(self.job(jid).profile).bandwidth_gbs;
         self.cluster.start_job(jid, alloc, bw);
+        let lenders = self.take_lenders(jid);
         let s = &mut self.st[jid.0 as usize];
         s.status = Status::Running;
         s.sized_mb = sized_mb;
@@ -216,10 +216,10 @@ impl Runner {
         self.running.push(jid);
         self.change_counter += 1;
         if self.trace_on {
-            let (mem_mb, remote_mb) = {
-                let a = self.cluster.alloc_of(jid).expect("job just started");
-                (a.total_mb(), a.remote_mb())
-            };
+            let (mem_mb, remote_mb) = (
+                self.cluster.job_total_mb(jid),
+                self.cluster.job_remote_mb(jid),
+            );
             let nodes = self.job(jid).nodes;
             self.emit(TraceKind::JobStart {
                 job: jid,
@@ -266,20 +266,38 @@ impl Runner {
     /// Recompute the slowdown of `jid` and of every job borrowing from
     /// any of `touched_lenders`, re-keying their end events.
     pub(crate) fn refresh_speeds(&mut self, jid: JobId, touched_lenders: &[NodeId]) {
+        // Deduplicate in first-appearance order through a dense per-job
+        // mark, reset before the updates run.
         let mut affected = std::mem::take(&mut self.scratch.affected);
+        let mut marked = std::mem::take(&mut self.scratch.in_affected);
+        marked.resize(self.st.len(), false);
         affected.clear();
         affected.push(jid);
+        marked[jid.0 as usize] = true;
         for &l in touched_lenders {
             for &b in self.cluster.borrowers_of(l) {
-                if !affected.contains(&b) {
+                if !std::mem::replace(&mut marked[b.0 as usize], true) {
                     affected.push(b);
                 }
             }
         }
         for &a in &affected {
+            marked[a.0 as usize] = false;
+        }
+        for &a in &affected {
             self.update_speed(a);
         }
         self.scratch.affected = affected;
+        self.scratch.in_affected = marked;
+    }
+
+    /// The scratch lender buffer, holding `jid`'s distinct lenders in
+    /// first-appearance order; hand it back to `scratch.lenders`.
+    pub(crate) fn take_lenders(&mut self, jid: JobId) -> Vec<NodeId> {
+        let mut lenders = std::mem::take(&mut self.scratch.lenders);
+        lenders.clear();
+        lenders.extend(self.cluster.job_lenders(jid));
+        lenders
     }
 
     pub(crate) fn update_speed(&mut self, jid: JobId) {
@@ -290,12 +308,24 @@ impl Runner {
             return;
         }
         // Topology-priced: cross-rack slices weigh extra on racked
-        // topologies; exactly `alloc.remote_fraction()` on flat.
+        // topologies; exactly `alloc.remote_fraction()` on flat. Both
+        // inputs are O(1) in the job's width; debug builds check them
+        // against the slice folds.
+        let remote_fraction = self.cluster.priced_remote_fraction(jid);
+        let hottest = self.cluster.hottest_lender_demand_gbs(jid);
+        debug_assert_eq!(
+            remote_fraction.to_bits(),
+            oracle::priced_remote_fraction_reference(&self.cluster, jid).to_bits(),
+            "cached remote fraction diverged from the slice-fold oracle"
+        );
+        debug_assert_eq!(
+            hottest.to_bits(),
+            oracle::hottest_lender_demand_reference(&self.cluster, jid).to_bits(),
+            "hottest lender over demand rows diverged from the slice-fold oracle"
+        );
         let access = RemoteAccess {
-            remote_fraction: self.cluster.priced_remote_fraction(jid),
-            pressure: self
-                .model
-                .pressure(self.cluster.hottest_lender_demand_gbs(jid)),
+            remote_fraction,
+            pressure: self.model.pressure(hottest),
         };
         let profile = self.workload.pool.get(self.job(jid).profile);
         let slowdown = self.model.slowdown(profile, access);
