@@ -8,8 +8,8 @@
 //! [`plan_growth`](crate::policy::plan_growth) `debug_assert_eq!` their
 //! result against the twin here, so every simulation a debug build runs
 //! cross-checks the indexed hot path call by call, while release builds
-//! compile the checks out. Property tests, the benches and the
-//! reference side of `SchedPassBench` call the twins directly.
+//! compile the checks out. Property tests and the reference side of
+//! `SchedPassBench` call the twins directly.
 //!
 //! The contention inputs have twins here too: the speed refresh reads
 //! [`Cluster::priced_remote_fraction`] and

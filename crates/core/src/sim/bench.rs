@@ -13,9 +13,8 @@ use super::hooks::{MemManagement, MemoryPolicy, StaticAlloc};
 use super::runner::Runner;
 use super::state::{Status, Workload};
 
-/// Benchmark fixture for the scheduling pass, used by the criterion
-/// `sched_pass` group in `engine_micro` (indexed vs full-scan) and the
-/// repository benchmark's `sched.pass_us` layer number.
+/// Benchmark fixture for the scheduling pass, used by the repository
+/// benchmark's `sched.pass_us` layer number.
 ///
 /// Freezes a runner at steady-state queue pressure: ~70% of nodes busy
 /// with long-running jobs and a deep pending queue whose requests mix
@@ -126,5 +125,24 @@ impl MemoryPolicy for ScanSpread {
 
     fn clone_box(&self) -> Box<dyn MemoryPolicy> {
         Box::new(*self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SchedPassBench;
+
+    #[test]
+    fn reference_arm_starts_what_the_indexed_arm_starts() {
+        for nodes in [64, 256] {
+            let mut indexed = SchedPassBench::new(nodes, 64, 0xBE7C, false);
+            let mut reference = SchedPassBench::new(nodes, 64, 0xBE7C, true);
+            let started = indexed.run_pass();
+            assert!(started > 0, "{nodes} nodes: the pass must start jobs");
+            assert_eq!(reference.run_pass(), started, "{nodes} nodes");
+            for fixture in [&indexed, &reference] {
+                assert_eq!(fixture.runner.cluster.check_invariants(), Ok(()));
+            }
+        }
     }
 }

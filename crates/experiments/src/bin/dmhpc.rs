@@ -95,8 +95,8 @@ fn cmd_topologies(csv: bool) {
 }
 
 /// `dmhpc sweep-status <manifest>`: inspect a durable-sweep journal —
-/// header identity, completed/failed/pending counts, per-point
-/// attempts, wall time and failure reasons, and (when points were
+/// header identity, completed/failed/pending counts, per-point wall
+/// time and failure reasons, and (when points were
 /// profiled with `--telemetry`) the merged phase-time breakdown.
 fn cmd_sweep_status(opts: &OptMap) -> Result<(), String> {
     let path = opts
@@ -117,32 +117,26 @@ fn cmd_sweep_status(opts: &OptMap) -> Result<(), String> {
     if state.records.is_empty() {
         return Ok(());
     }
-    let mut t = TextTable::new(vec!["status", "attempts", "wall_s", "reason", "point"]);
+    let mut t = TextTable::new(vec!["status", "wall_s", "reason", "point"]);
     let mut profile_total = Profile::default();
     let mut profiled = 0usize;
     for (fp, status) in &state.records {
         match status {
-            PointStatus::Done {
-                attempts,
-                wall_ms,
-                payload,
-            } => {
+            PointStatus::Done { wall_ms, payload } => {
                 if let Some(p) = report::profile_from_payload(payload) {
                     profile_total.merge(&p);
                     profiled += 1;
                 }
                 t.row(vec![
                     "done".to_string(),
-                    attempts.to_string(),
                     format!("{:.3}", *wall_ms as f64 / 1000.0),
                     "-".to_string(),
                     fp.clone(),
                 ]);
             }
-            PointStatus::Failed { attempts, error } => {
+            PointStatus::Failed { error } => {
                 t.row(vec![
                     "failed".to_string(),
-                    attempts.to_string(),
                     "-".to_string(),
                     error.lines().next().unwrap_or("").to_string(),
                     fp.clone(),

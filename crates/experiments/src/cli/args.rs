@@ -103,7 +103,7 @@ pub fn usage() -> String {
      \x20                                        sim seeds part, --check validates a file\n\
      \x20 sweep-status <manifest>                inspect a durable-sweep journal: header,\n\
      \x20                                        completed/failed/pending counts, per-point\n\
-     \x20                                        attempts, wall time and failure reasons,\n\
+     \x20                                        wall time and failure reasons,\n\
      \x20                                        plus a phase-time breakdown when points\n\
      \x20                                        were profiled with --telemetry\n\
      \x20 report  [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
@@ -134,8 +134,6 @@ pub fn usage() -> String {
      execution layer and accept:\n\
      \x20 --manifest PATH    journal each point to PATH as it completes\n\
      \x20 --resume PATH      skip points already journaled in PATH, append new ones\n\
-     \x20 --retries N        extra attempts for a panicking point (default 1)\n\
-     \x20 --backoff-ms MS    base retry backoff, doubled per attempt (default 250)\n\
      \x20 --point-limit K    stop draining after K points (deterministic Ctrl-C\n\
      \x20                    stand-in for tests; exits 75 like an interrupt)\n\
      Ctrl-C finishes in-flight points, flushes the manifest, and exits 75;\n\
@@ -215,8 +213,6 @@ mod tests {
         for flag in [
             "--manifest",
             "--resume",
-            "--retries",
-            "--backoff-ms",
             "--point-limit",
             "--topology",
             "--telemetry",

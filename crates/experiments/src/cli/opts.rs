@@ -107,10 +107,10 @@ pub fn progress_mode_from_opts(opts: &OptMap) -> Result<ProgressMode, String> {
 }
 
 /// Build the durable-execution options shared by the sweep commands
-/// from `--manifest`, `--resume`, `--retries`, `--backoff-ms` and
-/// `--point-limit`. When a manifest is in play the SIGINT drain is
-/// installed so Ctrl-C finishes in-flight points, flushes the journal,
-/// and exits with [`EXIT_INTERRUPTED`].
+/// from `--manifest`, `--resume` and `--point-limit`. When a manifest
+/// is in play the SIGINT drain is installed so Ctrl-C finishes
+/// in-flight points, flushes the journal, and exits with
+/// [`EXIT_INTERRUPTED`].
 ///
 /// # Errors
 /// Returns a message when a flag is malformed, when `--resume` names an
@@ -118,11 +118,7 @@ pub fn progress_mode_from_opts(opts: &OptMap) -> Result<ProgressMode, String> {
 ///
 /// [`EXIT_INTERRUPTED`]: crate::durable::EXIT_INTERRUPTED
 pub fn durable_from_opts(opts: &OptMap) -> Result<DurableOptions, String> {
-    let mut d = DurableOptions {
-        retries: opt_parse(opts, "retries", 1u32)?,
-        backoff_ms: opt_parse(opts, "backoff-ms", 250u64)?,
-        ..DurableOptions::default()
-    };
+    let mut d = DurableOptions::default();
     if let Some(v) = opts.get("point-limit") {
         d.point_limit = Some(v.parse().map_err(|e| format!("--point-limit: {e}"))?);
     }
@@ -160,8 +156,7 @@ pub struct CommonRunOpts {
     pub topologies: Vec<TopologySpec>,
     /// `--telemetry` / `--sample-interval` (default: off).
     pub telemetry: Option<TelemetrySpec>,
-    /// `--manifest` / `--resume` / `--retries` / `--backoff-ms` /
-    /// `--point-limit`.
+    /// `--manifest` / `--resume` / `--point-limit`.
     pub durable: DurableOptions,
     /// `--quiet` / `--progress` (default: auto-detect a TTY).
     pub progress: ProgressMode,
@@ -373,25 +368,19 @@ mod tests {
             "fault-sweep",
             "--manifest",
             "/tmp/m.jsonl",
-            "--retries",
-            "3",
-            "--backoff-ms",
-            "10",
             "--point-limit",
             "4",
         ])
         .unwrap();
         let d = durable_from_opts(&args.opts).unwrap();
         assert_eq!(d.manifest.as_deref(), Some("/tmp/m.jsonl"));
-        assert_eq!(d.retries, 3);
-        assert_eq!(d.backoff_ms, 10);
         assert_eq!(d.point_limit, Some(4));
         assert!(d.resume.is_none());
         assert!(d.interrupt.is_some(), "journaling installs the drain");
-        // Defaults: one retry, 250 ms backoff, no journal, no drain.
+        // Defaults: no journal, no point limit, no drain.
         let d = durable_from_opts(&parse(&["fig5"]).unwrap().opts).unwrap();
         assert!(d.manifest.is_none());
-        assert_eq!((d.retries, d.backoff_ms), (1, 250));
+        assert!(d.point_limit.is_none());
         assert!(d.interrupt.is_none());
     }
 
@@ -406,7 +395,7 @@ mod tests {
             "--telemetry",
             "--sample-interval",
             "30",
-            "--retries",
+            "--point-limit",
             "2",
             "--quiet",
         ])
@@ -415,7 +404,7 @@ mod tests {
         assert_eq!(common.policies, policies_from_opts(&args.opts).unwrap());
         assert_eq!(common.topologies, topologies_from_opts(&args.opts).unwrap());
         assert_eq!(common.telemetry, telemetry_from_opts(&args.opts).unwrap());
-        assert_eq!(common.durable.retries, 2);
+        assert_eq!(common.durable.point_limit, Some(2));
         assert_eq!(common.progress, ProgressMode::Off);
 
         // Defaults mirror the individual readers' defaults.

@@ -10,9 +10,10 @@
 //!   same writer discipline as `core::trace`) recording each point's
 //!   outcome the moment it completes, keyed by a deterministic
 //!   **fingerprint** of everything that decides its result;
-//! * **panic isolation** — each point runs under `catch_unwind` with a
-//!   bounded retry-with-backoff ladder, so one poisoned point becomes a
-//!   recorded `failed` entry instead of killing its siblings;
+//! * **panic isolation** — each point runs once under `catch_unwind`,
+//!   so one poisoned point becomes a recorded `failed` entry instead of
+//!   killing its siblings (a point is a deterministic function of its
+//!   fingerprint, so running it again would panic again);
 //! * **resume** — a later run loads the manifest, hard-errors on any
 //!   code/config fingerprint mismatch, decodes completed points from
 //!   their journaled payloads, and re-runs only failed/missing ones;
@@ -32,7 +33,7 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Manifest schema version; bumped on any incompatible layout change.
 pub const MANIFEST_FORMAT: u32 = 1;
@@ -494,18 +495,14 @@ impl ManifestHeader {
 pub enum PointStatus {
     /// The point completed; `payload` decodes back into its output.
     Done {
-        /// Attempts used (1 = first try succeeded).
-        attempts: u64,
         /// Wall-clock time of the successful run, milliseconds.
         wall_ms: u64,
         /// The encoded output ([`Journaled::encode`]).
         payload: Payload,
     },
-    /// The point exhausted its retry ladder.
+    /// The point panicked.
     Failed {
-        /// Attempts used before the point was declared dead.
-        attempts: u64,
-        /// The panic payload (or error text) of the final attempt.
+        /// The panic payload (or error text).
         error: String,
     },
 }
@@ -647,12 +644,10 @@ fn point_record(p: &Payload) -> Result<(String, PointStatus), String> {
     let fp = p.str("fp")?.to_string();
     let status = match p.str("status")? {
         "done" => PointStatus::Done {
-            attempts: p.u64("attempts")?,
             wall_ms: p.u64("wall_ms")?,
             payload: p.map("payload")?.clone(),
         },
         "failed" => PointStatus::Failed {
-            attempts: p.u64("attempts")?,
             error: p.str("error")?.to_string(),
         },
         s => return Err(format!("unknown point status {s:?}")),
@@ -740,11 +735,6 @@ pub struct DurableOptions {
     /// Resume from a previously loaded manifest; implies appending to
     /// it when `manifest` names the same file.
     pub resume: Option<ResumeState>,
-    /// Retries after a panicking attempt before a point is declared
-    /// dead (0 = one attempt only).
-    pub retries: u32,
-    /// Backoff before retry `k` (1-based) is `backoff_ms << (k-1)`.
-    pub backoff_ms: u64,
     /// Stop claiming new points once this many completed this run —
     /// the deterministic stand-in for Ctrl-C used by tests and CI.
     pub point_limit: Option<usize>,
@@ -753,16 +743,14 @@ pub struct DurableOptions {
     pub interrupt: Option<Arc<AtomicBool>>,
 }
 
-/// One point that exhausted its retry ladder.
+/// One point that panicked.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FailedPoint {
     /// Index into the sweep plan.
     pub index: usize,
     /// The point's fingerprint.
     pub fp: String,
-    /// Attempts used.
-    pub attempts: u32,
-    /// The final attempt's panic payload.
+    /// The panic payload.
     pub error: String,
 }
 
@@ -774,7 +762,7 @@ pub enum DurableError {
     /// The manifest does not match the sweep about to run (or the plan
     /// itself is malformed, e.g. duplicate fingerprints).
     Incompatible(String),
-    /// Every point ran, but some exhausted their retries.
+    /// Every point ran, but some panicked.
     PointsFailed {
         /// The dead points.
         failed: Vec<FailedPoint>,
@@ -804,9 +792,8 @@ impl std::fmt::Display for DurableError {
                 let first = failed.first().expect("at least one failed point");
                 write!(
                     f,
-                    "{} sweep point(s) failed after {} attempt(s); first: [{}] {}",
+                    "{} sweep point(s) failed; first: [{}] {}",
                     failed.len(),
-                    first.attempts,
                     first.fp,
                     first.error.lines().next().unwrap_or(""),
                 )?;
@@ -844,8 +831,8 @@ impl From<CoreError> for DurableError {
 
 /// Outcome of one point inside the durable runner.
 enum PointOutcome<O> {
-    Done { out: O, attempts: u32, wall_ms: u64 },
-    Failed { attempts: u32, error: String },
+    Done { out: O, wall_ms: u64 },
+    Failed { error: String },
     Skipped,
 }
 
@@ -928,7 +915,6 @@ where
     let work: Vec<usize> = (0..n).filter(|&i| !pre_done[i]).collect();
     let stop = AtomicBool::new(false);
     let completions = AtomicUsize::new(0);
-    let attempts_max = opts.retries.saturating_add(1);
 
     let run_point = |&i: &usize| -> PointOutcome<O> {
         let externally_stopped = opts
@@ -939,31 +925,14 @@ where
             return PointOutcome::Skipped;
         }
         let started = Instant::now();
-        let mut attempt = 0u32;
-        let outcome = loop {
-            attempt += 1;
-            match catch_unwind(AssertUnwindSafe(|| f(&inputs[i]))) {
-                Ok(out) => {
-                    break PointOutcome::Done {
-                        out,
-                        attempts: attempt,
-                        wall_ms: started.elapsed().as_millis() as u64,
-                    }
-                }
-                Err(payload) => {
-                    let error = panic_message(payload);
-                    if attempt >= attempts_max {
-                        break PointOutcome::Failed {
-                            attempts: attempt,
-                            error,
-                        };
-                    }
-                    let backoff = opts
-                        .backoff_ms
-                        .saturating_mul(1u64 << (attempt - 1).min(20));
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(&inputs[i]))) {
+            Ok(out) => PointOutcome::Done {
+                out,
+                wall_ms: started.elapsed().as_millis() as u64,
+            },
+            Err(payload) => PointOutcome::Failed {
+                error: panic_message(payload),
+            },
         };
         let finished = completions.fetch_add(1, Ordering::Relaxed) + 1;
         if opts.point_limit.is_some_and(|limit| finished >= limit) {
@@ -978,26 +947,20 @@ where
     let observe = |wi: usize, outcome: &PointOutcome<O>| {
         let i = work[wi];
         let record = match outcome {
-            PointOutcome::Done {
-                out,
-                attempts,
-                wall_ms,
-            } => {
+            PointOutcome::Done { out, wall_ms } => {
                 let mut p = Payload::new();
                 p.push_str("kind", "point");
                 p.push_str("fp", &fps[i]);
                 p.push_str("status", "done");
-                p.push_u64("attempts", *attempts as u64);
                 p.push_u64("wall_ms", *wall_ms);
                 p.push_map("payload", out.encode());
                 Some(p)
             }
-            PointOutcome::Failed { attempts, error } => {
+            PointOutcome::Failed { error } => {
                 let mut p = Payload::new();
                 p.push_str("kind", "point");
                 p.push_str("fp", &fps[i]);
                 p.push_str("status", "failed");
-                p.push_u64("attempts", *attempts as u64);
                 p.push_str("error", error);
                 Some(p)
             }
@@ -1019,10 +982,9 @@ where
         let i = work[wi];
         match outcome {
             PointOutcome::Done { out, .. } => outputs[i] = Some(out),
-            PointOutcome::Failed { attempts, error } => failed.push(FailedPoint {
+            PointOutcome::Failed { error } => failed.push(FailedPoint {
                 index: i,
                 fp: fps[i].clone(),
-                attempts,
                 error,
             }),
             PointOutcome::Skipped => pending += 1,
@@ -1286,12 +1248,11 @@ mod tests {
     }
 
     #[test]
-    fn panics_are_isolated_and_retried() {
+    fn panics_are_isolated() {
         let path = tmp_path("panic");
         let inputs: Vec<u64> = (0..5).collect();
         let opts = DurableOptions {
             manifest: Some(path.clone()),
-            retries: 1,
             ..Default::default()
         };
         let hook = std::panic::take_hook();
@@ -1312,7 +1273,6 @@ mod tests {
             DurableError::PointsFailed { failed, .. } => {
                 assert_eq!(failed.len(), 1);
                 assert_eq!(failed[0].index, 3);
-                assert_eq!(failed[0].attempts, 2, "retry ladder ran");
                 assert!(failed[0].error.contains("poisoned"));
             }
             other => panic!("expected PointsFailed, got {other:?}"),
@@ -1367,6 +1327,65 @@ mod tests {
         );
         assert_eq!(out.len(), 4);
         assert_eq!(ResumeState::load(&path).unwrap().counts(), (4, 0, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn manifest_with_attempts_counts_still_resumes() {
+        // Manifests written before the retry ladder was removed carry an
+        // `attempts` count on every point record; resume ignores it.
+        let path = tmp_path("attempts");
+        let fps = fps_for(3);
+        let header = ManifestHeader {
+            format: MANIFEST_FORMAT,
+            run: "t".to_string(),
+            version: CODE_VERSION.to_string(),
+            config: config_fingerprint("t", &fps),
+            points: 3,
+        };
+        let lines = [
+            header.to_payload().to_json(),
+            format!(
+                r#"{{"kind":"point","fp":"{}","status":"done","attempts":2,"wall_ms":5,"payload":{{"x":0,"v":0,"note":"journaled"}}}}"#,
+                fps[0]
+            ),
+            format!(
+                r#"{{"kind":"point","fp":"{}","status":"failed","attempts":2,"error":"flaky"}}"#,
+                fps[1]
+            ),
+        ];
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let resume = ResumeState::load(&path).expect("loads");
+        assert_eq!(resume.counts(), (1, 1, 1));
+        assert!(matches!(
+            resume.status(&fps[0]),
+            Some(PointStatus::Done { wall_ms: 5, .. })
+        ));
+        assert_eq!(
+            resume.status(&fps[1]),
+            Some(&PointStatus::Failed {
+                error: "flaky".to_string()
+            })
+        );
+        let ran = AtomicUsize::new(0);
+        let opts = DurableOptions {
+            manifest: Some(path.clone()),
+            resume: Some(resume),
+            ..Default::default()
+        };
+        let out = run_durable("t", vec![0u64, 1, 2], fps, 1, &opts, |&x: &u64| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            Out {
+                x,
+                v: 0.0,
+                note: "fresh".to_string(),
+            }
+        })
+        .expect("resume succeeds");
+        assert_eq!(ran.load(Ordering::Relaxed), 2, "failed + missing re-ran");
+        let notes: Vec<&str> = out.iter().map(|o| o.note.as_str()).collect();
+        assert_eq!(notes, ["journaled", "fresh", "fresh"]);
+        assert_eq!(ResumeState::load(&path).unwrap().counts(), (3, 0, 0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1473,7 +1492,6 @@ mod tests {
             failed: vec![FailedPoint {
                 index: 2,
                 fp: "point;i=2".to_string(),
-                attempts: 3,
                 error: "boom\nbacktrace line".to_string(),
             }],
             manifest: Some("/tmp/m.jsonl".to_string()),

@@ -48,38 +48,6 @@ pub fn synthetic_workload(
         .build_for(&synthetic_system(scale, MemoryMix::all_large()))
 }
 
-/// The dynamic-memory stress workload (criterion `dynloop` bench): [`synthetic_workload`] shifted to
-/// the long-running-job regime (median runtime in the hours, as on the
-/// modelled HPC systems, instead of the default ~50 minutes). Long jobs
-/// are where the dynamic-memory update loop lives — each one takes tens
-/// of five-minute updates within each memory phase — so this is the
-/// distribution the fast path must be judged on.
-pub fn dynloop_stress_workload(
-    scale: Scale,
-    large_fraction: f64,
-    overestimation: f64,
-    seed: u64,
-) -> Workload {
-    let cirne = CirneModel {
-        max_nodes: scale.max_job_nodes(),
-        runtime_ln_mean: 10.2, // e^10.2 ≈ 7.5 h
-        runtime_ln_sigma: 0.9,
-        min_runtime_s: 3600.0,
-        ..CirneModel::default()
-    };
-    WorkloadBuilder::new(seed)
-        .jobs(scale.synthetic_jobs())
-        .large_job_fraction(large_fraction)
-        .overestimation(overestimation)
-        .google_pool(scale.google_pool())
-        .cirne(cirne)
-        // Merge monitoring noise into the phase plateaus: demand then
-        // changes when the job changes phase, not when the 5-minute
-        // window jitters by a few percent.
-        .rdp_epsilon(0.08)
-        .build_for(&synthetic_system(scale, MemoryMix::all_large()))
-}
-
 /// The Grizzly dataset at this scale plus the paper's week selection
 /// (≥ 70% utilisation, up to seven weeks).
 pub fn grizzly_bundle(scale: Scale, seed: u64) -> (GrizzlyDataset, Vec<usize>) {
