@@ -25,19 +25,39 @@ use dmhpc_experiments::report;
 use dmhpc_experiments::runner::set_progress_mode;
 use dmhpc_experiments::scale::Scale;
 use dmhpc_experiments::table::TextTable;
+use std::io::{self, Write};
 
-/// Why `dmhpc` is exiting nonzero. Usage errors exit 2, run failures
+/// Why a command stopped early. Usage errors exit 2, run failures
 /// (including failed sweep points) exit 1, and a gracefully drained
 /// interruption exits [`EXIT_INTERRUPTED`] so scripts can tell
-/// "interrupted cleanly, resume me" from "crashed".
+/// "interrupted cleanly, resume me" from "crashed". A reader that
+/// closed stdout (`dmhpc ... | head -1`) got what it wanted: that exit
+/// is quiet and successful.
+#[derive(Debug)]
 enum Failure {
     Run(String),
     Interrupted(String),
+    StdoutClosed,
 }
 
 impl From<String> for Failure {
     fn from(msg: String) -> Self {
         Failure::Run(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Run(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Failure::StdoutClosed,
+            _ => Failure::Run(format!("stdout: {e}")),
+        }
     }
 }
 
@@ -55,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// `dmhpc policies`: the registry as a table.
-fn cmd_policies(csv: bool) {
+fn cmd_policies(out: &mut dyn Write, csv: bool) -> io::Result<()> {
     let mut t = TextTable::new(vec!["name", "parameters", "default spec", "description"]);
     for info in PolicySpec::registry() {
         t.row(vec![
@@ -70,14 +90,15 @@ fn cmd_policies(csv: bool) {
         ]);
     }
     emit(
+        out,
         "Memory-policy registry (--policy / --policies specs)",
         &t,
         csv,
-    );
+    )
 }
 
 /// `dmhpc topologies`: the fabric-topology registry as a table.
-fn cmd_topologies(csv: bool) {
+fn cmd_topologies(out: &mut dyn Write, csv: bool) -> io::Result<()> {
     let mut t = TextTable::new(vec!["name", "parameters", "default spec", "description"]);
     for info in TopologySpec::registry() {
         t.row(vec![
@@ -91,29 +112,31 @@ fn cmd_topologies(csv: bool) {
             info.description.to_string(),
         ]);
     }
-    emit("Fabric-topology registry (--topology specs)", &t, csv);
+    emit(out, "Fabric-topology registry (--topology specs)", &t, csv)
 }
 
 /// `dmhpc sweep-status <manifest>`: inspect a durable-sweep journal —
 /// header identity, completed/failed/pending counts, per-point wall
 /// time and failure reasons, and (when points were
 /// profiled with `--telemetry`) the merged phase-time breakdown.
-fn cmd_sweep_status(opts: &OptMap) -> Result<(), String> {
+fn cmd_sweep_status(out: &mut dyn Write, opts: &OptMap) -> Result<(), Failure> {
     let path = opts
         .get("manifest")
         .ok_or("sweep-status requires a manifest path")?;
     let state = ResumeState::load(path).map_err(|e| e.to_string())?;
     let (done, failed, pending) = state.counts();
     let h = &state.header;
-    println!("manifest {path}");
-    println!(
+    writeln!(out, "manifest {path}")?;
+    writeln!(
+        out,
         "run {}  format {}  version {}  config {}",
         h.run, h.format, h.version, h.config
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "points {}  completed {done}  failed {failed}  pending {pending}",
         h.points
-    );
+    )?;
     if state.records.is_empty() {
         return Ok(());
     }
@@ -144,17 +167,20 @@ fn cmd_sweep_status(opts: &OptMap) -> Result<(), String> {
             }
         }
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render())?;
     if profiled > 0 {
-        println!("phase-time breakdown ({profiled} profiled points, wall clock):");
-        print!("{}", report::phase_table(&profile_total).render());
+        writeln!(
+            out,
+            "phase-time breakdown ({profiled} profiled points, wall clock):"
+        )?;
+        write!(out, "{}", report::phase_table(&profile_total).render())?;
     }
     Ok(())
 }
 
-fn cmd_export(scale: Scale, opts: &OptMap) -> Result<(), String> {
+fn cmd_export(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(), Failure> {
     use dmhpc_core::config::SystemConfig;
-    let out = opts.get("out").ok_or("export requires --out DIR")?.clone();
+    let dir = opts.get("out").ok_or("export requires --out DIR")?.clone();
     let jobs: usize = opt_parse(opts, "jobs", scale.synthetic_jobs())?;
     let large: f64 = opt_parse(opts, "large", 0.5)?;
     let over: f64 = opt_parse(opts, "over", 0.0)?;
@@ -174,20 +200,22 @@ fn cmd_export(scale: Scale, opts: &OptMap) -> Result<(), String> {
         .collect();
     let note =
         format!("dmhpc export: {jobs} jobs, large {large}, overestimation {over}, seed {seed}");
-    std::fs::create_dir_all(&out).map_err(|e| format!("mkdir {out}: {e}"))?;
-    let swf_path = format!("{out}/workload.swf");
-    let usage_path = format!("{out}/usage.txt");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {dir}: {e}"))?;
+    let swf_path = format!("{dir}/workload.swf");
+    let usage_path = format!("{dir}/usage.txt");
     std::fs::write(&swf_path, dmhpc_traces::swf::write(&records, &note))
         .map_err(|e| format!("{swf_path}: {e}"))?;
     let usage = dmhpc_traces::usagefile::from_workload(&workload);
     std::fs::write(&usage_path, dmhpc_traces::usagefile::write(&usage))
         .map_err(|e| format!("{usage_path}: {e}"))?;
     let stats = dmhpc_traces::WorkloadStats::of(&workload);
-    println!(
+    writeln!(
+        out,
         "wrote {} jobs to {swf_path} and {usage_path}",
         workload.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  large-memory jobs: {} | offered load vs {} nodes: {:.2} | \
          mean peak {:.0} MB (headroom ×{:.2}) | mean overestimation {:+.0}%",
         stats.large_memory_jobs,
@@ -196,11 +224,16 @@ fn cmd_export(scale: Scale, opts: &OptMap) -> Result<(), String> {
         stats.mean_peak_mb,
         stats.headroom_ratio(),
         stats.mean_overestimation * 100.0
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_chart(scale: Scale, threads: usize, opts: &OptMap) -> Result<(), Failure> {
+fn cmd_chart(
+    out: &mut dyn Write,
+    scale: Scale,
+    threads: usize,
+    opts: &OptMap,
+) -> Result<(), Failure> {
     use dmhpc_experiments::chart::sweep_panel;
     use dmhpc_experiments::{ThroughputSweep, TraceSpec};
     let large: f64 = opt_parse(opts, "large", 0.5)?;
@@ -225,11 +258,11 @@ fn cmd_chart(scale: Scale, threads: usize, opts: &OptMap) -> Result<(), Failure>
         &common.topologies,
         &common.durable,
     )?;
-    print!("{}", sweep_panel(&sweep, &trace.label(), over, width));
+    write!(out, "{}", sweep_panel(&sweep, &trace.label(), over, width))?;
     Ok(())
 }
 
-fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
+fn cmd_simulate(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(), Failure> {
     use dmhpc_core::cluster::MemoryMix;
     use dmhpc_core::config::SystemConfig;
     use dmhpc_core::sim::SimBuilder;
@@ -251,7 +284,8 @@ fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
         &swf_text,
         usage_text.as_deref(),
         &dmhpc_traces::ImportOptions::default(),
-    )?;
+    )
+    .map_err(String::from)?;
     let system = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::new(
         64 * 1024,
         128 * 1024,
@@ -263,48 +297,48 @@ fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
     if let Some(c) = &collector {
         sim = sim.telemetry(c.clone());
     }
-    let out = sim.run();
+    let outcome = sim.run();
     let mut t = TextTable::new(vec!["metric", "value"]);
     t.row(vec!["jobs".to_string(), n_jobs.to_string()]);
     t.row(vec!["policy".to_string(), policy.to_string()]);
-    t.row(vec!["feasible".to_string(), out.feasible.to_string()]);
+    t.row(vec!["feasible".to_string(), outcome.feasible.to_string()]);
     t.row(vec![
         "completed".to_string(),
-        out.stats.completed.to_string(),
+        outcome.stats.completed.to_string(),
     ]);
     t.row(vec![
         "unschedulable".to_string(),
-        out.stats.unschedulable.to_string(),
+        outcome.stats.unschedulable.to_string(),
     ]);
     t.row(vec![
         "oom kill events".to_string(),
-        out.stats.oom_kills.to_string(),
+        outcome.stats.oom_kills.to_string(),
     ]);
     t.row(vec![
         "jobs OOM-killed".to_string(),
-        out.stats.jobs_oom_killed.to_string(),
+        outcome.stats.jobs_oom_killed.to_string(),
     ]);
     t.row(vec![
         "makespan (s)".to_string(),
-        format!("{:.0}", out.stats.makespan_s),
+        format!("{:.0}", outcome.stats.makespan_s),
     ]);
     t.row(vec![
         "throughput (jobs/h)".to_string(),
-        format!("{:.3}", out.stats.throughput_jps * 3600.0),
+        format!("{:.3}", outcome.stats.throughput_jps * 3600.0),
     ]);
     t.row(vec![
         "node utilization".to_string(),
-        format!("{:.1}%", out.stats.avg_node_utilization * 100.0),
+        format!("{:.1}%", outcome.stats.avg_node_utilization * 100.0),
     ]);
     t.row(vec![
         "memory utilization".to_string(),
-        format!("{:.1}%", out.stats.avg_mem_utilization * 100.0),
+        format!("{:.1}%", outcome.stats.avg_mem_utilization * 100.0),
     ]);
     t.row(vec![
         "mean slowdown".to_string(),
-        format!("{:.3}", out.stats.mean_slowdown),
+        format!("{:.3}", outcome.stats.mean_slowdown),
     ]);
-    if let Ok(e) = dmhpc_metrics::ecdf::Ecdf::new(out.response_times_s.clone()) {
+    if let Ok(e) = dmhpc_metrics::ecdf::Ecdf::new(outcome.response_times_s.clone()) {
         t.row(vec![
             "median response (s)".to_string(),
             format!("{:.0}", e.median()),
@@ -314,9 +348,9 @@ fn cmd_simulate(scale: Scale, opts: &OptMap) -> Result<(), String> {
             format!("{:.0}", e.quantile(0.95)),
         ]);
     }
-    emit("Simulation result", &t, false);
+    emit(out, "Simulation result", &t, false)?;
     if let Some(c) = collector {
-        print!("{}", report::render(&c.snapshot(), "run telemetry"));
+        write!(out, "{}", report::render(&c.snapshot(), "run telemetry"))?;
     }
     Ok(())
 }
@@ -429,20 +463,20 @@ fn parse_seed_pair(spec: &str) -> Result<(u64, u64), String> {
 
 /// Compare two JSONL streams and print the first divergence (the
 /// verdict is the command's stdout output).
-fn report_diff(seed_a: u64, seed_b: u64, a: &str, b: &str) {
+fn report_diff(out: &mut dyn Write, seed_a: u64, seed_b: u64, a: &str, b: &str) -> io::Result<()> {
     let la: Vec<&str> = a.lines().collect();
     let lb: Vec<&str> = b.lines().collect();
     for (i, (x, y)) in la.iter().zip(&lb).enumerate() {
         if x != y {
-            println!(
+            writeln!(
+                out,
                 "seeds {seed_a} and {seed_b} diverge at event {} ({} vs {} events total):",
                 i + 1,
                 la.len(),
                 lb.len()
-            );
-            println!("  seed {seed_a}: {x}");
-            println!("  seed {seed_b}: {y}");
-            return;
+            )?;
+            writeln!(out, "  seed {seed_a}: {x}")?;
+            return writeln!(out, "  seed {seed_b}: {y}");
         }
     }
     if la.len() != lb.len() {
@@ -451,16 +485,17 @@ fn report_diff(seed_a: u64, seed_b: u64, a: &str, b: &str) {
         } else {
             (seed_b, &lb, la.len())
         };
-        println!(
+        writeln!(
+            out,
             "streams agree for all {shorter} shared events, then seed {longer_seed} continues:"
-        );
-        println!("  {}", longer[shorter]);
-        return;
+        )?;
+        return writeln!(out, "  {}", longer[shorter]);
     }
-    println!(
+    writeln!(
+        out,
         "seeds {seed_a} and {seed_b} produced identical traces ({} events)",
         la.len()
-    );
+    )
 }
 
 /// `dmhpc report`: run the stress scenario ([`trace_scenario`]) under
@@ -469,7 +504,7 @@ fn report_diff(seed_a: u64, seed_b: u64, a: &str, b: &str) {
 /// deterministic machine exports with `--format prom|csv|jsonl` (equal
 /// seeds produce byte-identical export streams; the wall-clock profile
 /// never enters them).
-fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
+fn cmd_report(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(), Failure> {
     use dmhpc_core::sim::SimBuilder;
     use dmhpc_experiments::scenario::BASE_SEED;
     let policy: PolicySpec = opts
@@ -488,12 +523,13 @@ fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
     if !interval.is_finite() || interval <= 0.0 {
         return Err(format!(
             "--sample-interval: must be a positive number of seconds, got {interval}"
-        ));
+        )
+        .into());
     }
     let format = opts.get("format").map(String::as_str).unwrap_or("table");
     let (system, workload) = trace_scenario(scale, profile, fault_seed)?;
     let collector = TelemetryCollector::new(TelemetrySpec::with_interval(interval));
-    let out = SimBuilder::new(system, workload)
+    let outcome = SimBuilder::new(system, workload)
         .policy(policy)
         .seed(seed)
         .telemetry(collector.clone())
@@ -508,16 +544,17 @@ fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
             let mut s = report::render(&telem, &title);
             s.push_str(&format!(
                 "run outcome: {} completed, {} OOM kill events, throughput {:.3} jobs/h\n",
-                out.stats.completed,
-                out.stats.oom_kills,
-                out.stats.throughput_jps * 3600.0
+                outcome.stats.completed,
+                outcome.stats.oom_kills,
+                outcome.stats.throughput_jps * 3600.0
             ));
             s
         }
         other => {
             return Err(format!(
                 "--format: unknown format '{other}' (expected table, prom, csv, or jsonl)"
-            ))
+            )
+            .into())
         }
     };
     match opts.get("out") {
@@ -525,7 +562,7 @@ fn cmd_report(scale: Scale, opts: &OptMap) -> Result<(), String> {
             std::fs::write(path, &rendered).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {format} report to {path}");
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     Ok(())
 }
@@ -568,14 +605,17 @@ fn print_trace_summary(m: &dmhpc_core::RunMetrics) {
 
 /// `trace-run`: dump, filter, summarise, validate, or diff structured
 /// event traces of the stress scenario.
-fn cmd_trace_run(scale: Scale, opts: &OptMap) -> Result<(), String> {
+fn cmd_trace_run(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(), Failure> {
     use dmhpc_experiments::scenario::BASE_SEED;
     // --check FILE: validate an existing stream and stop.
     if let Some(path) = opts.get("check") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let n =
             dmhpc_core::trace::validate_stream(text.lines()).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: {n} events, all lines parse, sim-time non-decreasing");
+        writeln!(
+            out,
+            "{path}: {n} events, all lines parse, sim-time non-decreasing"
+        )?;
         return Ok(());
     }
     let policy: PolicySpec = opts
@@ -601,7 +641,7 @@ fn cmd_trace_run(scale: Scale, opts: &OptMap) -> Result<(), String> {
         let (tb, _) = run_traced(
             scale, policy, sb, profile, fault_seed, sample_s, false, None,
         )?;
-        report_diff(sa, sb, &ta, &tb);
+        report_diff(out, sa, sb, &ta, &tb)?;
         return Ok(());
     }
 
@@ -628,7 +668,7 @@ fn cmd_trace_run(scale: Scale, opts: &OptMap) -> Result<(), String> {
     let to: f64 = opt_parse(opts, "to", f64::INFINITY)?;
     let mut kept = 0usize;
     let mut total = 0usize;
-    let mut out = String::new();
+    let mut kept_lines = String::new();
     for line in stream.lines() {
         total += 1;
         let ev = dmhpc_core::trace::parse_jsonl(line)
@@ -641,16 +681,16 @@ fn cmd_trace_run(scale: Scale, opts: &OptMap) -> Result<(), String> {
                 continue;
             }
         }
-        out.push_str(line);
-        out.push('\n');
+        kept_lines.push_str(line);
+        kept_lines.push('\n');
         kept += 1;
     }
     match opts.get("out") {
         Some(path) => {
-            std::fs::write(path, &out).map_err(|e| format!("write {path}: {e}"))?;
+            std::fs::write(path, &kept_lines).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {kept}/{total} events to {path}");
         }
-        None => print!("{out}"),
+        None => write!(out, "{kept_lines}")?,
     }
     if let Some(m) = metrics {
         print_trace_summary(&m);
@@ -663,7 +703,13 @@ fn cmd_trace_run(scale: Scale, opts: &OptMap) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fault_sweep(scale: Scale, threads: usize, csv: bool, opts: &OptMap) -> Result<(), Failure> {
+fn cmd_fault_sweep(
+    out: &mut dyn Write,
+    scale: Scale,
+    threads: usize,
+    csv: bool,
+    opts: &OptMap,
+) -> Result<(), Failure> {
     let seed: u64 = opt_parse(opts, "fault-seed", exp::faults::FAULT_SEED)?;
     let profile = opts.get("fault-profile").map(String::as_str);
     let common = CommonRunOpts::from_opts(opts)?;
@@ -679,18 +725,20 @@ fn cmd_fault_sweep(scale: Scale, threads: usize, csv: bool, opts: &OptMap) -> Re
         common.telemetry,
     )?;
     emit(
+        out,
         "Fault sweep: resilience under injected faults (stress scenario, C/R)",
         &sweep.table(),
         csv,
-    );
+    )?;
     if !csv {
         for prof in exp::faults::PROFILES {
             if let Some(s) = sweep.summary(prof) {
-                println!(
+                writeln!(
+                    out,
                     "{prof}: pool availability {:.2}%, checkpoints saved {:.0}% of destroyed work",
                     s.mean_pool_availability * 100.0,
                     s.checkpoint_save_ratio() * 100.0
-                );
+                )?;
             }
         }
     }
@@ -703,17 +751,19 @@ fn cmd_fault_sweep(scale: Scale, threads: usize, csv: bool, opts: &OptMap) -> Re
     Ok(())
 }
 
-fn emit(title: &str, t: &TextTable, csv: bool) {
+/// Write one table: a titled rendering, or bare CSV.
+fn emit(out: &mut dyn Write, title: &str, t: &TextTable, csv: bool) -> io::Result<()> {
     if csv {
-        print!("{}", t.to_csv());
+        write!(out, "{}", t.to_csv())
     } else {
-        println!("== {title} ==");
-        print!("{}", t.render());
-        println!();
+        writeln!(out, "== {title} ==")?;
+        write!(out, "{}", t.render())?;
+        writeln!(out)
     }
 }
 
 fn run_command(
+    out: &mut dyn Write,
     cmd: &str,
     scale: Scale,
     threads: usize,
@@ -721,50 +771,57 @@ fn run_command(
     opts: &OptMap,
 ) -> Result<(), Failure> {
     match cmd {
-        "table1" => emit("Table 1: trace sources", &exp::tables::table1(), csv),
+        "table1" => emit(out, "Table 1: trace sources", &exp::tables::table1(), csv)?,
         "table2" => emit(
+            out,
             "Table 2: max memory usage per node (% of jobs)",
             &exp::tables::table2(scale),
             csv,
-        ),
+        )?,
         "table3" => emit(
+            out,
             "Table 3: normal vs large memory job characteristics",
             &exp::tables::table3(scale),
             csv,
-        ),
+        )?,
         "table4" => emit(
+            out,
             "Table 4: simulated system configurations",
             &exp::tables::table4(),
             csv,
-        ),
+        )?,
         "fig2" => {
             let f = exp::fig2::run(scale, threads);
-            emit("Figure 2: Grizzly week sampling", &f.table(), csv);
+            emit(out, "Figure 2: Grizzly week sampling", &f.table(), csv)?;
             if !csv {
-                println!(
+                writeln!(
+                    out,
                     "selected weeks all >=70% util: {}",
                     f.selection_is_high_util()
-                );
+                )?;
             }
         }
         "fig4" => {
             let f = exp::fig4::run(scale, threads);
             emit(
+                out,
                 "Figure 4a: average memory usage heatmap",
                 &f.avg_table(),
                 csv,
-            );
+            )?;
             emit(
+                out,
                 "Figure 4b: maximum memory usage heatmap",
                 &f.max_table(),
                 csv,
-            );
+            )?;
             if !csv {
-                println!(
+                writeln!(
+                    out,
                     "mass below 12 GB: avg {:.1}% vs max {:.1}%",
                     f.avg_mass_below_12gb(),
                     f.max_mass_below_12gb()
-                );
+                )?;
             }
         }
         "fig5" => {
@@ -776,35 +833,36 @@ fn run_command(
                 &common.topologies,
                 &common.durable,
             )?;
-            emit("Figure 5: normalized throughput", &f.table(), csv);
+            emit(out, "Figure 5: normalized throughput", &f.table(), csv)?;
             if !csv {
                 if let Some((trace, over, mem, gain)) = f.max_dynamic_gain() {
-                    println!(
+                    writeln!(out,
                         "max dynamic-over-static gain: +{:.1}% ({trace}, +{:.0}% overest, {mem}% memory)",
                         gain * 100.0,
                         over * 100.0
-                    );
+                    )?;
                 }
             }
         }
         "fig6" => {
             let f = exp::fig6::run(scale, threads);
-            emit("Figure 6: response-time quantiles", &f.table(), csv);
+            emit(out, "Figure 6: response-time quantiles", &f.table(), csv)?;
             if !csv {
                 if let Some(r) = f.median_reduction(exp::fig6::Provisioning::Under, 0.6) {
-                    println!(
+                    writeln!(
+                        out,
                         "median response reduction (underprovisioned, +60%): {:.0}%",
                         r * 100.0
-                    );
+                    )?;
                 }
             }
         }
         "fig7" => {
             let f = exp::fig7::run(scale, threads);
-            emit("Figure 7: throughput per dollar", &f.table(), csv);
+            emit(out, "Figure 7: throughput per dollar", &f.table(), csv)?;
             if !csv {
                 if let Some(adv) = f.max_dynamic_advantage(0.6) {
-                    println!("max dynamic advantage at +60%: +{:.1}%", adv * 100.0);
+                    writeln!(out, "max dynamic advantage at +60%: +{:.1}%", adv * 100.0)?;
                 }
             }
         }
@@ -817,42 +875,59 @@ fn run_command(
                 &common.topologies,
                 &common.durable,
             )?;
-            emit("Figure 8: throughput vs overestimation", &f.table(), csv);
+            emit(
+                out,
+                "Figure 8: throughput vs overestimation",
+                &f.table(),
+                csv,
+            )?;
             if !csv {
                 if let Some(gap) = f.gap_at_37("large 50%", 1.0) {
-                    println!(
+                    writeln!(
+                        out,
                         "dynamic-static gap at 37% memory, +100% overest: {:.1} pp",
                         gap * 100.0
-                    );
+                    )?;
                 }
             }
         }
         "fig9" => {
             let f = exp::fig9::run(scale, threads);
-            emit("Figure 9: min memory for 95% throughput", &f.table(), csv);
+            emit(
+                out,
+                "Figure 9: min memory for 95% throughput",
+                &f.table(),
+                csv,
+            )?;
         }
         "ablate" => {
             let a = exp::ablations::run(scale, threads);
             emit(
+                out,
                 "Ablations (dynamic policy, stress scenario)",
                 &a.table(),
                 csv,
-            );
+            )?;
         }
         "validate" => {
             let v = exp::validate::run(scale, threads);
-            emit("Validation of the paper's headline claims", &v.table(), csv);
+            emit(
+                out,
+                "Validation of the paper's headline claims",
+                &v.table(),
+                csv,
+            )?;
             if !v.all_pass() {
                 return Err("some claims failed validation".to_string().into());
             }
         }
-        "policies" => cmd_policies(csv),
-        "topologies" => cmd_topologies(csv),
+        "policies" => cmd_policies(out, csv)?,
+        "topologies" => cmd_topologies(out, csv)?,
         "all" => {
             for c in [
                 "table1", "table2", "table3", "table4", "fig2", "fig4", "fig5", "fig6", "fig7",
             ] {
-                run_command(c, scale, threads, csv, opts)?;
+                run_command(out, c, scale, threads, csv, opts)?;
             }
             // Figures 8 and 9 share one sweep; run it once.
             let f8 = exp::fig8::run_with_policies(
@@ -860,10 +935,20 @@ fn run_command(
                 threads,
                 &CommonRunOpts::from_opts(opts)?.policies,
             );
-            emit("Figure 8: throughput vs overestimation", &f8.table(), csv);
+            emit(
+                out,
+                "Figure 8: throughput vs overestimation",
+                &f8.table(),
+                csv,
+            )?;
             let f9 = exp::fig9::derive(&f8, "large 50%");
-            emit("Figure 9: min memory for 95% throughput", &f9.table(), csv);
-            run_command("ablate", scale, threads, csv, opts)?;
+            emit(
+                out,
+                "Figure 9: min memory for 95% throughput",
+                &f9.table(),
+                csv,
+            )?;
+            run_command(out, "ablate", scale, threads, csv, opts)?;
         }
         other => return Err(format!("unknown command '{other}'\n{}", usage()).into()),
     }
@@ -878,8 +963,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Every command writes its results through this one locked handle.
+    let mut out = io::stdout().lock();
     if matches!(args.command.as_str(), "help" | "--help" | "-h") {
-        println!("{}", usage());
+        // A closed pipe is the only way this can fail; it is no error.
+        let _ = writeln!(out, "{}", usage());
         return;
     }
     match progress_mode_from_opts(&args.opts) {
@@ -890,18 +978,20 @@ fn main() {
         }
     }
     let start = std::time::Instant::now();
+    let out = &mut out;
     let result = match args.command.as_str() {
-        "export" => cmd_export(args.scale, &args.opts).map_err(Failure::Run),
-        "trace-run" => cmd_trace_run(args.scale, &args.opts).map_err(Failure::Run),
-        "fault-sweep" => cmd_fault_sweep(args.scale, args.threads, args.csv, &args.opts),
-        "simulate" => cmd_simulate(args.scale, &args.opts).map_err(Failure::Run),
-        "chart" => cmd_chart(args.scale, args.threads, &args.opts),
-        "sweep-status" => cmd_sweep_status(&args.opts).map_err(Failure::Run),
-        "report" => cmd_report(args.scale, &args.opts).map_err(Failure::Run),
-        cmd => run_command(cmd, args.scale, args.threads, args.csv, &args.opts),
+        "export" => cmd_export(out, args.scale, &args.opts),
+        "trace-run" => cmd_trace_run(out, args.scale, &args.opts),
+        "fault-sweep" => cmd_fault_sweep(out, args.scale, args.threads, args.csv, &args.opts),
+        "simulate" => cmd_simulate(out, args.scale, &args.opts),
+        "chart" => cmd_chart(out, args.scale, args.threads, &args.opts),
+        "sweep-status" => cmd_sweep_status(out, &args.opts),
+        "report" => cmd_report(out, args.scale, &args.opts),
+        cmd => run_command(out, cmd, args.scale, args.threads, args.csv, &args.opts),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => {}
+        Err(Failure::StdoutClosed) => return,
         Err(Failure::Run(e)) => {
             eprintln!("{e}");
             std::process::exit(1);
@@ -944,12 +1034,47 @@ mod tests {
     #[test]
     fn unknown_command_error_lists_trace_run() {
         let opts = std::collections::HashMap::new();
-        let err = match run_command("bogus", Scale::Small, 1, false, &opts).unwrap_err() {
-            Failure::Run(e) => e,
-            Failure::Interrupted(e) => panic!("unexpected interruption: {e}"),
+        let mut out = Vec::new();
+        let err = match run_command(&mut out, "bogus", Scale::Small, 1, false, &opts) {
+            Err(Failure::Run(e)) => e,
+            other => panic!("expected a run failure, got {other:?}"),
         };
         assert!(err.contains("unknown command 'bogus'"), "{err}");
         assert!(err.contains("trace-run"), "{err}");
+        assert!(out.is_empty());
+    }
+
+    /// A stdout whose reader has gone away, or that fails otherwise.
+    struct ClosedStdout(io::ErrorKind);
+
+    impl Write for ClosedStdout {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn closed_stdout_is_a_quiet_success() {
+        let opts = std::collections::HashMap::new();
+        for cmd in ["topologies", "policies", "table1"] {
+            let mut out = ClosedStdout(io::ErrorKind::BrokenPipe);
+            let got = run_command(&mut out, cmd, Scale::Small, 1, false, &opts);
+            assert!(matches!(got, Err(Failure::StdoutClosed)), "{cmd}: {got:?}");
+        }
+        // Any other write error is a run failure that names stdout.
+        let mut out = ClosedStdout(io::ErrorKind::StorageFull);
+        match run_command(&mut out, "topologies", Scale::Small, 1, true, &opts) {
+            Err(Failure::Run(e)) => assert!(e.starts_with("stdout:"), "{e}"),
+            other => panic!("expected a run failure, got {other:?}"),
+        }
+        // A working writer gets the whole table.
+        let mut out = Vec::new();
+        run_command(&mut out, "topologies", Scale::Small, 1, true, &opts).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("flat") && text.contains("racks"), "{text}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `dmhpc` argument grammar: positional command, the common
-//! `--scale/--threads/--csv` trio, and a free-form `--key value` map
-//! for everything subcommand-specific.
+//! `--scale/--threads/--csv` trio, and a `--key value` map for
+//! everything subcommand-specific, holding only keys the command reads.
 
 use crate::scale::Scale;
 
@@ -16,15 +16,111 @@ pub struct Args {
     pub threads: usize,
     /// Emit CSV instead of rendered tables.
     pub csv: bool,
-    /// Free-form `--key value` options for export/simulate.
+    /// The command's own `--key value` options (valueless flags map to
+    /// `"1"`).
     pub opts: OptMap,
+}
+
+/// Flags that take no value; each records its presence in the option
+/// map.
+const VALUELESS: [&str; 4] = ["summary", "telemetry", "quiet", "progress"];
+
+/// The `--key value` options `command` reads, besides `--quiet` and
+/// `--progress` (every command) and the `--scale/--threads/--csv` trio
+/// (parsed into [`Args`]); `None` for an unknown command, which the
+/// dispatcher rejects by name.
+fn command_keys(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "table1" | "table2" | "table3" | "table4" | "fig2" | "fig4" | "fig6" | "fig7" | "fig9"
+        | "ablate" | "validate" | "policies" | "topologies" | "help" | "--help" | "-h" => &[],
+        "fig5" | "fig8" | "all" => &["policies", "topology", "manifest", "resume", "point-limit"],
+        "chart" => &[
+            "large",
+            "over",
+            "width",
+            "policies",
+            "topology",
+            "manifest",
+            "resume",
+            "point-limit",
+        ],
+        "fault-sweep" => &[
+            "fault-seed",
+            "fault-profile",
+            "policies",
+            "topology",
+            "telemetry",
+            "sample-interval",
+            "manifest",
+            "resume",
+            "point-limit",
+        ],
+        "export" => &["out", "jobs", "large", "over", "seed"],
+        "simulate" => &[
+            "swf",
+            "usage",
+            "policy",
+            "nodes",
+            "large-nodes",
+            "telemetry",
+            "sample-interval",
+        ],
+        "trace-run" => &[
+            "check",
+            "policy",
+            "seed",
+            "fault-profile",
+            "fault-seed",
+            "sample-s",
+            "summary",
+            "diff",
+            "filter",
+            "from",
+            "to",
+            "out",
+            "telemetry",
+            "sample-interval",
+        ],
+        "report" => &[
+            "policy",
+            "seed",
+            "fault-profile",
+            "fault-seed",
+            "sample-interval",
+            "format",
+            "out",
+        ],
+        "sweep-status" => &["manifest"],
+        _ => return None,
+    })
+}
+
+/// Reject `--key` unless `command` reads it: a typo or a removed option
+/// must fail instead of being silently ignored.
+fn check_key(command: &str, key: &str) -> Result<(), String> {
+    let Some(keys) = command_keys(command) else {
+        return Ok(());
+    };
+    if key == "quiet" || key == "progress" || keys.contains(&key) {
+        return Ok(());
+    }
+    let accepted: Vec<String> = ["scale", "threads", "csv", "quiet", "progress"]
+        .iter()
+        .chain(keys)
+        .map(|k| format!("--{k}"))
+        .collect();
+    Err(format!(
+        "{command}: unknown option --{key} (accepted: {})",
+        accepted.join(", ")
+    ))
 }
 
 /// Parse an argument iterator (everything after the program name).
 ///
 /// # Errors
 /// Returns the usage string when no command is given, and a targeted
-/// message (with usage appended) for malformed flags.
+/// message (with usage appended) for malformed flags. An option the
+/// command does not read is an error naming the options it does.
 pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let command = args.next().ok_or_else(usage)?;
     let mut scale = Scale::Medium;
@@ -42,22 +138,15 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
                 threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
             }
             "--csv" => csv = true,
-            // Valueless flags: record presence in opts.
-            "--summary" => {
-                opts.insert("summary".to_string(), "1".to_string());
-            }
-            "--telemetry" => {
-                opts.insert("telemetry".to_string(), "1".to_string());
-            }
-            "--quiet" => {
-                opts.insert("quiet".to_string(), "1".to_string());
-            }
-            "--progress" => {
-                opts.insert("progress".to_string(), "1".to_string());
-            }
             flag if flag.starts_with("--") => {
-                let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                opts.insert(flag[2..].to_string(), v);
+                let key = &flag[2..];
+                check_key(&command, key)?;
+                let v = if VALUELESS.contains(&key) {
+                    "1".to_string()
+                } else {
+                    args.next().ok_or_else(|| format!("{flag} needs a value"))?
+                };
+                opts.insert(key.to_string(), v);
             }
             // `sweep-status <manifest>` takes its path positionally.
             other if command == "sweep-status" && !opts.contains_key("manifest") => {
@@ -208,6 +297,23 @@ mod tests {
         ] {
             assert!(u.contains(cmd), "usage() is missing '{cmd}'");
         }
+        // Every option some command accepts is documented.
+        for cmd in [
+            "fig5",
+            "chart",
+            "fault-sweep",
+            "export",
+            "simulate",
+            "trace-run",
+            "report",
+        ] {
+            for key in command_keys(cmd).unwrap() {
+                assert!(
+                    u.contains(&format!("--{key}")),
+                    "usage() is missing '--{key}'"
+                );
+            }
+        }
         // The durable-execution, topology and telemetry flags are
         // documented too.
         for flag in [
@@ -221,6 +327,57 @@ mod tests {
             "--progress",
         ] {
             assert!(u.contains(flag), "usage() is missing '{flag}'");
+        }
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_rejected() {
+        // A typo is an error naming the key and what the command takes.
+        let err = parse(&["topologies", "--retries", "2", "--threds", "4"])
+            .err()
+            .unwrap();
+        assert!(err.contains("unknown option --retries"), "{err}");
+        assert!(
+            err.contains("--threads") && err.contains("--progress"),
+            "{err}"
+        );
+        let err = parse(&["export", "--out", "d", "--job", "80"])
+            .err()
+            .unwrap();
+        assert!(err.contains("unknown option --job"), "{err}");
+        for key in ["--out", "--jobs", "--large", "--over", "--seed"] {
+            assert!(err.contains(key), "export's list lacks {key}: {err}");
+        }
+        // An option another command reads is still foreign here, even
+        // a valueless one.
+        assert!(parse(&["fig5", "--swf", "w.swf"]).is_err());
+        assert!(parse(&["fig5", "--telemetry"]).is_err());
+        assert!(parse(&["report", "--summary"]).is_err());
+        // Every command takes the global flags and its own options.
+        for argv in [
+            &[
+                "topologies",
+                "--scale",
+                "small",
+                "--threads",
+                "2",
+                "--csv",
+                "--quiet",
+            ][..],
+            &["chart", "--large", "0.5", "--over", "0.6", "--width", "20"],
+            &[
+                "fault-sweep",
+                "--fault-profile",
+                "light",
+                "--point-limit",
+                "3",
+            ],
+            &["simulate", "--swf", "w.swf", "--large-nodes", "0.25"],
+            &["trace-run", "--diff", "17,18", "--summary", "--progress"],
+            &["report", "--format", "csv", "--out", "r.csv"],
+            &["sweep-status", "--manifest", "m.jsonl"],
+        ] {
+            parse(argv).unwrap();
         }
     }
 

@@ -10,7 +10,7 @@ use dmhpc_core::cluster::TopologySpec;
 use dmhpc_core::policy::PolicySpec;
 use dmhpc_core::telemetry::TelemetrySpec;
 
-/// The free-form option map [`parse_args_from`] collects.
+/// The option map [`parse_args_from`] collects.
 ///
 /// [`parse_args_from`]: super::args::parse_args_from
 pub type OptMap = std::collections::HashMap<String, String>;

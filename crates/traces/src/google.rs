@@ -107,9 +107,23 @@ impl GoogleJob {
 #[derive(Clone, Debug)]
 pub struct GooglePool {
     jobs: Vec<GoogleJob>,
+    /// Every job's match keys, sorted by task count (ties in pool
+    /// order), so [`match_job`](Self::match_job) reads no window.
+    by_tasks: Vec<MatchKey>,
     task_scale: f64,
     runtime_scale: f64,
     mem_scale: f64,
+}
+
+/// One pool job's coordinates in matching space, computed once when the
+/// pool is built: `tasks as f64`, `runtime_s` and `peak_mb()`.
+#[derive(Clone, Copy, Debug)]
+struct MatchKey {
+    tasks: f64,
+    runtime_s: f64,
+    peak_mb: f64,
+    /// Position of the job in [`GooglePool::jobs`].
+    index: u32,
 }
 
 /// Shape families generated by the synthetic pool.
@@ -125,11 +139,24 @@ impl GooglePool {
     }
 
     fn from_jobs(jobs: Vec<GoogleJob>) -> Self {
-        let task_scale = jobs.iter().map(|j| j.tasks as f64).fold(1.0, f64::max);
-        let runtime_scale = jobs.iter().map(|j| j.runtime_s).fold(1.0, f64::max);
-        let mem_scale = jobs.iter().map(|j| j.peak_mb()).fold(1.0, f64::max);
+        let mut by_tasks: Vec<MatchKey> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| MatchKey {
+                tasks: j.tasks as f64,
+                runtime_s: j.runtime_s,
+                peak_mb: j.peak_mb(),
+                index: i as u32,
+            })
+            .collect();
+        let task_scale = by_tasks.iter().map(|k| k.tasks).fold(1.0, f64::max);
+        let runtime_scale = by_tasks.iter().map(|k| k.runtime_s).fold(1.0, f64::max);
+        let mem_scale = by_tasks.iter().map(|k| k.peak_mb).fold(1.0, f64::max);
+        // Stable: equal task counts stay in pool order.
+        by_tasks.sort_by(|a, b| a.tasks.total_cmp(&b.tasks));
         Self {
             jobs,
+            by_tasks,
             task_scale,
             runtime_scale,
             mem_scale,
@@ -258,8 +285,69 @@ impl GooglePool {
     }
 
     /// Fig. 3 step 6: the job minimising the normalised Euclidean
-    /// distance of `(size, runtime, memory demand)`.
+    /// distance of `(size, runtime, memory demand)`; ties go to the
+    /// lowest pool index, and a query no job gets a finite distance to
+    /// (a NaN runtime, say) yields the first job.
+    ///
+    /// An exact pruned search over the cached match keys: it visits
+    /// jobs in order of `|tasks - nodes|`, nearest first, and stops once
+    /// the task term `dn²` alone exceeds the best distance found. Under
+    /// round-to-nearest, adding the non-negative runtime and memory
+    /// terms never lowers a sum, so every unvisited job has `d ≥ dn²`
+    /// and none can win or tie. Each visited job's `d` is the same
+    /// expression as in [`match_job_reference`](Self::match_job_reference),
+    /// which debug builds check every call against.
     pub fn match_job(&self, nodes: u32, runtime_s: f64, peak_mb: f64) -> &GoogleJob {
+        let keys = &self.by_tasks;
+        let n = nodes as f64;
+        // keys[..lo] lie at or below `nodes`, keys[hi..] above; both
+        // cursors move outward.
+        let mut hi = keys.partition_point(|k| k.tasks < n);
+        let mut lo = hi;
+        let mut best = 0u32;
+        let mut best_d = f64::INFINITY;
+        loop {
+            let below = match (lo.checked_sub(1), keys.get(hi)) {
+                (None, None) => break,
+                (Some(b), Some(a)) => n - keys[b].tasks <= a.tasks - n,
+                (b, _) => b.is_some(),
+            };
+            let k = if below {
+                lo -= 1;
+                &keys[lo]
+            } else {
+                hi += 1;
+                &keys[hi - 1]
+            };
+            let dn = (k.tasks - n) / self.task_scale;
+            let dn2 = dn * dn;
+            // The nearest job left in task count: no later one can do
+            // better.
+            if dn2 > best_d {
+                break;
+            }
+            let dr = (k.runtime_s - runtime_s) / self.runtime_scale;
+            let dm = (k.peak_mb - peak_mb) / self.mem_scale;
+            let d = dn2 + dr * dr + dm * dm;
+            // While best_d is infinite nothing ties below index 0, so
+            // only a finite distance takes the lead, as in the scan.
+            if d < best_d || (d == best_d && k.index < best) {
+                best_d = d;
+                best = k.index;
+            }
+        }
+        let best = &self.jobs[best as usize];
+        debug_assert!(
+            std::ptr::eq(best, self.match_job_reference(nodes, runtime_s, peak_mb)),
+            "pruned Google match diverged from the linear-scan oracle"
+        );
+        best
+    }
+
+    /// Linear-scan twin of [`match_job`](Self::match_job): every job,
+    /// in pool order, with its peak folded from the windows again. The
+    /// equivalence oracle for the pruned search.
+    pub fn match_job_reference(&self, nodes: u32, runtime_s: f64, peak_mb: f64) -> &GoogleJob {
         let mut best = &self.jobs[0];
         let mut best_d = f64::INFINITY;
         for j in &self.jobs {
@@ -358,6 +446,92 @@ mod tests {
             (m.tasks, m.runtime_s, m.peak_mb()),
             (j.tasks, j.runtime_s, j.peak_mb())
         );
+    }
+
+    /// A pool job with the given match coordinates (`peak` normalised).
+    fn job_at(id: u32, tasks: u32, runtime_s: f64, peak: f64) -> GoogleJob {
+        GoogleJob {
+            id,
+            tasks,
+            runtime_s,
+            priority: Priority::BestEffortBatch,
+            scheduling_class: 0,
+            finished_normally: true,
+            windows: vec![
+                MemWindow {
+                    avg: peak * 0.4,
+                    max: peak * 0.5,
+                },
+                MemWindow {
+                    avg: peak * 0.8,
+                    max: peak,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn match_job_matches_linear_scan() {
+        let mut rng = Rng64::new(0x0060_061E);
+        for case in 0..120u64 {
+            let n = 1 + rng.below(60) as usize;
+            // Every third pool draws from a handful of values, so task
+            // counts, runtimes and peaks repeat and distances tie.
+            let ties = case % 3 == 0;
+            let jobs: Vec<GoogleJob> = (0..n as u32)
+                .map(|id| {
+                    if ties {
+                        let tasks = 2 * rng.range_u64(1, 3) as u32;
+                        let runtime = [600.0, 1800.0][rng.below(2) as usize];
+                        let peak = [1e-4, 2e-4][rng.below(2) as usize];
+                        job_at(id, tasks, runtime, peak)
+                    } else {
+                        let tasks = rng.range_u64(1, 128) as u32;
+                        let runtime = rng.range_f64(600.0, 86_400.0);
+                        job_at(id, tasks, runtime, rng.range_f64(1e-6, 0.011))
+                    }
+                })
+                .collect();
+            let pool = GooglePool::from_jobs(jobs.clone());
+            let max_tasks = jobs.iter().map(|j| j.tasks).max().unwrap();
+            let mut queries: Vec<(u32, f64, f64)> = vec![
+                (0, 3600.0, 2048.0),
+                (1, 3600.0, 2048.0),
+                (max_tasks + 1, 3600.0, 2048.0),
+                (u32::MAX, 3600.0, 2048.0),
+                (3, 1e9, 2048.0),
+                (3, -1e9, -2048.0),
+                (3, 600.0, 1e12),
+                (5, 0.0, 0.0),
+                (5, f64::NAN, 2048.0),
+                (5, 3600.0, f64::NAN),
+                (5, 3600.0, f64::INFINITY),
+                (5, f64::MAX, f64::MAX),
+            ];
+            // Every job's own coordinates (distance 0, twins tie) and
+            // points between neighbouring task counts.
+            for j in &jobs {
+                queries.push((j.tasks, j.runtime_s, j.peak_mb()));
+                queries.push((j.tasks + 1, j.runtime_s * 1.01, j.peak_mb() * 0.99));
+            }
+            for _ in 0..40 {
+                queries.push((
+                    rng.below(u64::from(max_tasks) + 3) as u32,
+                    rng.range_f64(0.0, 2.0 * 86_400.0),
+                    rng.range_f64(0.0, 0.012 * MAX_MACHINE_MB),
+                ));
+            }
+            for &(nodes, runtime_s, peak_mb) in &queries {
+                let fast = pool.match_job(nodes, runtime_s, peak_mb);
+                let slow = pool.match_job_reference(nodes, runtime_s, peak_mb);
+                assert!(
+                    std::ptr::eq(fast, slow),
+                    "case {case}: query ({nodes}, {runtime_s}, {peak_mb}) matched job {} not {}",
+                    fast.id,
+                    slow.id
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 # registered, so an interrupted run leaves nothing behind in .git), and
 # the working tree as it is. Then runs PAIRS pairs of
 # `--workload WORKLOAD --seconds 15 --trace 0`, alternating which side
-# runs first, and prints every pair's wall_s, each side's median and
-# quartiles of wall_s, critical_point_s and setup_s and its median
-# peak_rss_mb (every end-to-end timing metric, from the same runs), the
-# pairs the change won on wall_s (ties count for neither) and every
-# failed run. The gain rule: the change wins at least nine tenths of
+# runs first, and prints every pair's wall_s and setup_s, each side's
+# median and quartiles of wall_s, critical_point_s and setup_s and its
+# median peak_rss_mb (every end-to-end timing metric, from the same
+# runs), the pairs the change won on each of the three times (ties
+# count for neither) and every failed run. The gain rule: the change wins at least nine tenths of
 # the pairs and its median beats the parent's by more than the parent's
 # interquartile range. Exits 1 if any run failed.
 #
@@ -83,7 +83,8 @@ run() {
 
 printf 'workload %s, parent %s, %s pair(s), extra args: %s\n' \
     "$WORKLOAD" "$(git -C "$REPO" rev-parse --short "$REV")" "$PAIRS" "${EXTRA[*]:-none}"
-printf '%-5s %-7s %14s %14s %s\n' pair first parent_wall_s change_wall_s winner
+printf '%-5s %-7s %14s %14s %-7s %14s %14s\n' pair first parent_wall_s change_wall_s winner \
+    parent_setup_s change_setup_s
 : >"$WORK/parent.txt"
 : >"$WORK/change.txt"
 WON=0
@@ -108,7 +109,8 @@ for i in $(seq 1 "$PAIRS"); do
     [ "$p" = FAIL ] && FAILED=$((FAILED + 1))
     [ "$c" = FAIL ] && FAILED=$((FAILED + 1))
     [ "$winner" = change ] && WON=$((WON + 1))
-    printf '%-5s %-7s %14s %14s %s\n' "$i" "$first" "${p%% *}" "${c%% *}" "$winner"
+    printf '%-5s %-7s %14s %14s %-7s %14s %14s\n' "$i" "$first" "${p%% *}" "${c%% *}" "$winner" \
+        "$(echo "$p" | awk '{ print $3 }')" "$(echo "$c" | awk '{ print $3 }')"
 done
 
 # stats FILE COLUMN: "median q1 q3" of column COLUMN of FILE (1 wall_s,
@@ -144,6 +146,12 @@ for side in parent change; do
         "$side" "$cp" "$cq1" "$cq3" "$sm" "$sq1" "$sq3" "$rss"
 done
 COMPLETE=$(wc -l <"$WORK/parent.txt")
+paste -d ' ' "$WORK/parent.txt" "$WORK/change.txt" | awk '
+    { for (m = 1; m <= 3; m++) if ($(m + 4) < $m) won[m]++ }
+    END {
+        printf "pairs the change won: wall_s %d, critical_point_s %d, setup_s %d of %d\n",
+            won[1], won[2], won[3], NR
+    }'
 printf 'change won %d of %d complete pair(s); failed runs: %d\n' "$WON" "$COMPLETE" "$FAILED"
 awk -v won="$WON" -v pairs="$PAIRS" -v pm="$PM" -v cm="$CM" -v q1="$PQ1" -v q3="$PQ3" 'BEGIN {
     gain = pm - cm; iqr = q3 - q1

@@ -37,6 +37,10 @@ cargo test --release -q --test determinism_golden --test topology --test fast_pa
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
 cargo test --release -q -p dmhpc-core --lib cluster::tests::contention_inputs::contention_inputs_match_slice_folds
+# The pruned nearest-neighbour Google-shape match against the linear
+# scan on seeded and tie-heavy pools: trace generation picks the same
+# pool job for every query, so every generated workload is unchanged.
+cargo test --release -q -p dmhpc-traces --lib google::tests::match_job_matches_linear_scan
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small
@@ -60,9 +64,9 @@ for name in baseline static dynamic predictive overcommit conservative; do
 done
 
 echo "== topology smoke (flat is the default bit-for-bit; racks leg is thread-invariant) =="
-# The registry subcommand knows both fabric shapes. (To a file, not a
-# pipe: grep -q exits at first match and the closed pipe would kill
-# the CLI mid-print.)
+# The registry subcommand knows both fabric shapes. (To a file, so
+# both greps read the same output; a reader that closes the pipe early
+# is a quiet, successful exit for the CLI.)
 ./target/release/dmhpc topologies > "$T/topo_registry.txt"
 grep -q "flat" "$T/topo_registry.txt"
 grep -q "racks" "$T/topo_registry.txt"
@@ -93,9 +97,7 @@ grep -q "interrupted:" "$T/durable_int.err"
 # Resume: skip journaled points, finish the rest, reproduce the bytes.
 ./target/release/dmhpc fault-sweep --scale small --threads 2 --csv --resume "$M" > "$T/durable_res.csv"
 cmp "$T/durable_ref.csv" "$T/durable_res.csv"
-# The journal must report itself fully drained. (To a file, not a
-# pipe: grep -q exits at first match and the closed pipe would kill
-# the CLI mid-print — same workaround as the topology smoke above.)
+# The journal must report itself fully drained.
 ./target/release/dmhpc sweep-status "$M" > "$T/durable_status.txt"
 grep -q "pending 0" "$T/durable_status.txt"
 

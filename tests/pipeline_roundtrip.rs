@@ -2,7 +2,9 @@
 
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::policy::PolicySpec;
-use dmhpc::core::sim::SimBuilder;
+use dmhpc::core::sim::{SimBuilder, Workload};
+use dmhpc::experiments::scale::Scale;
+use dmhpc::experiments::scenario::synthetic_workload;
 use dmhpc::traces::grizzly::{GrizzlyConfig, GrizzlyDataset};
 use dmhpc::traces::swf;
 use dmhpc::traces::workload::{grizzly_workload, WorkloadBuilder};
@@ -112,5 +114,56 @@ fn workload_statistics_survive_the_full_pipeline() {
     for j in &w.jobs {
         assert!(j.usage.peak() <= j.mem_request_mb);
         assert!(j.usage.average() > 0.0);
+    }
+}
+
+fn fnv1a(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Digest of a workload as the simulator reads it: every job field and
+/// the bits of every usage point, in job order.
+fn digest_workload(w: &Workload) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a(&mut h, w.jobs.len() as u64);
+    for j in &w.jobs {
+        for v in [
+            j.id.0 as u64,
+            j.submit_s.to_bits(),
+            j.nodes as u64,
+            j.base_runtime_s.to_bits(),
+            j.time_limit_s.to_bits(),
+            j.mem_request_mb,
+            j.profile.0 as u64,
+            j.usage.points().len() as u64,
+        ] {
+            fnv1a(&mut h, v);
+        }
+        for &(p, mb) in j.usage.points() {
+            fnv1a(&mut h, p.to_bits());
+            fnv1a(&mut h, mb);
+        }
+    }
+    h
+}
+
+#[test]
+fn synthetic_workload_inputs_are_pinned() {
+    // Trace generation (CIRNE skeleton, profile and Google-shape
+    // matching, Table 3 peaks, RDP) must reproduce these workloads bit
+    // for bit: a drift here moves every simulated result downstream.
+    for (scale, seed, want) in [
+        (Scale::Small, 1, 0x4A80_B8CD_E872_9C5Du64),
+        (Scale::Small, 7, 0x0E12_A921_6DDF_0A33),
+        (Scale::Medium, 1, 0xCC78_2864_C2F5_0FAF),
+    ] {
+        let got = digest_workload(&synthetic_workload(scale, 0.5, 1.2, seed));
+        assert_eq!(
+            got, want,
+            "{scale:?} seed {seed}: workload digest {got:#018X}, pinned {want:#018X}"
+        );
     }
 }
