@@ -29,6 +29,9 @@
 //! * [`telemetry`] — sim-time gauge sampling into a fixed-capacity
 //!   time series plus a wall-clock phase profiler, with Prometheus /
 //!   CSV / JSONL exporters (zero-cost when disabled, like tracing);
+//! * [`json`] — the one JSON codec: insertion-ordered objects, a
+//!   streaming writer, and a strict decoder with exact `u64` numbers
+//!   and a depth cap (trace and telemetry JSONL, durable manifests);
 //! * [`error`] — the crate-wide [`CoreError`] type.
 //!
 //! ## Example
@@ -72,6 +75,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod job;
+pub mod json;
 pub mod oracle;
 pub mod policy;
 pub mod sched;

@@ -29,10 +29,11 @@
 //! at finalize, and [`TelemetryCollector::snapshot`] reads it back.
 //!
 //! Exporters on [`Telemetry`]: Prometheus text exposition
-//! (textfile-collector compatible), CSV, and JSONL with fixed key
-//! order, all hand-rolled (the workspace carries no serialization
-//! crate).
+//! (textfile-collector compatible) and CSV, written directly, and JSONL
+//! with a fixed key order, written through the workspace's one JSON
+//! codec ([`crate::json`]).
 
+use crate::json;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -455,32 +456,25 @@ impl Telemetry {
         out
     }
 
-    /// Render the series as JSONL: one flat object per sample with a
-    /// fixed key order (hand-rolled). Deterministic for equal series.
+    /// Render the series as JSONL: one object per sample with a fixed
+    /// key order. Deterministic for equal series.
     pub fn jsonl(&self) -> String {
         let samples = self.series.samples();
         let mut out = String::with_capacity(128 * samples.len());
         for s in samples {
-            let _ = write!(
-                out,
-                "{{\"t\":{:.3},\"queue_depth\":{},\"resident_jobs\":{},\"pool_util\":{:.6},\"free_pool_mb\":{},\"borrowed_mb\":{},\"cross_rack_mb\":{},\"oom_kills\":{},\"actuator_retries\":{},\"rack_lent_mb\":[",
-                s.t_s,
-                s.queue_depth,
-                s.resident_jobs,
-                s.pool_util,
-                s.free_pool_mb,
-                s.borrowed_mb,
-                s.cross_rack_mb,
-                s.oom_kills,
-                s.actuator_retries
-            );
-            for (i, mb) in s.rack_lent_mb.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{mb}");
-            }
-            out.push_str("]}\n");
+            json::write_object(&mut out, |w| {
+                w.fixed("t", s.t_s, 3)
+                    .u64("queue_depth", s.queue_depth)
+                    .u64("resident_jobs", s.resident_jobs)
+                    .fixed("pool_util", s.pool_util, 6)
+                    .u64("free_pool_mb", s.free_pool_mb)
+                    .u64("borrowed_mb", s.borrowed_mb)
+                    .u64("cross_rack_mb", s.cross_rack_mb)
+                    .u64("oom_kills", s.oom_kills)
+                    .u64("actuator_retries", s.actuator_retries)
+                    .u64s("rack_lent_mb", s.rack_lent_mb.iter().copied());
+            });
+            out.push('\n');
         }
         out
     }

@@ -1,11 +1,8 @@
-//! The JSONL serialisation of the trace stream: a fixed-key-order
-//! writer, a minimal flat parser, and stream validation.
-//!
-//! Hand-rolled (the workspace carries no serialization crate): the writer
-//! emits flat objects with a fixed key order per kind, so equal runs
-//! produce byte-identical streams.
+//! The JSONL form of the trace stream: one object per event with a
+//! fixed key order per kind, written and read back through
+//! [`crate::json`] for filtering and stream validation.
 
-use std::fmt::Write as _;
+use crate::json::{self, ObjectWriter, Value};
 
 use super::kinds::{TraceEvent, TraceKind};
 
@@ -15,296 +12,126 @@ impl TraceEvent {
     /// streams.
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"t\":{:.6},\"kind\":\"{}\"",
-            self.t.as_secs(),
-            self.kind.name()
-        );
+        json::write_object(&mut s, |w| self.write_members(w));
+        s
+    }
+
+    fn write_members(&self, w: &mut ObjectWriter<'_>) {
+        w.fixed("t", self.t.as_secs(), 6)
+            .str("kind", self.kind.name());
         match self.kind {
-            TraceKind::JobSubmit { job } | TraceKind::MonitorLoss { job } => {
-                let _ = write!(s, ",\"job\":{}", job.0);
-            }
+            TraceKind::JobSubmit { job } | TraceKind::MonitorLoss { job } => w.u64("job", job.0),
             TraceKind::JobStart {
                 job,
                 nodes,
                 mem_mb,
                 remote_mb,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"nodes\":{nodes},\"mem_mb\":{mem_mb},\"remote_mb\":{remote_mb}",
-                    job.0
-                );
-            }
-            TraceKind::JobFinish { job, restarts } => {
-                let _ = write!(s, ",\"job\":{},\"restarts\":{restarts}", job.0);
-            }
+            } => w
+                .u64("job", job.0)
+                .u64("nodes", nodes)
+                .u64("mem_mb", mem_mb)
+                .u64("remote_mb", remote_mb),
+            TraceKind::JobFinish { job, restarts } => w.u64("job", job.0).u64("restarts", restarts),
             TraceKind::JobKill {
                 job,
                 reason,
                 restarts,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"reason\":\"{}\",\"restarts\":{restarts}",
-                    job.0,
-                    reason.as_str()
-                );
-            }
+            } => w
+                .u64("job", job.0)
+                .str("reason", reason.as_str())
+                .u64("restarts", restarts),
             TraceKind::JobRequeue {
                 job,
                 boosted,
                 static_mode,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"boosted\":{boosted},\"static_mode\":{static_mode}",
-                    job.0
-                );
-            }
+            } => w
+                .u64("job", job.0)
+                .bool("boosted", boosted)
+                .bool("static_mode", static_mode),
             TraceKind::MemDecide {
                 job,
                 demand_mb,
                 grow_mb,
                 shrink_to_mb,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"demand_mb\":{demand_mb},\"grow_mb\":{grow_mb},\"shrink_to_mb\":{shrink_to_mb}",
-                    job.0
-                );
-            }
+            } => w
+                .u64("job", job.0)
+                .u64("demand_mb", demand_mb)
+                .u64("grow_mb", grow_mb)
+                .u64("shrink_to_mb", shrink_to_mb),
             TraceKind::MemGrow {
                 job,
                 node,
                 local_mb,
                 borrowed_mb,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"node\":{},\"local_mb\":{local_mb},\"borrowed_mb\":{borrowed_mb}",
-                    job.0, node.0
-                );
-            }
+            } => w
+                .u64("job", job.0)
+                .u64("node", node.0)
+                .u64("local_mb", local_mb)
+                .u64("borrowed_mb", borrowed_mb),
             TraceKind::MemShrink { job, released_mb } => {
-                let _ = write!(s, ",\"job\":{},\"released_mb\":{released_mb}", job.0);
+                w.u64("job", job.0).u64("released_mb", released_mb)
             }
             TraceKind::ActuatorRetry {
                 job,
                 attempt,
                 backoff_s,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"attempt\":{attempt},\"backoff_s\":{backoff_s:.3}",
-                    job.0
-                );
-            }
+            } => w
+                .u64("job", job.0)
+                .u64("attempt", attempt)
+                .fixed("backoff_s", backoff_s, 3),
             TraceKind::ActuatorEscalate { job, attempts } => {
-                let _ = write!(s, ",\"job\":{},\"attempts\":{attempts}", job.0);
+                w.u64("job", job.0).u64("attempts", attempts)
             }
             TraceKind::SchedPassStart {
                 queued,
                 alloc_mb,
                 cap_mb,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"queued\":{queued},\"alloc_mb\":{alloc_mb},\"cap_mb\":{cap_mb}"
-                );
-            }
+            } => w
+                .u64("queued", queued)
+                .u64("alloc_mb", alloc_mb)
+                .u64("cap_mb", cap_mb),
             TraceKind::SchedPassEnd {
                 considered,
                 started,
                 backfill_depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"considered\":{considered},\"started\":{started},\"backfill_depth\":{backfill_depth}"
-                );
-            }
-            TraceKind::NodeCrash { node } | TraceKind::NodeRepair { node } => {
-                let _ = write!(s, ",\"node\":{}", node.0);
-            }
+            } => w
+                .u64("considered", considered)
+                .u64("started", started)
+                .u64("backfill_depth", backfill_depth),
+            TraceKind::NodeCrash { node } | TraceKind::NodeRepair { node } => w.u64("node", node.0),
             TraceKind::PoolDegrade { node, mb } | TraceKind::PoolRestore { node, mb } => {
-                let _ = write!(s, ",\"node\":{},\"mb\":{mb}", node.0);
+                w.u64("node", node.0).u64("mb", mb)
             }
-        }
-        s.push('}');
-        s
+        };
     }
 }
 
-/// A parsed JSONL field value (the format only emits numbers, strings,
-/// and booleans).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// A JSON number.
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-}
-
-/// One JSONL line read back as data.
+/// The two fields of a JSONL line that every reader needs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedEvent {
     /// Simulation time, seconds.
     pub t: f64,
     /// The kind name (e.g. `"job_start"`).
     pub kind: String,
-    /// The remaining fields, in stream order.
-    pub fields: Vec<(String, JsonValue)>,
 }
 
-impl ParsedEvent {
-    /// Look up a field by name.
-    pub fn field(&self, name: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-}
-
-/// Parse one flat JSONL object produced by [`TraceEvent::to_jsonl`].
-///
-/// This is a minimal hand-rolled parser: it accepts exactly the flat
-/// `{"key":value,…}` shape the writer emits, requires `t` and `kind`,
-/// and rejects everything else with a description of the offending
-/// byte.
+/// Read `t` and `kind` from one line of [`TraceEvent::to_jsonl`]: a flat
+/// JSON object (numbers, strings and booleans) with a finite number `t`.
 ///
 /// # Errors
-/// Returns a human-readable description of the first syntax problem.
+/// A human-readable description of the first problem.
 pub fn parse_jsonl(line: &str) -> Result<ParsedEvent, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut t: Option<f64> = None;
-    let mut kind: Option<String> = None;
-    let mut fields = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        if !fields.is_empty() || t.is_some() || kind.is_some() {
-            p.expect(b',')?;
-            p.skip_ws();
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.value()?;
-        match (key.as_str(), &value) {
-            ("t", JsonValue::Num(v)) => t = Some(*v),
-            ("t", _) => return Err("field 't' must be a number".into()),
-            ("kind", JsonValue::Str(v)) => kind = Some(v.clone()),
-            ("kind", _) => return Err("field 'kind' must be a string".into()),
-            _ => fields.push((key, value)),
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
+    let obj = json::parse_object(line)?;
+    if let Some((key, _)) = obj
+        .iter()
+        .find(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+    {
+        return Err(format!("field {key:?} is not a number, string or boolean"));
     }
     Ok(ParsedEvent {
-        t: t.ok_or("missing field 't'")?,
-        kind: kind.ok_or("missing field 'kind'")?,
-        fields,
+        t: obj.f64("t")?,
+        kind: obj.str("kind")?.to_string(),
     })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at offset {}, found {:?}",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => return Err("escape sequences are not part of the format".into()),
-                _ => self.pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonValue::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonValue::Bool(false))
-            }
-            Some(&b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|&c| {
-                    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number '{text}'"))
-            }
-            other => Err(format!(
-                "unexpected value at offset {}: {:?}",
-                self.pos,
-                other.map(|&c| c as char)
-            )),
-        }
-    }
 }
 
 /// Validate a JSONL event stream: every non-empty line must parse, name
@@ -430,6 +257,9 @@ mod tests {
             let line = ev.to_jsonl();
             let parsed = parse_jsonl(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(parsed.kind, kind.name(), "{line}");
+            // The line is canonical: decoding and re-encoding it through
+            // the codec reproduces its bytes.
+            assert_eq!(json::parse_object(&line).unwrap().to_json(), line);
             assert!((parsed.t - ev.t.as_secs()).abs() < 1e-9);
             assert_eq!(
                 TraceKind::NAMES[i],
@@ -451,6 +281,14 @@ mod tests {
             "{\"t\":1.0,\"kind\":\"job_submit\"} trailing",
             "{\"t\":1.0 \"kind\":\"job_submit\"}",
             "not json",
+            // Not JSON numbers, or not finite as an f64.
+            "{\"t\":1e400,\"kind\":\"job_submit\",\"job\":0}",
+            "{\"t\":-1e400,\"kind\":\"job_submit\",\"job\":0}",
+            "{\"t\":1.,\"kind\":\"job_submit\",\"job\":0}",
+            "{\"t\":-.5e1,\"kind\":\"job_submit\",\"job\":0}",
+            // Not flat.
+            "{\"t\":1.0,\"kind\":\"job_submit\",\"job\":[0]}",
+            "{\"t\":1.0,\"kind\":\"job_submit\",\"job\":{}}",
         ] {
             assert!(parse_jsonl(bad).is_err(), "accepted {bad:?}");
         }

@@ -20,11 +20,10 @@
 //!   pool-utilisation time series).
 //! * [`FanoutSink`] — duplicates events to several sinks.
 //!
-//! The JSONL format is hand-rolled (the workspace carries no
-//! serialization crate): flat objects with a fixed key order per kind, so equal runs
-//! produce byte-identical streams. [`parse_jsonl`] and
-//! [`validate_stream`] read the format back for filtering, diffing and
-//! CI validation.
+//! The JSONL format goes through the one JSON codec, [`crate::json`]:
+//! flat objects with a fixed key order per kind, so equal runs produce
+//! byte-identical streams. [`parse_jsonl`] and [`validate_stream`] read
+//! it back for filtering, diffing and CI validation.
 //!
 //! The module tree splits the surface by concern, in the
 //! `core::cluster` decomposition style:
@@ -32,8 +31,8 @@
 //! * [`kinds`] — the event taxonomy ([`TraceEvent`], [`TraceKind`],
 //!   [`KillReason`], [`Subsystem`]);
 //! * [`sinks`] — the [`TraceSink`] trait and every shipped sink;
-//! * [`jsonl`] — the fixed-key-order JSONL writer, the flat parser,
-//!   and stream validation;
+//! * [`jsonl`] — each kind's fixed-key-order JSONL line, the `t` and
+//!   `kind` reader, and stream validation;
 //! * [`metrics`] — the [`RunMetrics`] fold behind [`CountingSink`].
 
 pub mod jsonl;
@@ -41,7 +40,7 @@ pub mod kinds;
 pub mod metrics;
 pub mod sinks;
 
-pub use jsonl::{parse_jsonl, validate_stream, JsonValue, ParsedEvent};
+pub use jsonl::{parse_jsonl, validate_stream, ParsedEvent};
 pub use kinds::{KillReason, Subsystem, TraceEvent, TraceKind};
 pub use metrics::{CountingSink, RunMetrics};
 pub use sinks::{FanoutSink, JsonlSink, NullSink, RingSink, SharedBuf, TraceSink};

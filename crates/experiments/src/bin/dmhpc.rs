@@ -1001,16 +1001,27 @@ fn main() {
             std::process::exit(EXIT_INTERRUPTED);
         }
     }
-    // sweep-status only reads a manifest; a scale/timing banner would
-    // suggest it ran a sweep at some scale, which it did not.
-    if !args.csv && args.command != "sweep-status" {
-        eprintln!(
-            "[{} @ {} scale in {:.1}s]",
-            args.command,
-            args.scale.label(),
-            start.elapsed().as_secs_f64()
-        );
+    if let Some(line) = banner(&args, start.elapsed().as_secs_f64()) {
+        eprintln!("{line}");
     }
+}
+
+/// The stderr line that closes a run: the command, the scale when its
+/// work read one, and the wall time. `None` for `--csv` runs and for
+/// `sweep-status`, which only reads a manifest.
+fn banner(args: &Args, secs: f64) -> Option<String> {
+    let cmd = args.command.as_str();
+    if args.csv || cmd == "sweep-status" {
+        return None;
+    }
+    let scale_free = matches!(cmd, "table1" | "table4" | "policies" | "topologies")
+        || (cmd == "trace-run" && args.opts.contains_key("check"))
+        || (cmd == "simulate" && args.opts.contains_key("nodes"));
+    Some(if scale_free {
+        format!("[{cmd} in {secs:.1}s]")
+    } else {
+        format!("[{cmd} @ {} scale in {secs:.1}s]", args.scale.label())
+    })
 }
 
 #[cfg(test)]
@@ -1075,6 +1086,23 @@ mod tests {
         run_command(&mut out, "topologies", Scale::Small, 1, true, &opts).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("flat") && text.contains("racks"), "{text}");
+    }
+
+    #[test]
+    fn banner_names_a_scale_only_where_the_work_read_one() {
+        for (argv, want) in [
+            ("topologies", "[topologies in 2.0s]"),
+            ("table1 --scale small", "[table1 in 2.0s]"),
+            ("trace-run --check t.jsonl", "[trace-run in 2.0s]"),
+            ("simulate --swf w.swf --nodes 8", "[simulate in 2.0s]"),
+            ("fig5 --scale small", "[fig5 @ small scale in 2.0s]"),
+            ("table2", "[table2 @ medium scale in 2.0s]"),
+            ("fig5 --csv", ""),
+            ("sweep-status m.jsonl", ""),
+        ] {
+            let args = parse(&argv.split(' ').collect::<Vec<_>>()).unwrap();
+            assert_eq!(banner(&args, 2.0).unwrap_or_default(), want, "{argv}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! split is visible; the `none` profile doubles as a control that must
 //! match the fault-free simulator bit for bit.
 
-use crate::durable::{run_durable, DurableError, DurableOptions, Fingerprint, Journaled, Payload};
+use crate::durable::{run_durable, DurableError, DurableOptions, Fingerprint, Journaled};
 use crate::report::{decode_profile, encode_profile};
 use crate::scale::Scale;
 use crate::scenario::{simulate_observed, synthetic_system, synthetic_workload, BASE_SEED};
@@ -19,6 +19,7 @@ use dmhpc_core::cluster::{MemoryMix, TopologySpec};
 use dmhpc_core::config::{RestartStrategy, SystemConfig};
 use dmhpc_core::error::CoreError;
 use dmhpc_core::faults::FaultConfig;
+use dmhpc_core::json::Object;
 use dmhpc_core::policy::PolicySpec;
 use dmhpc_core::telemetry::{Profile, TelemetrySpec};
 use dmhpc_metrics::resilience::{ResilienceSample, ResilienceSummary};
@@ -50,8 +51,8 @@ pub struct FaultRow {
 }
 
 impl Journaled for FaultRow {
-    fn encode(&self) -> Payload {
-        let mut p = Payload::new();
+    fn encode(&self) -> Object {
+        let mut p = Object::new();
         p.push_str("profile", &self.profile);
         p.push_str("policy", &self.policy.to_string());
         p.push_str("topology", &self.topology.to_string());
@@ -76,7 +77,7 @@ impl Journaled for FaultRow {
         p
     }
 
-    fn decode(p: &Payload) -> Result<Self, String> {
+    fn decode(p: &Object) -> Result<Self, String> {
         Ok(FaultRow {
             profile: p.str("profile")?.to_string(),
             policy: p

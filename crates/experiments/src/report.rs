@@ -7,8 +7,8 @@
 //! exports (Prometheus/CSV/JSONL) live on [`Telemetry`] itself so the
 //! determinism goldens compare them without pulling in table layout.
 
-use crate::durable::Payload;
 use crate::table::TextTable;
+use dmhpc_core::json::Object;
 use dmhpc_core::telemetry::{Phase, Profile, Sample, Telemetry};
 use dmhpc_metrics::series_quantiles;
 
@@ -157,8 +157,8 @@ pub fn render(telemetry: &Telemetry, title: &str) -> String {
 
 /// Encode a [`Profile`] as a journal payload: `<phase>_ns` and
 /// `<phase>_calls` per phase, in [`Phase::ALL`] order.
-pub fn encode_profile(profile: &Profile) -> Payload {
-    let mut p = Payload::new();
+pub fn encode_profile(profile: &Profile) -> Object {
+    let mut p = Object::new();
     for phase in Phase::ALL {
         p.push_u64(&format!("{}_ns", phase.name()), profile.phase_ns(phase));
         p.push_u64(
@@ -174,7 +174,7 @@ pub fn encode_profile(profile: &Profile) -> Payload {
 /// # Errors
 /// Returns the missing/ill-typed field when the payload is not a
 /// profile map.
-pub fn decode_profile(p: &Payload) -> Result<Profile, String> {
+pub fn decode_profile(p: &Object) -> Result<Profile, String> {
     let mut profile = Profile::default();
     for phase in Phase::ALL {
         let ns = p.u64(&format!("{}_ns", phase.name()))?;
@@ -187,7 +187,7 @@ pub fn decode_profile(p: &Payload) -> Result<Profile, String> {
 /// Pull the nested `"phases"` map out of a journaled point payload, if
 /// the point carried one (pre-telemetry journals and non-telemetry runs
 /// did not — those yield `None`, never an error).
-pub fn profile_from_payload(p: &Payload) -> Option<Profile> {
+pub fn profile_from_payload(p: &Object) -> Option<Profile> {
     decode_profile(p.map("phases").ok()?).ok()
 }
 
@@ -275,9 +275,9 @@ mod tests {
         assert_eq!(decoded, profile);
 
         // Nested lookups: present and absent.
-        let mut point = Payload::new();
+        let mut point = Object::new();
         point.push_map("phases", encode_profile(&profile));
         assert_eq!(profile_from_payload(&point), Some(profile));
-        assert_eq!(profile_from_payload(&Payload::new()), None);
+        assert_eq!(profile_from_payload(&Object::new()), None);
     }
 }

@@ -2,7 +2,7 @@
 //! × memory axis × policies, normalised against the baseline policy on a
 //! fully provisioned system.
 
-use crate::durable::{DurableError, DurableOptions, Fingerprint, Journaled, Payload};
+use crate::durable::{DurableError, DurableOptions, Fingerprint, Journaled};
 use crate::runner::run_parallel;
 use crate::scale::Scale;
 use crate::scenario::{
@@ -10,6 +10,7 @@ use crate::scenario::{
     norm_throughput, simulate, synthetic_system, synthetic_workload, BASE_SEED,
 };
 use dmhpc_core::cluster::{MemoryMix, TopologySpec};
+use dmhpc_core::json::Object;
 use dmhpc_core::policy::PolicySpec;
 use dmhpc_core::sim::Workload;
 use std::collections::hash_map::Entry;
@@ -72,8 +73,8 @@ pub struct SweepPoint {
 }
 
 impl Journaled for SweepPoint {
-    fn encode(&self) -> Payload {
-        let mut p = Payload::new();
+    fn encode(&self) -> Object {
+        let mut p = Object::new();
         p.push_str("trace", &self.trace);
         p.push_f64_bits("overest", self.overest);
         p.push_u64("mem_pct", self.mem_pct as u64);
@@ -89,7 +90,7 @@ impl Journaled for SweepPoint {
         p
     }
 
-    fn decode(p: &Payload) -> Result<Self, String> {
+    fn decode(p: &Object) -> Result<Self, String> {
         Ok(SweepPoint {
             trace: p.str("trace")?.to_string(),
             overest: p.f64_bits("overest")?,

@@ -41,6 +41,10 @@ cargo test --release -q -p dmhpc-core --lib cluster::tests::contention_inputs::c
 # scan on seeded and tie-heavy pools: trace generation picks the same
 # pool job for every query, so every generated workload is unchanged.
 cargo test --release -q -p dmhpc-traces --lib google::tests::match_job_matches_linear_scan
+# The JSON codec's round trip (encode, decode, re-encode) on random
+# nested objects up to the depth cap: every trace, telemetry and
+# manifest byte goes through it.
+cargo test --release -q -p dmhpc-core --lib json::tests::encode_decode_round_trips
 
 echo "== paper claims (validate exits 1 if any headline claim fails) =="
 ./target/release/dmhpc validate --scale small
@@ -126,6 +130,11 @@ grep -q "phase-time breakdown" "$T/telem_status.txt"
 echo "== trace smoke (JSONL parses, sim-time monotone, diff pinpoints) =="
 ./target/release/dmhpc trace-run --scale small --fault-profile heavy --out "$T/trace_smoke.jsonl"
 ./target/release/dmhpc trace-run --check "$T/trace_smoke.jsonl"
+# A time that overflows an f64 is not a valid stream.
+printf '{"t":1e400,"kind":"job_submit","job":0}\n' > "$T/trace_inf.jsonl"
+if ./target/release/dmhpc trace-run --check "$T/trace_inf.jsonl" 2> /dev/null; then
+    echo "trace-run --check accepted \"t\":1e400"; exit 1
+fi
 ./target/release/dmhpc trace-run --scale small --fault-profile heavy --diff 17,18 > "$T/trace_diff.txt"
 grep -q "diverge at event" "$T/trace_diff.txt"
 

@@ -8,6 +8,8 @@
 //! and prove that a fixed seed reproduces a run exactly — the
 //! acceptance bar for every optimisation in this module.
 
+mod common;
+
 use dmhpc::core::cluster::{Cluster, JobAlloc, MemoryMix};
 use dmhpc::core::job::JobId;
 use dmhpc::core::oracle;
@@ -106,6 +108,9 @@ fn trace_stream_is_deterministic_and_inert() {
         stream_a, stream_b,
         "same seed must reproduce the stream byte for byte"
     );
+    // The JSONL writer's bytes are pinned by an FNV-1a digest.
+    let digest = common::fnv1a(stream_a.bytes());
+    assert_eq!(digest, 0xef9d_eb0f_05b4_b834, "trace JSONL bytes drifted");
     let n = validate_stream(stream_a.lines()).expect("stream validates");
     assert!(n > 0, "a faulted dynamic run must emit events");
     let (_, stream_c) = traced(0xACF);

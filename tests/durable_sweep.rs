@@ -13,14 +13,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 use dmhpc::core::cluster::{Cluster, JobAlloc, MemoryMix, TopologySpec};
 use dmhpc::core::config::SystemConfig;
+use dmhpc::core::json::Object;
 use dmhpc::core::policy::{PlacementScratch, PolicySpec};
 use dmhpc::core::sim::{MemManagement, MemoryPolicy, SimBuilder, StaticAlloc};
+use dmhpc::core::telemetry::{Phase, Profile};
 use dmhpc::experiments::durable::{
-    config_fingerprint, run_durable, DurableError, DurableOptions, Fingerprint, Journaled, Payload,
-    PointStatus, ResumeState,
+    config_fingerprint, parse_manifest_line, run_durable, DurableError, DurableOptions,
+    Fingerprint, Journaled, PointStatus, ResumeState,
 };
+use dmhpc::experiments::report::encode_profile;
 use dmhpc::experiments::scenario::synthetic_workload;
 use dmhpc::experiments::{Scale, ThroughputSweep, TraceSpec};
 use proptest::prelude::*;
@@ -198,13 +203,13 @@ struct MockOut {
 }
 
 impl Journaled for MockOut {
-    fn encode(&self) -> Payload {
-        let mut p = Payload::new();
+    fn encode(&self) -> Object {
+        let mut p = Object::new();
         p.push_u64("completed", self.completed);
         p
     }
 
-    fn decode(p: &Payload) -> Result<Self, String> {
+    fn decode(p: &Object) -> Result<Self, String> {
         Ok(MockOut {
             completed: p.u64("completed")?,
         })
@@ -396,6 +401,76 @@ fn torn_tail_costs_one_point_not_the_run() {
     std::fs::write(&manifest, lines.join("\n")).unwrap();
     assert!(ResumeState::load(&manifest).is_err());
     let _ = std::fs::remove_file(&manifest);
+}
+
+/// A profiled point as a telemetry sweep journals it: scalars, a float
+/// by bit pattern, an integer above 2^53 and a nested `phases` object.
+#[derive(Clone, Debug, PartialEq)]
+struct ProfiledOut;
+
+impl Journaled for ProfiledOut {
+    fn encode(&self) -> Object {
+        let mut phases = Profile::default();
+        phases.set_phase(Phase::Schedule, 629_375, 506);
+        phases.set_phase(Phase::DynLoop, 1_234_567, 4_321);
+        let mut p = Object::new();
+        p.push_str("policy", "dynamic");
+        p.push_f64_bits("throughput_jps", 0.1 + 0.2);
+        p.push_u64("completed", u64::MAX);
+        p.push_bool("feasible", true);
+        p.push_map("phases", encode_profile(&phases));
+        p
+    }
+
+    fn decode(_: &Object) -> Result<Self, String> {
+        Ok(ProfiledOut)
+    }
+}
+
+/// The manifest writer's bytes are pinned: a header, a done point
+/// whose payload nests `phases`, and a failed point whose panic text
+/// needs every kind of string escape.
+#[test]
+fn manifest_bytes_are_pinned() {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let manifest = temp_path("pinned");
+    let _ = std::fs::remove_file(&manifest);
+    let fps: Vec<String> = (0..2)
+        .map(|i| Fingerprint::new("pinned").field_u64("i", i).finish())
+        .collect();
+    let opts = DurableOptions {
+        manifest: Some(manifest.clone()),
+        ..DurableOptions::default()
+    };
+    let result = run_durable("pinned", vec![false, true], fps, 1, &opts, |&panics| {
+        if panics {
+            panic!("quote \" backslash \\ tab \t bell \u{7} end");
+        }
+        ProfiledOut
+    });
+    std::panic::set_hook(hook);
+    assert!(
+        matches!(result, Err(DurableError::PointsFailed { .. })),
+        "{result:?}"
+    );
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let _ = std::fs::remove_file(&manifest);
+    assert!(text.contains(r#""error":"quote \" backslash \\ tab \t bell \u0007 end""#));
+    // Every byte but three values, which become placeholders: the code
+    // version (also hashed into `config`), `config` and the wall-clock
+    // `wall_ms`.
+    let header = parse_manifest_line(text.lines().next().unwrap()).unwrap();
+    let text = text
+        .replacen(header.str("version").unwrap(), "V", 1)
+        .replacen(header.str("config").unwrap(), "C", 1);
+    let (head, tail) = text.split_once("\"wall_ms\":").unwrap();
+    let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    let digest = common::fnv1a(format!("{head}\"wall_ms\":0{tail}").bytes());
+    assert_eq!(
+        digest, 0x1376_0244_3bab_1cb7,
+        "manifest drifted ({digest:#x}):\n{text}"
+    );
 }
 
 /// Decode a `u64` draw into a short string over an alphabet that

@@ -1,4 +1,5 @@
-//! No-panic corpus for every parser of untrusted bytes: trace JSONL,
+//! No-panic corpus for every parser of untrusted bytes: the JSON
+//! decoder (`core::json::parse`) and its two readers, trace JSONL and
 //! durable-manifest lines, SWF text (parsed, then imported with and
 //! without a usage sidecar) and usage-trace files.
 //!
@@ -11,6 +12,7 @@
 
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::faults::FaultConfig;
+use dmhpc::core::json;
 use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::SimBuilder;
 use dmhpc::core::trace::{parse_jsonl, JsonlSink};
@@ -63,6 +65,8 @@ fn corpus() -> &'static [String; 4] {
         let usage = usagefile::write(&usagefile::from_workload(&workload));
         assert!(trace.iter().all(|l| parse_jsonl(l).is_ok()));
         assert!(MANIFEST.lines().all(|l| parse_manifest_line(l).is_ok()));
+        let lines = || trace.iter().map(String::as_str).chain(MANIFEST.lines());
+        assert!(lines().all(|l| json::parse(l).is_ok()));
         let swf_text = swf::write(&records, "robustness corpus");
         let sidecar = usagefile::parse(&usage).unwrap();
         let imported = swf::parse(&swf_text)
@@ -72,11 +76,18 @@ fn corpus() -> &'static [String; 4] {
     })
 }
 
-/// Run parser `which` (a `corpus()` index) over `text`.
+/// Run parser `which` (a `corpus()` index) over `text`; the JSON lines
+/// go through the codec's decoder directly as well as its two readers.
 fn parse(which: usize, text: &str) {
     match which {
-        0 => text.lines().for_each(|l| drop(parse_jsonl(l))),
-        1 => text.lines().for_each(|l| drop(parse_manifest_line(l))),
+        0 => text.lines().for_each(|l| {
+            drop(json::parse(l));
+            drop(parse_jsonl(l));
+        }),
+        1 => text.lines().for_each(|l| {
+            drop(json::parse(l));
+            drop(parse_manifest_line(l));
+        }),
         2 => {
             let Ok(records) = swf::parse(text) else {
                 return;

@@ -1,5 +1,7 @@
 //! Integration tests spanning trace generation, formats and simulation.
 
+mod common;
+
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::{SimBuilder, Workload};
@@ -117,20 +119,12 @@ fn workload_statistics_survive_the_full_pipeline() {
     }
 }
 
-fn fnv1a(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Digest of a workload as the simulator reads it: every job field and
 /// the bits of every usage point, in job order.
 fn digest_workload(w: &Workload) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    fnv1a(&mut h, w.jobs.len() as u64);
+    let mut words = vec![w.jobs.len() as u64];
     for j in &w.jobs {
-        for v in [
+        words.extend([
             j.id.0 as u64,
             j.submit_s.to_bits(),
             j.nodes as u64,
@@ -139,15 +133,12 @@ fn digest_workload(w: &Workload) -> u64 {
             j.mem_request_mb,
             j.profile.0 as u64,
             j.usage.points().len() as u64,
-        ] {
-            fnv1a(&mut h, v);
-        }
+        ]);
         for &(p, mb) in j.usage.points() {
-            fnv1a(&mut h, p.to_bits());
-            fnv1a(&mut h, mb);
+            words.extend([p.to_bits(), mb]);
         }
     }
-    h
+    common::fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
 }
 
 #[test]

@@ -6,8 +6,11 @@
 //! the acceptance bars that let `--telemetry` ship default-off without
 //! a parallel validation matrix.
 
+mod common;
+
 use dmhpc::core::cluster::MemoryMix;
 use dmhpc::core::faults::FaultConfig;
+use dmhpc::core::json;
 use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::SimBuilder;
 use dmhpc::core::telemetry::{Telemetry, TelemetryCollector, TelemetrySpec};
@@ -69,6 +72,9 @@ fn telemetry_exports_are_byte_deterministic() {
     assert_eq!(a.prometheus(), b.prometheus());
     assert_eq!(a.csv(), b.csv());
     assert_eq!(a.jsonl(), b.jsonl());
+    // The JSONL writer's bytes are pinned by an FNV-1a digest.
+    let digest = common::fnv1a(a.jsonl().bytes());
+    assert_eq!(digest, 0x335a_c084_8d6f_b33d, "telemetry JSONL drifted");
     let c = observed(PolicySpec::Dynamic, 0xACF, 30.0);
     assert_ne!(a.csv(), c.csv(), "a different sim seed must diverge");
     // Export shape sanity: prometheus exposes the gauge families, the
@@ -80,8 +86,12 @@ fn telemetry_exports_are_byte_deterministic() {
     let csv = a.csv();
     assert_eq!(csv.lines().count(), a.series.samples().len() + 1);
     assert!(csv.lines().next().unwrap().starts_with("t_s,"));
-    for line in a.jsonl().lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+    assert_eq!(a.jsonl().lines().count(), a.series.samples().len());
+    for (line, s) in a.jsonl().lines().zip(a.series.samples()) {
+        let obj = json::parse_object(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(obj.iter().count(), 10, "{line}");
+        assert_eq!(obj.u64("queue_depth"), Ok(u64::from(s.queue_depth)));
+        assert!((obj.f64("t").unwrap() - s.t_s).abs() <= 5e-4, "{line}");
     }
 }
 

@@ -12,6 +12,8 @@
 //! partitions, with the indexed placements matching their full-scan
 //! reference twins exactly.
 
+mod common;
+
 use dmhpc::core::cluster::{Cluster, MemoryMix, NodeId, TopologySpec};
 use dmhpc::core::config::{RestartStrategy, SystemConfig};
 use dmhpc::core::faults::FaultConfig;
@@ -53,20 +55,12 @@ const FLAT_DIGESTS: [(&str, &str, u64); 18] = [
     ("heavy", "conservative:quantum=4096", 0x1B2FF338C18B6AD4),
 ];
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Digest of everything a simulation decides, over the field set that
 /// existed before the topology layer (new additive fields must not move
 /// a flat digest, so they are deliberately not hashed).
 fn digest_outcome(out: &SimulationOutcome) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
     let s = &out.stats;
-    for v in [
+    let words = [
         s.total_jobs as u64,
         s.completed as u64,
         s.unschedulable as u64,
@@ -92,16 +86,10 @@ fn digest_outcome(out: &SimulationOutcome) -> u64 {
         out.feasible as u64,
         out.response_times_s.len() as u64,
         out.wait_times_s.len() as u64,
-    ] {
-        fnv1a(&mut h, &v.to_le_bytes());
-    }
-    for t in &out.response_times_s {
-        fnv1a(&mut h, &t.to_bits().to_le_bytes());
-    }
-    for t in &out.wait_times_s {
-        fnv1a(&mut h, &t.to_bits().to_le_bytes());
-    }
-    h
+    ];
+    let times = out.response_times_s.iter().chain(&out.wait_times_s);
+    let words = words.into_iter().chain(times.map(|t| t.to_bits()));
+    common::fnv1a(words.flat_map(u64::to_le_bytes))
 }
 
 /// The fault-sweep stress scenario: underprovisioned mix, 50% large
