@@ -95,6 +95,5 @@ pub use sim::{JobOutcome, JobRecord, SimBuilder, Simulation, SimulationOutcome, 
 pub use spec::{SpecInfo, SpecRegistry};
 pub use telemetry::{Phase, Profile, Sample, Telemetry, TelemetryCollector, TelemetrySpec};
 pub use trace::{
-    CountingSink, FanoutSink, JsonlSink, NullSink, RingSink, RunMetrics, TraceEvent, TraceKind,
-    TraceSink,
+    CountingSink, FanoutSink, JsonlSink, NullSink, RunMetrics, TraceEvent, TraceKind, TraceSink,
 };

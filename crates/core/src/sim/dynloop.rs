@@ -8,8 +8,9 @@ use crate::job::JobId;
 use crate::trace::TraceKind;
 
 use super::hooks::MemManagement;
+use super::oom::KillCause;
 use super::runner::Runner;
-use super::state::{FailReason, Status};
+use super::state::Status;
 
 impl Runner {
     /// Jittered memory-update interval ("on average every 5 minutes").
@@ -112,7 +113,7 @@ impl Runner {
         let request = job.mem_request_mb;
         self.st[jid.0 as usize].trace_cursor = cursor;
         if usage > request {
-            self.kill_job(jid, FailReason::ExceededRequest);
+            self.kill(jid, KillCause::ExceededRequest);
         } else if let Some(t) = next {
             // Re-arm for the next exceed point still ahead of the job.
             let epoch = self.st[jid.0 as usize].life_epoch;
@@ -296,7 +297,7 @@ impl Runner {
                     self.scratch.lenders = lenders_before;
                     self.scratch.entries = entries;
                     self.scratch.compute_ids = compute_ids;
-                    self.oom_kill(jid);
+                    self.kill(jid, KillCause::Oom);
                     return;
                 }
             }
@@ -374,7 +375,7 @@ impl Runner {
             .min()
             .unwrap_or(0);
         if usage > min_alloc {
-            self.oom_kill(jid);
+            self.kill(jid, KillCause::Oom);
             return;
         }
         let epoch = self.st[jid.0 as usize].life_epoch;
@@ -401,7 +402,7 @@ impl Runner {
             // the §2.2 fairness ladder (static-guaranteed allocation
             // first) so a persistently failing Actuator cannot livelock
             // the job through endless dynamic retry cycles.
-            self.fault_kill(jid, true);
+            self.kill(jid, KillCause::Fault { escalate: true });
             return;
         }
         self.stats.actuator_retries += 1;

@@ -6,6 +6,7 @@ use crate::cluster::NodeId;
 use crate::faults::FaultEvent;
 use crate::job::JobId;
 
+use super::oom::KillCause;
 use super::runner::Runner;
 use super::state::Status;
 
@@ -27,7 +28,7 @@ impl Runner {
         // lenders, leaves with it), then flip the node down.
         let revoked = self.reclaim_from_lender(node, 0);
         if let Some(jid) = resident {
-            self.fault_kill(jid, false);
+            self.kill(jid, KillCause::Fault { escalate: false });
         }
         self.cluster.set_node_down(node);
         self.regrow_or_demote(revoked, node);
@@ -77,7 +78,7 @@ impl Runner {
         };
         if still_over {
             if let Some(jid) = resident {
-                self.fault_kill(jid, true);
+                self.kill(jid, KillCause::Fault { escalate: true });
             }
         }
         // Degrade BEFORE re-growing the revoked slices, so the planner
@@ -189,7 +190,7 @@ impl Runner {
                 self.refresh_speeds(jid, &lenders);
                 self.scratch.lenders = lenders;
             } else {
-                self.fault_kill(jid, true);
+                self.kill(jid, KillCause::Fault { escalate: true });
             }
         }
         // Pressure on the eased lender dropped for surviving borrowers.

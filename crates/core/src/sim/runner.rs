@@ -477,9 +477,15 @@ impl Runner {
             let sample = self.gauge_sample();
             self.series.push_final(sample);
         }
-        // Double-counting guard: every job must end in exactly one
-        // terminal bucket.
-        debug_assert_eq!(self.stats.reconcile(), Ok(()));
+        // Conservation checks, in release builds too: one O(jobs +
+        // nodes) pass per run. Every job must end in exactly one
+        // terminal bucket, and the cluster ledgers must match a rebuild.
+        if let Err(e) = self.stats.reconcile() {
+            panic!("end-of-run stats check failed: {e}");
+        }
+        if let Err(e) = self.cluster.check_invariants() {
+            panic!("end-of-run cluster check failed: {e}");
+        }
         let metrics = std::mem::take(&mut self.metrics);
         let (resp, waits) = metrics.finish(&mut self.stats, &self.cluster);
         let feasible = self.stats.unschedulable == 0;

@@ -75,9 +75,9 @@ impl Stats {
     /// Conservation check: every workload job must end in exactly one
     /// terminal bucket, so the sum of `completed`, `unschedulable`,
     /// `failed_exceeded`, and `failed_restarts` must equal
-    /// `total_jobs`. The runner asserts this in debug builds at run
-    /// end; a mismatch means a terminal counter was double-counted or
-    /// skipped.
+    /// `total_jobs`. The runner checks this at the end of every run,
+    /// release builds included; a mismatch means a terminal counter was
+    /// double-counted or skipped.
     ///
     /// # Errors
     /// Returns a description of the imbalance.

@@ -52,59 +52,31 @@ pub struct RunMetrics {
     pub pool_degrades: u64,
     /// Pool restores.
     pub pool_restores: u64,
-    /// `(sim-time s, pending-queue depth)` samples at the sampling
-    /// interval, taken at scheduling-pass starts.
-    pub queue_depth_series: Vec<(f64, u32)>,
-    /// `(sim-time s, allocated/capacity)` samples at the sampling
-    /// interval, taken at scheduling-pass starts.
-    pub pool_util_series: Vec<(f64, f64)>,
-    /// Sampling interval for the time series, seconds.
-    pub sample_interval_s: f64,
-    next_sample_s: f64,
+    /// Events per subsystem, indexed by `Subsystem as usize`.
+    subsystem_events: [u64; 4],
 }
+
+/// Every subsystem in declaration order, so `SUBSYSTEMS[sub as usize]`
+/// is `sub`.
+const SUBSYSTEMS: [Subsystem; 4] = [
+    Subsystem::Job,
+    Subsystem::Mem,
+    Subsystem::Sched,
+    Subsystem::Fault,
+];
 
 /// Retry-histogram saturation bucket (attempt numbers ≥ 16 share it).
 const RETRY_HIST_BUCKETS: usize = 16;
 
 impl RunMetrics {
-    fn new(sample_interval_s: f64) -> Self {
-        Self {
-            sample_interval_s: sample_interval_s.max(1.0),
-            ..Self::default()
-        }
-    }
-
     /// Events recorded for one subsystem, as `(subsystem, count)` rows.
     pub fn by_subsystem(&self) -> [(Subsystem, u64); 4] {
-        let retries: u64 = self.actuator_retry_histogram.iter().sum();
-        [
-            (
-                Subsystem::Job,
-                self.job_submits
-                    + self.job_starts
-                    + self.job_finishes
-                    + self.job_kills
-                    + self.job_requeues,
-            ),
-            (
-                Subsystem::Mem,
-                self.mem_decides
-                    + self.mem_grows
-                    + self.mem_shrinks
-                    + self.monitor_losses
-                    + retries
-                    + self.actuator_escalations,
-            ),
-            (Subsystem::Sched, self.sched_passes * 2),
-            (
-                Subsystem::Fault,
-                self.node_crashes + self.node_repairs + self.pool_degrades + self.pool_restores,
-            ),
-        ]
+        std::array::from_fn(|i| (SUBSYSTEMS[i], self.subsystem_events[i]))
     }
 
     fn fold(&mut self, ev: &TraceEvent) {
         self.total_events += 1;
+        self.subsystem_events[ev.kind.subsystem() as usize] += 1;
         match ev.kind {
             TraceKind::JobSubmit { .. } => self.job_submits += 1,
             TraceKind::JobStart { .. } => self.job_starts += 1,
@@ -132,27 +104,7 @@ impl RunMetrics {
                 self.actuator_retry_histogram[bucket] += 1;
             }
             TraceKind::ActuatorEscalate { .. } => self.actuator_escalations += 1,
-            TraceKind::SchedPassStart {
-                queued,
-                alloc_mb,
-                cap_mb,
-            } => {
-                self.sched_passes += 1;
-                let t = ev.t.as_secs();
-                if t >= self.next_sample_s {
-                    self.queue_depth_series.push((t, queued));
-                    let util = if cap_mb > 0 {
-                        alloc_mb as f64 / cap_mb as f64
-                    } else {
-                        0.0
-                    };
-                    self.pool_util_series.push((t, util));
-                    // Skip ahead past any idle gap so a burst after a lull
-                    // contributes one sample, not a backlog.
-                    self.next_sample_s =
-                        ((t / self.sample_interval_s).floor() + 1.0) * self.sample_interval_s;
-                }
-            }
+            TraceKind::SchedPassStart { .. } => self.sched_passes += 1,
             TraceKind::SchedPassEnd {
                 considered,
                 started,
@@ -173,18 +125,17 @@ impl RunMetrics {
 /// Folds the stream into a shared [`RunMetrics`]; clones share the
 /// accumulator, so keep a handle and call [`CountingSink::metrics`]
 /// after the run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CountingSink {
     shared: Arc<Mutex<RunMetrics>>,
 }
 
 impl CountingSink {
-    /// Create a counter sampling the time series every
-    /// `sample_interval_s` simulated seconds (min 1 s).
-    pub fn new(sample_interval_s: f64) -> Self {
-        Self {
-            shared: Arc::new(Mutex::new(RunMetrics::new(sample_interval_s))),
-        }
+    /// Same as [`CountingSink::default`]. The argument is unused: the
+    /// constructor keeps its signature only for the benchmark in
+    /// `perfbench/`, and goes with the next change to that benchmark.
+    pub fn new(_sample_interval_s: f64) -> Self {
+        Self::default()
     }
 
     /// Snapshot of the accumulated metrics.
@@ -210,8 +161,8 @@ mod tests {
     use crate::job::JobId;
 
     #[test]
-    fn counting_sink_builds_histogram_and_series() {
-        let counting = CountingSink::new(10.0);
+    fn counting_sink_builds_histogram_and_subsystem_counts() {
+        let counting = CountingSink::default();
         let mut sink: Box<dyn TraceSink> = Box::new(counting.clone());
         for (t, attempt) in [(0.0, 1), (1.0, 1), (2.0, 2), (3.0, 99)] {
             sink.record(&TraceEvent {
@@ -238,15 +189,15 @@ mod tests {
         assert_eq!(m.actuator_retry_histogram[1], 1);
         assert_eq!(m.actuator_retry_histogram[RETRY_HIST_BUCKETS - 1], 1);
         assert_eq!(m.sched_passes, 5);
-        // Samples at t=0, t=10 (first crossing), t=35 (gap skipped).
-        assert_eq!(
-            m.queue_depth_series
-                .iter()
-                .map(|&(t, _)| t)
-                .collect::<Vec<_>>(),
-            vec![0.0, 10.0, 35.0]
-        );
-        assert!((m.pool_util_series[0].1 - 0.5).abs() < 1e-12);
         assert_eq!(m.total_events, 9);
+        assert_eq!(
+            m.by_subsystem(),
+            [
+                (Subsystem::Job, 0),
+                (Subsystem::Mem, 4),
+                (Subsystem::Sched, 5),
+                (Subsystem::Fault, 0)
+            ]
+        );
     }
 }

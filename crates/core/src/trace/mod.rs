@@ -12,12 +12,10 @@
 //! Sinks provided here:
 //!
 //! * [`NullSink`] — zero-cost default (`enabled() == false`).
-//! * [`RingSink`] — bounded in-memory buffer of the last N events, for
-//!   post-mortems on OOM storms or seed divergence.
 //! * [`JsonlSink`] — streams one JSON object per line to any writer.
 //! * [`CountingSink`] — folds the stream into a [`RunMetrics`] summary
-//!   (per-subsystem counts, Actuator retry histogram, queue-depth and
-//!   pool-utilisation time series).
+//!   (per-kind and per-subsystem counts, the Actuator retry histogram);
+//!   the time series live in [`crate::telemetry`].
 //! * [`FanoutSink`] — duplicates events to several sinks.
 //!
 //! The JSONL format goes through the one JSON codec, [`crate::json`]:
@@ -43,4 +41,4 @@ pub mod sinks;
 pub use jsonl::{parse_jsonl, validate_stream, ParsedEvent};
 pub use kinds::{KillReason, Subsystem, TraceEvent, TraceKind};
 pub use metrics::{CountingSink, RunMetrics};
-pub use sinks::{FanoutSink, JsonlSink, NullSink, RingSink, SharedBuf, TraceSink};
+pub use sinks::{FanoutSink, JsonlSink, NullSink, SharedBuf, TraceSink};

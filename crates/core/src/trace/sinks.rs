@@ -1,6 +1,5 @@
 //! The [`TraceSink`] trait and every shipped sink.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use super::kinds::TraceEvent;
@@ -44,50 +43,6 @@ impl TraceSink for NullSink {
 
     fn clone_box(&self) -> Box<dyn TraceSink> {
         Box::new(NullSink)
-    }
-}
-
-/// Bounded in-memory sink keeping the last N events. Clones share the
-/// buffer, so callers keep a handle and read [`RingSink::events`] after
-/// the run.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    shared: Arc<Mutex<VecDeque<TraceEvent>>>,
-    capacity: usize,
-}
-
-impl RingSink {
-    /// Create a ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            shared: Arc::new(Mutex::new(VecDeque::with_capacity(capacity))),
-            capacity,
-        }
-    }
-
-    /// Snapshot of the retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.shared
-            .lock()
-            .expect("ring sink poisoned")
-            .iter()
-            .copied()
-            .collect()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut buf = self.shared.lock().expect("ring sink poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(*ev);
-    }
-
-    fn clone_box(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
     }
 }
 
@@ -217,31 +172,16 @@ impl TraceSink for FanoutSink {
 mod tests {
     use super::super::jsonl::validate_stream;
     use super::super::kinds::TraceKind;
+    use super::super::metrics::CountingSink;
     use super::*;
     use crate::cluster::NodeId;
     use crate::engine::SimTime;
     use crate::job::JobId;
 
     #[test]
-    fn ring_sink_keeps_last_n() {
-        let ring = RingSink::new(3);
-        let mut sink: Box<dyn TraceSink> = Box::new(ring.clone());
-        for i in 0..5u32 {
-            sink.record(&TraceEvent {
-                t: SimTime::from_secs(f64::from(i)),
-                kind: TraceKind::JobSubmit { job: JobId(i) },
-            });
-        }
-        let kept = ring.events();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(kept[0].kind, TraceKind::JobSubmit { job: JobId(2) });
-        assert_eq!(kept[2].kind, TraceKind::JobSubmit { job: JobId(4) });
-    }
-
-    #[test]
     fn fanout_and_null_compose() {
-        let ring = RingSink::new(8);
-        let fanout = FanoutSink::new(vec![Box::new(NullSink), Box::new(ring.clone())]);
+        let counting = CountingSink::default();
+        let fanout = FanoutSink::new(vec![Box::new(NullSink), Box::new(counting.clone())]);
         assert!(fanout.enabled());
         assert!(!FanoutSink::new(vec![Box::new(NullSink)]).enabled());
         let mut boxed: Box<dyn TraceSink> = Box::new(fanout);
@@ -251,7 +191,7 @@ mod tests {
             kind: TraceKind::NodeCrash { node: NodeId(0) },
         });
         drop(cloned);
-        assert_eq!(ring.events().len(), 1);
+        assert_eq!(counting.metrics().node_crashes, 1);
         assert!(!NullSink.enabled());
     }
 

@@ -385,14 +385,12 @@ fn trace_scenario(
 /// [`TelemetryCollector::snapshot`] after this returns).
 ///
 /// [`RunMetrics`]: dmhpc_core::RunMetrics
-#[allow(clippy::too_many_arguments)]
 fn run_traced(
     scale: Scale,
     policy: PolicySpec,
     seed: u64,
     profile: &str,
     fault_seed: u64,
-    sample_s: f64,
     want_metrics: bool,
     telemetry: Option<&TelemetryCollector>,
 ) -> Result<(String, Option<dmhpc_core::RunMetrics>), String> {
@@ -400,7 +398,7 @@ fn run_traced(
     use dmhpc_core::{CountingSink, FanoutSink, JsonlSink, TraceSink};
     let (system, workload) = trace_scenario(scale, profile, fault_seed)?;
     let (jsonl, buf) = JsonlSink::buffered();
-    let counting = want_metrics.then(|| CountingSink::new(sample_s));
+    let counting = want_metrics.then(CountingSink::default);
     let sink: Box<dyn TraceSink> = match &counting {
         Some(c) => Box::new(FanoutSink::new(vec![
             Box::new(jsonl.clone()),
@@ -595,12 +593,6 @@ fn print_trace_summary(m: &dmhpc_core::RunMetrics) {
         "  faults: {} crashes, {} repairs, {} degrades, {} restores",
         m.node_crashes, m.node_repairs, m.pool_degrades, m.pool_restores
     );
-    eprintln!(
-        "  series: {} queue-depth and {} pool-util samples every {:.0}s",
-        m.queue_depth_series.len(),
-        m.pool_util_series.len(),
-        m.sample_interval_s
-    );
 }
 
 /// `trace-run`: dump, filter, summarise, validate, or diff structured
@@ -629,18 +621,13 @@ fn cmd_trace_run(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(),
         .map(String::as_str)
         .unwrap_or("none");
     let fault_seed: u64 = opt_parse(opts, "fault-seed", exp::faults::FAULT_SEED)?;
-    let sample_s: f64 = opt_parse(opts, "sample-s", 900.0)?;
     let summary = opts.contains_key("summary");
 
     // --diff A,B: same scenario and fault realisation, two sim seeds.
     if let Some(spec) = opts.get("diff") {
         let (sa, sb) = parse_seed_pair(spec)?;
-        let (ta, _) = run_traced(
-            scale, policy, sa, profile, fault_seed, sample_s, false, None,
-        )?;
-        let (tb, _) = run_traced(
-            scale, policy, sb, profile, fault_seed, sample_s, false, None,
-        )?;
+        let (ta, _) = run_traced(scale, policy, sa, profile, fault_seed, false, None)?;
+        let (tb, _) = run_traced(scale, policy, sb, profile, fault_seed, false, None)?;
         report_diff(out, sa, sb, &ta, &tb)?;
         return Ok(());
     }
@@ -653,7 +640,6 @@ fn cmd_trace_run(out: &mut dyn Write, scale: Scale, opts: &OptMap) -> Result<(),
         seed,
         profile,
         fault_seed,
-        sample_s,
         summary,
         collector.as_ref(),
     )?;
@@ -1157,7 +1143,6 @@ mod tests {
             42,
             "heavy",
             7,
-            900.0,
             true,
             None,
         )
@@ -1171,7 +1156,6 @@ mod tests {
             42,
             "heavy",
             7,
-            900.0,
             false,
             Some(&telem),
         )

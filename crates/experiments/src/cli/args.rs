@@ -71,7 +71,6 @@ fn command_keys(command: &str) -> Option<&'static [&'static str]> {
             "seed",
             "fault-profile",
             "fault-seed",
-            "sample-s",
             "summary",
             "diff",
             "filter",
@@ -186,7 +185,7 @@ pub fn usage() -> String {
      \x20                                        ASCII throughput panel for one sweep leg\n\
      \x20 trace-run [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
      \x20           [--out FILE] [--filter kind=K1,K2] [--from S] [--to S] [--summary]\n\
-     \x20           [--diff A,B] [--check FILE] [--sample-s S]\n\
+     \x20           [--diff A,B] [--check FILE]\n\
      \x20                                        dump one run's event trace as JSONL;\n\
      \x20                                        --diff reports the first event where two\n\
      \x20                                        sim seeds part, --check validates a file\n\

@@ -398,7 +398,7 @@ fn agg_key(p: &SweepPoint) -> AggKey {
 }
 
 /// Fold raw per-week points into one point per `(trace, overest,
-/// mem_pct, policy)`, preserving first-seen order. The fold target is
+/// mem_pct, policy, topology)`, preserving first-seen order. The fold target is
 /// found through a `HashMap` in O(1) per raw point; the previous
 /// per-point linear `position` scan made aggregation quadratic in sweep
 /// size (~2.9M comparisons for a full two-trace sweep). The merge
@@ -533,6 +533,7 @@ mod tests {
                     && q.overest == p.overest
                     && q.mem_pct == p.mem_pct
                     && q.policy == p.policy
+                    && q.topology == p.topology
             }) {
                 let q = &mut points[i];
                 let k = counts[i] as f64;
@@ -554,11 +555,12 @@ mod tests {
     }
 
     /// Raw points shaped like a real multi-week sweep: grizzly legs
-    /// repeat each (overest, mem, policy) cell once per week with
+    /// repeat each (overest, mem, policy, topology) cell once per week with
     /// week-dependent values, interleaved with single-week synthetic
     /// legs, in the exact leg-major order phase 2 emits.
     fn multiweek_raw() -> Vec<SweepPoint> {
         let policies = PolicySpec::all_default();
+        let topologies = [TopologySpec::Flat, "racks:size=4".parse().unwrap()];
         let mut raw = Vec::new();
         let mut salt = 0u32;
         for (trace, weeks) in [("grizzly", 3usize), ("large 50%", 1)] {
@@ -566,21 +568,23 @@ mod tests {
                 for week in 0..weeks {
                     for mem_pct in [37u32, 62, 100] {
                         for &policy in &policies {
-                            salt += 1;
-                            raw.push(SweepPoint {
-                                trace: trace.to_string(),
-                                overest: over,
-                                mem_pct,
-                                policy,
-                                topology: TopologySpec::Flat,
-                                throughput_jps: 0.017 * (salt as f64) + week as f64,
-                                feasible: !salt.is_multiple_of(7),
-                                completed: 100 + salt,
-                                oom_kills: salt % 5,
-                                jobs_oom_killed: salt % 3,
-                                median_response_s: 3600.0 / salt as f64,
-                                cross_rack_fraction: (salt % 11) as f64 / 100.0,
-                            });
+                            for topology in topologies {
+                                salt += 1;
+                                raw.push(SweepPoint {
+                                    trace: trace.to_string(),
+                                    overest: over,
+                                    mem_pct,
+                                    policy,
+                                    topology,
+                                    throughput_jps: 0.017 * (salt as f64) + week as f64,
+                                    feasible: !salt.is_multiple_of(7),
+                                    completed: 100 + salt,
+                                    oom_kills: salt % 5,
+                                    jobs_oom_killed: salt % 3,
+                                    median_response_s: 3600.0 / salt as f64,
+                                    cross_rack_fraction: (salt % 11) as f64 / 100.0,
+                                });
+                            }
                         }
                     }
                 }
@@ -610,8 +614,8 @@ mod tests {
             assert_eq!(f.median_response_s.to_bits(), s.median_response_s.to_bits());
         }
         // Three grizzly weeks folded into one point per cell: 2 traces ×
-        // 2 overs × 3 mem × 6 policies.
-        assert_eq!(fast.len(), 72);
+        // 2 overs × 3 mem × 6 policies × 2 topologies.
+        assert_eq!(fast.len(), 144);
     }
 
     #[test]

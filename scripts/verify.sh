@@ -26,7 +26,9 @@ echo "== tier-1 + workspace tests (debug: oracle checks on) =="
 cargo test --workspace -q
 
 echo "== golden digests on the optimised build (what users and the benchmark run) =="
-cargo test --release -q --test determinism_golden --test topology --test fast_path --test sweep_zero_copy
+# fault_injection's stats_match_trace_counts pins Stats to the trace
+# counts on the build whose end-of-run conservation checks users see.
+cargo test --release -q --test determinism_golden --test topology --test fast_path --test sweep_zero_copy --test fault_injection
 # The lane-merged event queue (arrivals, tick slot, near-future bucket
 # ring with its wrap-around and sorted head bucket, far heap) against a
 # plain min-heap, the sorted-array free-memory index against a
@@ -137,6 +139,13 @@ if ./target/release/dmhpc trace-run --check "$T/trace_inf.jsonl" 2> /dev/null; t
 fi
 ./target/release/dmhpc trace-run --scale small --fault-profile heavy --diff 17,18 > "$T/trace_diff.txt"
 grep -q "diverge at event" "$T/trace_diff.txt"
+# --summary prints the RunMetrics digest on stderr; the removed
+# --sample-s option is rejected like any unknown key (exit 2).
+./target/release/dmhpc trace-run --scale small --summary > /dev/null 2> "$T/trace_summary.err"
+grep -q "trace summary:" "$T/trace_summary.err"
+code=0
+./target/release/dmhpc trace-run --scale small --sample-s 60 > /dev/null 2>&1 || code=$?
+[ "$code" -eq 2 ] || { echo "expected --sample-s to exit 2, got $code"; exit 1; }
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -86,7 +86,7 @@ fn faults_off_is_identity() {
 #[test]
 fn trace_stream_is_deterministic_and_inert() {
     use dmhpc::core::faults::FaultConfig;
-    use dmhpc::core::trace::{validate_stream, JsonlSink, NullSink, RingSink, TraceSink};
+    use dmhpc::core::trace::{validate_stream, CountingSink, JsonlSink, NullSink, TraceSink};
     let mix = MemoryMix::new(4096, 16384, 0.5);
     let system = || {
         synthetic_system(Scale::Small, mix)
@@ -115,8 +115,8 @@ fn trace_stream_is_deterministic_and_inert() {
     assert!(n > 0, "a faulted dynamic run must emit events");
     let (_, stream_c) = traced(0xACF);
     assert_ne!(stream_a, stream_c, "a different sim seed must diverge");
-    // Sinks are outcome-inert: untraced, NullSink, and RingSink runs
-    // all produce the identical SimulationOutcome.
+    // Sinks are outcome-inert: untraced, NullSink, and CountingSink
+    // runs all produce the identical SimulationOutcome.
     let plain = SimBuilder::new(system(), workload())
         .policy(PolicySpec::Dynamic)
         .seed(0xACE)
@@ -125,7 +125,7 @@ fn trace_stream_is_deterministic_and_inert() {
     assert_eq!(plain, out_b);
     for sink in [
         Box::new(NullSink) as Box<dyn TraceSink>,
-        Box::new(RingSink::new(64)),
+        Box::new(CountingSink::default()),
     ] {
         let out = SimBuilder::new(system(), workload())
             .policy(PolicySpec::Dynamic)

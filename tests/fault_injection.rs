@@ -1,16 +1,18 @@
 //! Fault-injection robustness tests: determinism under faults, job
 //! accounting conservation, ledger invariants on randomized fault
-//! schedules, Actuator retry/escalation ordering, and scripted
-//! crash/degradation scenarios.
+//! schedules, Actuator retry/escalation ordering, scripted
+//! crash/degradation scenarios, and `Stats` against the trace counts.
 
-use dmhpc::core::cluster::{MemoryMix, NodeId};
+use dmhpc::core::cluster::{MemoryMix, NodeId, TopologySpec};
 use dmhpc::core::config::{RestartStrategy, SystemConfig};
 use dmhpc::core::engine::SimTime;
 use dmhpc::core::faults::{FaultConfig, FaultEvent, FaultSchedule};
 use dmhpc::core::job::{Job, JobId, MemoryUsageTrace};
 use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::{SimBuilder, SimulationOutcome, Workload};
-use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload};
+use dmhpc::core::trace::CountingSink;
+use dmhpc::experiments::exp::faults::{FAULT_SEED, PROFILES};
+use dmhpc::experiments::scenario::{synthetic_system, synthetic_workload, BASE_SEED};
 use dmhpc::experiments::Scale;
 use dmhpc::model::{ProfileId, ProfilePool};
 use proptest::prelude::*;
@@ -215,6 +217,63 @@ fn actuator_retries_then_escalates() {
         "every escalation is preceded by exactly max_retries retries"
     );
     assert_eq!(s.completed, 1, "static fallback must let the job finish");
+}
+
+/// `Stats` and the trace-derived `RunMetrics` are two ledgers of one
+/// run; every counter they share must agree exactly. Runs the small
+/// fault-sweep stress scenario over both topologies, both restart
+/// strategies, every fault profile and every registered policy.
+#[test]
+fn stats_match_trace_counts() {
+    let workload =
+        std::sync::Arc::new(synthetic_workload(Scale::Small, 0.5, 0.6, BASE_SEED ^ 0xFA));
+    let racks = "racks:size=16".parse::<TopologySpec>().unwrap();
+    for topology in [TopologySpec::Flat, racks] {
+        for restart in [
+            RestartStrategy::FailRestart,
+            RestartStrategy::CheckpointRestart,
+        ] {
+            for profile in PROFILES {
+                for policy in PolicySpec::all_default() {
+                    let faults = FaultConfig::profile(profile).unwrap().with_seed(FAULT_SEED);
+                    let cfg =
+                        synthetic_system(Scale::Small, MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
+                            .with_restart(restart)
+                            .with_faults(faults)
+                            .with_topology(topology);
+                    let counting = CountingSink::default();
+                    let out = SimBuilder::new(cfg, workload.clone())
+                        .policy(policy)
+                        .seed(BASE_SEED ^ 0xFA17)
+                        .trace_sink(Box::new(counting.clone()))
+                        .run();
+                    let (s, m) = (&out.stats, counting.metrics());
+                    let at = format!("{topology} {restart:?} {profile} {policy}");
+                    let kills = u64::from(s.oom_kills + s.fault_job_kills);
+                    assert_eq!(u64::from(s.completed), m.job_finishes, "{at}");
+                    assert_eq!(kills + u64::from(s.failed_exceeded), m.job_kills, "{at}");
+                    assert_eq!(kills - u64::from(s.failed_restarts), m.job_requeues, "{at}");
+                    assert_eq!(
+                        u64::from(s.total_jobs - s.unschedulable) + m.job_requeues,
+                        m.job_submits,
+                        "{at}"
+                    );
+                    assert_eq!(u64::from(s.monitor_samples_lost), m.monitor_losses, "{at}");
+                    let retries: u64 = m.actuator_retry_histogram.iter().sum();
+                    assert_eq!(u64::from(s.actuator_retries), retries, "{at}");
+                    assert_eq!(
+                        u64::from(s.actuator_escalations),
+                        m.actuator_escalations,
+                        "{at}"
+                    );
+                    assert_eq!(u64::from(s.fault_node_crashes), m.node_crashes, "{at}");
+                    assert_eq!(u64::from(s.fault_pool_degrades), m.pool_degrades, "{at}");
+                    let by_subsystem: u64 = m.by_subsystem().iter().map(|&(_, n)| n).sum();
+                    assert_eq!(by_subsystem, m.total_events, "{at}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -164,7 +164,7 @@ fn managed_mock_policy_drives_all_hooks() {
     // oversized request, later updates must grow it back.
     let ramp = MemoryUsageTrace::new(vec![(0.0, 200), (0.5, 1500)]).unwrap();
     let (policy, counters) = CountingPolicy::new(true);
-    let sink = CountingSink::new(900.0);
+    let sink = CountingSink::default();
     let out = SimBuilder::new(two_node_cfg(), workload(vec![job(0, 4000.0, 1600, ramp)]))
         .policy_impl(Box::new(policy))
         .trace_sink(Box::new(sink.clone()))
