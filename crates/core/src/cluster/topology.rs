@@ -4,7 +4,7 @@
 //! [`TopologySpec`] is the string-parameterized construction API in the
 //! style of [`PolicySpec`](crate::policy::PolicySpec) — both speak the
 //! shared [`SpecRegistry`] grammar: every
-//! shipped topology is named in one [`registry`](TopologySpec::registry),
+//! shipped topology is named in one [`registry`](SpecRegistry::spec_registry),
 //! parameterized specs round-trip through strings
 //! (`racks:size=16,cross_cap=0.5`), and [`build`](TopologySpec::build)
 //! resolves a spec into the [`Topology`] a [`Cluster`] carries.
@@ -87,22 +87,9 @@ impl SpecRegistry for TopologySpec {
 }
 
 impl TopologySpec {
-    /// Every shipped topology: name, parameter grammar, defaults, and a
-    /// one-line description. The order is the presentation order used
-    /// by sweeps and charts.
-    pub fn registry() -> &'static [SpecInfo] {
-        Self::spec_registry()
-    }
-
     /// One spec per registry entry, each at its default parameters.
     pub fn all_default() -> Vec<TopologySpec> {
         Self::registry_defaults()
-    }
-
-    /// The comma-separated registry names, for self-documenting parse
-    /// errors.
-    pub fn known_names() -> String {
-        Self::registry_names()
     }
 
     /// Spec name (the part before `:`).
@@ -344,7 +331,7 @@ mod tests {
     fn bad_specs_are_rejected_with_the_registry() {
         let err = "torus".parse::<TopologySpec>().unwrap_err().to_string();
         assert!(err.contains("unknown topology 'torus'"), "{err}");
-        for info in TopologySpec::registry() {
+        for info in TopologySpec::spec_registry() {
             assert!(err.contains(info.name), "{err} must list {}", info.name);
         }
         assert!("flat:size=4".parse::<TopologySpec>().is_err());
@@ -382,9 +369,9 @@ mod tests {
     #[test]
     fn registry_and_defaults_agree() {
         let all = TopologySpec::all_default();
-        assert_eq!(all.len(), TopologySpec::registry().len());
+        assert_eq!(all.len(), TopologySpec::spec_registry().len());
         assert_eq!(all.len(), 2);
-        for (spec, info) in all.iter().zip(TopologySpec::registry()) {
+        for (spec, info) in all.iter().zip(TopologySpec::spec_registry()) {
             assert_eq!(spec.name(), info.name);
             assert_eq!(spec.to_string(), info.default_spec);
         }

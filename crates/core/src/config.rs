@@ -78,11 +78,6 @@ pub struct SystemConfig {
     pub restart: RestartStrategy,
     /// Fairness mitigation for repeatedly failing jobs.
     pub oom_mitigation: OomMitigation,
-    /// Cost of one node excluding memory, in dollars (Table 4: $10,154,
-    /// including node, network, switches and small storage).
-    pub cost_per_node_usd: f64,
-    /// Cost of 128 GB of memory in dollars (Table 4: $1,280).
-    pub cost_per_128gb_usd: f64,
     /// Remote link capacity for the contention model, GB/s.
     pub link_capacity_gbs: f64,
     /// Fault-injection configuration; all rates zero by default
@@ -118,8 +113,6 @@ impl SystemConfig {
             lend_cap_fraction: 0.5,
             restart: RestartStrategy::FailRestart,
             oom_mitigation: OomMitigation::None,
-            cost_per_node_usd: 10_154.0,
-            cost_per_128gb_usd: 1_280.0,
             link_capacity_gbs: 12.5,
             faults: FaultConfig::none(),
             topology: TopologySpec::Flat,
@@ -230,19 +223,6 @@ impl SystemConfig {
     pub fn total_memory_mb(&self) -> u64 {
         self.memory_mix.total_memory_mb(self.nodes)
     }
-
-    /// Total system memory as a fraction of an all-large (128 GB/node)
-    /// system — the x-axis of Figures 5 and 8.
-    pub fn memory_fraction_of_full(&self) -> f64 {
-        self.total_memory_mb() as f64 / (self.nodes as u64 * MemoryMix::FULL_NODE_MB) as f64
-    }
-
-    /// Total system cost in dollars: nodes plus provisioned memory
-    /// (Table 4 / §4.3).
-    pub fn total_cost_usd(&self) -> f64 {
-        let mem_128gb_units = self.total_memory_mb() as f64 / (128.0 * 1024.0);
-        self.nodes as f64 * self.cost_per_node_usd + mem_128gb_units * self.cost_per_128gb_usd
-    }
 }
 
 #[cfg(test)]
@@ -259,8 +239,6 @@ mod tests {
         assert_eq!(c.backfill_depth, 100);
         assert_eq!(c.mem_update_interval_s, 300.0);
         assert_eq!(c.lend_cap_fraction, 0.5);
-        assert_eq!(c.cost_per_node_usd, 10_154.0);
-        assert_eq!(c.cost_per_128gb_usd, 1_280.0);
         assert!(!c.faults.enabled(), "defaults must be fault-free");
         assert_eq!(SystemConfig::grizzly_1490().nodes, 1490);
     }
@@ -295,26 +273,5 @@ mod tests {
             large_fraction: 0.0,
         };
         assert!(matches!(c.validate(), Err(CoreError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn full_system_memory_fraction_is_one() {
-        let c = SystemConfig::synthetic_1024().with_memory_mix(MemoryMix::all_large());
-        assert!((c.memory_fraction_of_full() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_scales_with_memory() {
-        let full = SystemConfig::synthetic_1024().with_memory_mix(MemoryMix::all_large());
-        let half = SystemConfig::synthetic_1024().with_memory_mix(MemoryMix::new(
-            64 * 1024,
-            128 * 1024,
-            0.0,
-        ));
-        assert!(full.total_cost_usd() > half.total_cost_usd());
-        // Node cost dominates: $10,154 × 1024 vs memory $1,280 × 1024.
-        let node_part = 1024.0 * 10_154.0;
-        assert!(full.total_cost_usd() - node_part > 0.0);
-        assert!((full.total_cost_usd() - node_part - 1024.0 * 1_280.0).abs() < 1.0);
     }
 }

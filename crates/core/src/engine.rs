@@ -371,7 +371,9 @@ impl EventQueue {
         self.ring[next].sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Time of the earliest pending event.
+    /// Time of the earliest pending event (checked against the
+    /// reference heap in `lanes_pop_like_one_heap`).
+    #[cfg(test)]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.first_lane().map(|(_, e)| e.time)
     }

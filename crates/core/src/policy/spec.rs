@@ -1,7 +1,7 @@
 //! The parameterized policy-construction API.
 //!
 //! [`PolicySpec`] is the single policy enum: every policy the simulator
-//! ships is named in one [`registry`](PolicySpec::registry),
+//! ships is named in one [`registry`](crate::spec::SpecRegistry::spec_registry),
 //! parameterized specs round-trip through strings
 //! (`overcommit:factor=0.8`, `conservative:quantum=4096`), and
 //! [`build`](PolicySpec::build) resolves a spec into the boxed
@@ -112,23 +112,10 @@ impl SpecRegistry for PolicySpec {
 }
 
 impl PolicySpec {
-    /// Every shipped policy: name, parameter grammar, defaults, and a
-    /// one-line description. The order is the presentation order used
-    /// by sweeps and charts.
-    pub fn registry() -> &'static [SpecInfo] {
-        Self::spec_registry()
-    }
-
     /// One spec per registry entry, each at its default parameters —
     /// the six-column sweep the experiments iterate.
     pub fn all_default() -> Vec<PolicySpec> {
         Self::registry_defaults()
-    }
-
-    /// The comma-separated registry names, for self-documenting parse
-    /// errors.
-    pub fn known_names() -> String {
-        Self::registry_names()
     }
 
     /// Spec name (the part before `:`).
@@ -356,7 +343,7 @@ mod tests {
     fn bad_specs_are_rejected_with_the_registry() {
         let err = "greedy".parse::<PolicySpec>().unwrap_err().to_string();
         assert!(err.contains("unknown policy 'greedy'"), "{err}");
-        for info in PolicySpec::registry() {
+        for info in PolicySpec::spec_registry() {
             assert!(err.contains(info.name), "{err} must list {}", info.name);
         }
         assert!("overcommit:factor=nope".parse::<PolicySpec>().is_err());
@@ -396,9 +383,9 @@ mod tests {
     #[test]
     fn registry_and_defaults_agree() {
         let all = PolicySpec::all_default();
-        assert_eq!(all.len(), PolicySpec::registry().len());
+        assert_eq!(all.len(), PolicySpec::spec_registry().len());
         assert_eq!(all.len(), 6);
-        for (spec, info) in all.iter().zip(PolicySpec::registry()) {
+        for (spec, info) in all.iter().zip(PolicySpec::spec_registry()) {
             assert_eq!(spec.name(), info.name);
             assert_eq!(spec.to_string(), info.default_spec);
         }

@@ -222,15 +222,3 @@ pub struct JobRecord {
     /// Terminal state.
     pub outcome: JobOutcome,
 }
-
-impl JobRecord {
-    /// Response time (submission → completion), if completed.
-    pub fn response_s(&self) -> Option<f64> {
-        Some(self.finish_s? - self.submit_s)
-    }
-
-    /// Wait time (submission → first start), if ever started.
-    pub fn wait_s(&self) -> Option<f64> {
-        Some(self.first_start_s? - self.submit_s)
-    }
-}

@@ -4,7 +4,7 @@
 
 use super::builder::SimBuilder;
 use super::hooks::{Baseline, DynamicAlloc, MemoryPolicy, StaticAlloc};
-use super::state::Workload;
+use super::state::{JobRecord, Workload};
 use crate::cluster::MemoryMix;
 use crate::config::{RestartStrategy, SystemConfig};
 use crate::job::{Job, JobId, MemoryUsageTrace};
@@ -33,6 +33,11 @@ fn pool() -> ProfilePool {
 
 fn workload(jobs: Vec<Job>) -> Workload {
     Workload::try_new(jobs, pool()).unwrap()
+}
+
+/// Response time (submission → completion) of a completed job.
+fn response_s(r: &JobRecord) -> f64 {
+    r.finish_s.expect("the job completed") - r.submit_s
 }
 
 fn sim(cfg: SystemConfig, jobs: Vec<Job>, policy: Box<dyn MemoryPolicy>) -> SimBuilder {
@@ -353,8 +358,8 @@ fn priority_boost_requeues_at_head() {
     assert_eq!(plain.stats.completed, 8);
     if boosted.stats.oom_kills > 0 {
         // The grower itself must not finish later with the boost.
-        let grower_b = boosted.job_records[0].response_s().unwrap();
-        let grower_p = plain.job_records[0].response_s().unwrap();
+        let grower_b = response_s(&boosted.job_records[0]);
+        let grower_p = response_s(&plain.job_records[0]);
         assert!(
             grower_b <= grower_p + 1e-6,
             "boosted {grower_b} vs plain {grower_p}"

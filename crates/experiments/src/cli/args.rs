@@ -1,15 +1,18 @@
 //! The `dmhpc` argument grammar: positional command, the common
 //! `--scale/--threads/--csv` trio, and a `--key value` map for
-//! everything subcommand-specific, holding only keys the command reads.
+//! everything subcommand-specific, holding only keys the command's
+//! [`Command`] row lists.
 
 use crate::scale::Scale;
 
+use super::commands::{command, Command, COMMANDS};
 use super::opts::OptMap;
 
 /// Parsed command line of one `dmhpc` invocation.
+#[derive(Debug)]
 pub struct Args {
-    /// The subcommand (`fig5`, `fault-sweep`, `chart`, …).
-    pub command: String,
+    /// The subcommand's row in the command table.
+    pub command: &'static Command,
     /// Problem scale every experiment accepts.
     pub scale: Scale,
     /// Worker threads for the sweep runners (0 = all cores).
@@ -25,91 +28,23 @@ pub struct Args {
 /// map.
 const VALUELESS: [&str; 4] = ["summary", "telemetry", "quiet", "progress"];
 
-/// The `--key value` options `command` reads, besides `--quiet` and
-/// `--progress` (every command) and the `--scale/--threads/--csv` trio
-/// (parsed into [`Args`]); `None` for an unknown command, which the
-/// dispatcher rejects by name.
-fn command_keys(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "table1" | "table2" | "table3" | "table4" | "fig2" | "fig4" | "fig6" | "fig7" | "fig9"
-        | "ablate" | "validate" | "policies" | "topologies" | "help" | "--help" | "-h" => &[],
-        "fig5" | "fig8" | "all" => &["policies", "topology", "manifest", "resume", "point-limit"],
-        "chart" => &[
-            "large",
-            "over",
-            "width",
-            "policies",
-            "topology",
-            "manifest",
-            "resume",
-            "point-limit",
-        ],
-        "fault-sweep" => &[
-            "fault-seed",
-            "fault-profile",
-            "policies",
-            "topology",
-            "telemetry",
-            "sample-interval",
-            "manifest",
-            "resume",
-            "point-limit",
-        ],
-        "export" => &["out", "jobs", "large", "over", "seed"],
-        "simulate" => &[
-            "swf",
-            "usage",
-            "policy",
-            "nodes",
-            "large-nodes",
-            "telemetry",
-            "sample-interval",
-        ],
-        "trace-run" => &[
-            "check",
-            "policy",
-            "seed",
-            "fault-profile",
-            "fault-seed",
-            "summary",
-            "diff",
-            "filter",
-            "from",
-            "to",
-            "out",
-            "telemetry",
-            "sample-interval",
-        ],
-        "report" => &[
-            "policy",
-            "seed",
-            "fault-profile",
-            "fault-seed",
-            "sample-interval",
-            "format",
-            "out",
-        ],
-        "sweep-status" => &["manifest"],
-        _ => return None,
-    })
-}
+/// Options every command takes besides the ones its row lists.
+const GLOBAL: [&str; 5] = ["scale", "threads", "csv", "quiet", "progress"];
 
 /// Reject `--key` unless `command` reads it: a typo or a removed option
 /// must fail instead of being silently ignored.
-fn check_key(command: &str, key: &str) -> Result<(), String> {
-    let Some(keys) = command_keys(command) else {
-        return Ok(());
-    };
-    if key == "quiet" || key == "progress" || keys.contains(&key) {
+fn check_key(command: &Command, key: &str) -> Result<(), String> {
+    if GLOBAL.contains(&key) || command.keys().any(|k| k == key) {
         return Ok(());
     }
-    let accepted: Vec<String> = ["scale", "threads", "csv", "quiet", "progress"]
-        .iter()
-        .chain(keys)
+    let accepted: Vec<String> = GLOBAL
+        .into_iter()
+        .chain(command.keys())
         .map(|k| format!("--{k}"))
         .collect();
     Err(format!(
-        "{command}: unknown option --{key} (accepted: {})",
+        "{}: unknown option --{key} (accepted: {})",
+        command.name,
         accepted.join(", ")
     ))
 }
@@ -118,10 +53,12 @@ fn check_key(command: &str, key: &str) -> Result<(), String> {
 ///
 /// # Errors
 /// Returns the usage string when no command is given, and a targeted
-/// message (with usage appended) for malformed flags. An option the
-/// command does not read is an error naming the options it does.
+/// message (with usage appended) for an unknown command or a malformed
+/// flag. An option the command does not read is an error naming the
+/// options it does.
 pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let command = args.next().ok_or_else(usage)?;
+    let name = args.next().ok_or_else(usage)?;
+    let command = command(&name).ok_or_else(|| format!("unknown command '{name}'\n{}", usage()))?;
     let mut scale = Scale::Medium;
     let mut threads = 0usize;
     let mut csv = false;
@@ -139,7 +76,7 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
             "--csv" => csv = true,
             flag if flag.starts_with("--") => {
                 let key = &flag[2..];
-                check_key(&command, key)?;
+                check_key(command, key)?;
                 let v = if VALUELESS.contains(&key) {
                     "1".to_string()
                 } else {
@@ -147,8 +84,8 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
                 };
                 opts.insert(key.to_string(), v);
             }
-            // `sweep-status <manifest>` takes its path positionally.
-            other if command == "sweep-status" && !opts.contains_key("manifest") => {
+            // `sweep-status [--manifest] PATH` takes its path positionally.
+            other if command.name == "sweep-status" && !opts.contains_key("manifest") => {
                 opts.insert("manifest".to_string(), other.to_string());
             }
             other => return Err(format!("unknown argument '{other}'\n{}", usage())),
@@ -163,70 +100,67 @@ pub fn parse_args_from(mut args: impl Iterator<Item = String>) -> Result<Args, S
     })
 }
 
-/// The usage text shown by `dmhpc help` and on argument errors.
+/// The column where a command's description starts in [`usage`].
+const ABOUT_COLUMN: usize = 41;
+
+/// The usage text shown by `dmhpc help` and on argument errors: the
+/// command section renders one [`Command`] row each.
 pub fn usage() -> String {
-    "usage: dmhpc <command> [--scale small|medium|full|huge] [--threads N] [--csv]\n\
-     \x20               [--quiet | --progress]\n\
-     commands:\n\
-     \x20 table1 table2 table3 table4            regenerate the paper's tables\n\
-     \x20 fig2 fig4 fig5 fig6 fig7 fig8 fig9     regenerate the paper's figures\n\
-     \x20 ablate                                 design-choice ablations\n\
-     \x20 fault-sweep [--fault-seed S] [--fault-profile none|light|heavy] [--policies SPECS]\n\
-     \x20                                        resilience under injected faults\n\
-     \x20 validate                               PASS/FAIL the headline claims\n\
-     \x20 all                                    everything above\n\
-     \x20 policies                               list the policy registry (specs & defaults)\n\
-     \x20 topologies                             list the topology registry (specs & defaults)\n\
-     \x20 export  --out DIR [--jobs N] [--large F] [--over O] [--seed S]\n\
-     \x20                                        write workload.swf + usage.txt\n\
-     \x20 simulate --swf FILE [--usage FILE] [--policy P] [--nodes N] [--large-nodes F]\n\
-     \x20                                        run an SWF trace through the simulator\n\
-     \x20 chart   [--large F] [--over O] [--width N] [--policies SPECS]\n\
-     \x20                                        ASCII throughput panel for one sweep leg\n\
-     \x20 trace-run [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
-     \x20           [--out FILE] [--filter kind=K1,K2] [--from S] [--to S] [--summary]\n\
-     \x20           [--diff A,B] [--check FILE]\n\
-     \x20                                        dump one run's event trace as JSONL;\n\
-     \x20                                        --diff reports the first event where two\n\
-     \x20                                        sim seeds part, --check validates a file\n\
-     \x20 sweep-status <manifest>                inspect a durable-sweep journal: header,\n\
-     \x20                                        completed/failed/pending counts, per-point\n\
-     \x20                                        wall time and failure reasons,\n\
-     \x20                                        plus a phase-time breakdown when points\n\
-     \x20                                        were profiled with --telemetry\n\
-     \x20 report  [--policy P] [--seed S] [--fault-profile none|light|heavy] [--fault-seed S]\n\
-     \x20         [--sample-interval S] [--format table|prom|csv|jsonl] [--out FILE]\n\
-     \x20                                        run the stress scenario under telemetry and\n\
-     \x20                                        render gauge sparklines + the phase profile,\n\
-     \x20                                        or export the sampled series (Prometheus\n\
-     \x20                                        text, CSV, or JSONL)\n\
-     \x20 help                                   show this message\n\
-     \n\
-     simulate, trace-run and fault-sweep accept --telemetry\n\
-     [--sample-interval S] to sample gauge series (sim time, default 60 s)\n\
-     and profile simulator phases (wall clock); off by default and\n\
-     bit-inert on every simulated outcome\n\
-     \n\
-     --quiet forces the stderr progress line off; --progress forces it on\n\
-     even when stderr is not a terminal\n\
-     \n\
-     fig5 and fig8 also accept --policies SPECS, a comma-separated list of\n\
-     policy specs like 'baseline,dynamic,overcommit:factor=0.8' (see\n\
-     `dmhpc policies` for the registry; defaults to every policy)\n\
-     \n\
-     fig5, fig8, chart and fault-sweep accept --topology SPECS,\n\
-     a comma-separated list of topology specs like 'flat,racks:size=16'\n\
-     (see `dmhpc topologies` for the registry; defaults to flat)\n\
-     \n\
-     fig5, fig8, chart and fault-sweep run through the durable\n\
-     execution layer and accept:\n\
-     \x20 --manifest PATH    journal each point to PATH as it completes\n\
-     \x20 --resume PATH      skip points already journaled in PATH, append new ones\n\
-     \x20 --point-limit K    stop draining after K points (deterministic Ctrl-C\n\
-     \x20                    stand-in for tests; exits 75 like an interrupt)\n\
-     Ctrl-C finishes in-flight points, flushes the manifest, and exits 75;\n\
-     a second Ctrl-C aborts immediately (exit 130)"
-        .to_string()
+    let mut u = String::from(
+        "usage: dmhpc <command> [--scale small|medium|full|huge] [--threads N] [--csv]\n\
+         \x20               [--quiet | --progress]\n\
+         commands:\n",
+    );
+    for c in &COMMANDS {
+        let indent = " ".repeat(c.name.len() + 3);
+        let mut lines = vec![format!("  {}", c.name)];
+        for (i, part) in c.synopsis.lines().enumerate() {
+            if i == 0 {
+                lines[0] = format!("  {} {part}", c.name);
+            } else {
+                lines.push(format!("{indent}{part}"));
+            }
+        }
+        for (i, about) in c.about.lines().enumerate() {
+            let last = lines.last_mut().expect("a row renders its name");
+            if i == 0 && last.len() < ABOUT_COLUMN {
+                *last = format!("{last:ABOUT_COLUMN$}{about}");
+            } else {
+                lines.push(format!("{:ABOUT_COLUMN$}{about}", ""));
+            }
+        }
+        for line in lines {
+            u.push_str(&line);
+            u.push('\n');
+        }
+    }
+    u.push_str(
+        "\n\
+         --policies SPECS is a comma-separated list of policy specs like\n\
+         'baseline,dynamic,overcommit:factor=0.8' (see `dmhpc policies` for the\n\
+         registry; defaults to every policy, baseline always included);\n\
+         --policy P names one spec (default dynamic)\n\
+         \n\
+         --topology SPECS is a comma-separated list of topology specs like\n\
+         'flat,racks:size=16' (see `dmhpc topologies` for the registry;\n\
+         defaults to flat)\n\
+         \n\
+         --telemetry [--sample-interval S] samples gauge series (sim time,\n\
+         default 60 s) and profiles simulator phases (wall clock); off by\n\
+         default and bit-inert on every simulated outcome\n\
+         \n\
+         --quiet forces the stderr progress line off; --progress forces it on\n\
+         even when stderr is not a terminal\n\
+         \n\
+         durable sweeps:\n\
+         \x20 --manifest PATH    journal each point to PATH as it completes\n\
+         \x20 --resume PATH      skip points already journaled in PATH, append new ones\n\
+         \x20 --point-limit K    stop draining after K points (deterministic Ctrl-C\n\
+         \x20                    stand-in for tests; exits 75 like an interrupt)\n\
+         Ctrl-C finishes in-flight points, flushes the manifest, and exits 75;\n\
+         a second Ctrl-C aborts immediately (exit 130)",
+    );
+    u
 }
 
 #[cfg(test)]
@@ -243,7 +177,7 @@ mod tests {
             "simulate", "--swf", "w.swf", "--policy", "static", "--scale", "small", "--csv",
         ])
         .unwrap();
-        assert_eq!(args.command, "simulate");
+        assert_eq!(args.command.name, "simulate");
         assert!(args.csv);
         assert_eq!(args.opts.get("swf").unwrap(), "w.swf");
         assert_eq!(args.opts.get("policy").unwrap(), "static");
@@ -255,7 +189,7 @@ mod tests {
     #[test]
     fn sweep_status_takes_its_manifest_positionally() {
         let args = parse(&["sweep-status", "/tmp/run.jsonl"]).unwrap();
-        assert_eq!(args.command, "sweep-status");
+        assert_eq!(args.command.name, "sweep-status");
         assert_eq!(args.opts.get("manifest").unwrap(), "/tmp/run.jsonl");
         // --manifest still works, and a second positional is an error.
         let args = parse(&["sweep-status", "--manifest", "/tmp/run.jsonl"]).unwrap();
@@ -266,67 +200,60 @@ mod tests {
     }
 
     #[test]
-    fn usage_lists_every_subcommand() {
+    fn usage_lists_every_command_and_the_keys_it_reads() {
         let u = usage();
-        for cmd in [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "fig2",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "ablate",
-            "fault-sweep",
-            "validate",
-            "all",
-            "policies",
-            "topologies",
-            "export",
-            "simulate",
-            "chart",
-            "trace-run",
-            "sweep-status",
-            "report",
-            "help",
-        ] {
-            assert!(u.contains(cmd), "usage() is missing '{cmd}'");
+        for c in &COMMANDS {
+            let listed = u.lines().any(|l| l.split(' ').nth(2) == Some(c.name));
+            assert!(listed, "usage() does not list '{}'", c.name);
         }
-        // Every option some command accepts is documented.
-        for cmd in [
-            "fig5",
-            "chart",
-            "fault-sweep",
-            "export",
-            "simulate",
-            "trace-run",
-            "report",
-        ] {
-            for key in command_keys(cmd).unwrap() {
-                assert!(
-                    u.contains(&format!("--{key}")),
-                    "usage() is missing '--{key}'"
-                );
-            }
-        }
-        // The durable-execution, topology and telemetry flags are
-        // documented too.
-        for flag in [
-            "--manifest",
-            "--resume",
-            "--point-limit",
-            "--topology",
-            "--telemetry",
-            "--sample-interval",
-            "--quiet",
-            "--progress",
-        ] {
+        for flag in ["--scale", "--threads", "--csv", "--quiet", "--progress"] {
             assert!(u.contains(flag), "usage() is missing '{flag}'");
         }
+        // A command reads exactly the keys its synopsis names.
+        let keys = |name| command(name).unwrap().keys().collect::<Vec<_>>();
+        assert!(keys("table1").is_empty());
+        assert_eq!(keys("all"), ["policies"]);
+        assert_eq!(keys("sweep-status"), ["manifest"]);
+        assert_eq!(
+            keys("fault-sweep"),
+            [
+                "fault-seed",
+                "fault-profile",
+                "policies",
+                "topology",
+                "telemetry",
+                "sample-interval",
+                "manifest",
+                "resume",
+                "point-limit",
+            ]
+        );
+        assert_eq!(
+            keys("trace-run"),
+            [
+                "policy",
+                "seed",
+                "fault-profile",
+                "fault-seed",
+                "out",
+                "filter",
+                "from",
+                "to",
+                "summary",
+                "diff",
+                "check",
+                "telemetry",
+                "sample-interval",
+            ]
+        );
+    }
+
+    #[test]
+    fn unknown_command_is_a_usage_error_listing_the_commands() {
+        let err = parse(&["bogus", "--x", "1"]).err().unwrap();
+        assert!(err.contains("unknown command 'bogus'"), "{err}");
+        assert!(err.contains("trace-run"), "{err}");
+        assert!(parse(&[]).is_err());
     }
 
     #[test]
@@ -352,6 +279,13 @@ mod tests {
         assert!(parse(&["fig5", "--swf", "w.swf"]).is_err());
         assert!(parse(&["fig5", "--telemetry"]).is_err());
         assert!(parse(&["report", "--summary"]).is_err());
+        // `all` reads only --policies: the durable and topology options
+        // belong to the sweep commands.
+        parse(&["all", "--policies", "dynamic"]).unwrap();
+        for key in ["--topology", "--manifest", "--resume", "--point-limit"] {
+            let err = parse(&["all", key, "x"]).err().unwrap();
+            assert!(err.contains("all: unknown option"), "{key}: {err}");
+        }
         // Every command takes the global flags and its own options.
         for argv in [
             &[

@@ -51,6 +51,21 @@ pub fn policies_from_opts(opts: &OptMap) -> Result<Vec<PolicySpec>, String> {
     }
 }
 
+/// Parse `--policy P`, the one policy of a single-run command
+/// (`simulate`, `trace-run`, `report`), defaulting to `dynamic`.
+///
+/// # Errors
+/// Returns `--policy: <error>` for an unknown name or bad parameters.
+pub(crate) fn policy_from_opts(opts: &OptMap) -> Result<PolicySpec, String> {
+    opt_parse(opts, "policy", PolicySpec::Dynamic)
+}
+
+/// `--fault-profile` of a single traced run, defaulting to `none`
+/// (the name is checked when the profile is built).
+pub(crate) fn fault_profile_from_opts(opts: &OptMap) -> &str {
+    opts.get("fault-profile").map_or("none", String::as_str)
+}
+
 /// Parse `--topology spec,spec,...` from the option map, defaulting to
 /// the flat topology (today's single-domain fabric) so every command
 /// reproduces its pre-topology output bit for bit when the flag is
@@ -66,31 +81,40 @@ pub fn topologies_from_opts(opts: &OptMap) -> Result<Vec<TopologySpec>, String> 
     }
 }
 
+/// Parse `--sample-interval S`, the seconds of simulated time between
+/// telemetry gauge samples (default 60 s).
+///
+/// # Errors
+/// Returns a message when the interval is malformed or non-positive.
+pub(crate) fn sample_interval_from_opts(opts: &OptMap) -> Result<f64, String> {
+    let interval: f64 = opt_parse(opts, "sample-interval", 60.0)?;
+    if !interval.is_finite() || interval <= 0.0 {
+        return Err(format!(
+            "--sample-interval: must be a positive number of seconds, got {interval}"
+        ));
+    }
+    Ok(interval)
+}
+
 /// Parse the telemetry flags: `None` without `--telemetry` (the
 /// default — telemetry must stay opt-in so runs are byte-identical to
-/// their pre-telemetry output), otherwise a [`TelemetrySpec`] with
-/// `--sample-interval` seconds between gauge samples (default 60 s of
-/// simulated time).
+/// their pre-telemetry output), otherwise a [`TelemetrySpec`] sampling
+/// every `--sample-interval` seconds (default 60 s of simulated time).
 ///
 /// # Errors
 /// Returns a message when `--sample-interval` is malformed or
 /// non-positive, or given without `--telemetry` (a silent no-op flag
 /// would hide the typo).
 pub fn telemetry_from_opts(opts: &OptMap) -> Result<Option<TelemetrySpec>, String> {
-    let enabled = opts.contains_key("telemetry");
-    let interval: f64 = opt_parse(opts, "sample-interval", 60.0)?;
-    if !enabled {
+    if !opts.contains_key("telemetry") {
         if opts.contains_key("sample-interval") {
             return Err("--sample-interval requires --telemetry".into());
         }
         return Ok(None);
     }
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!(
-            "--sample-interval: must be a positive number of seconds, got {interval}"
-        ));
-    }
-    Ok(Some(TelemetrySpec::with_interval(interval)))
+    Ok(Some(TelemetrySpec::with_interval(
+        sample_interval_from_opts(opts)?,
+    )))
 }
 
 /// Parse `--quiet` / `--progress` into a [`ProgressMode`] override.
@@ -143,11 +167,11 @@ pub fn durable_from_opts(opts: &OptMap) -> Result<DurableOptions, String> {
 }
 
 /// Every flag the sweep-style commands share, read in one call: the
-/// policy and topology lists, the opt-in telemetry spec, the
-/// durable-execution options, and the progress-mode override. Commands
-/// that historically called the five readers back to back
-/// (`policies_from_opts`, `topologies_from_opts`, …) read this instead,
-/// so a new shared flag lands in every command by construction.
+/// policy and topology lists, the opt-in telemetry spec, and the
+/// durable-execution options. Commands that historically called the
+/// readers back to back (`policies_from_opts`, `topologies_from_opts`,
+/// …) read this instead, so a new shared flag lands in every command by
+/// construction.
 #[derive(Debug)]
 pub struct CommonRunOpts {
     /// `--policies spec,…` (default: the full registry, baseline first).
@@ -158,8 +182,6 @@ pub struct CommonRunOpts {
     pub telemetry: Option<TelemetrySpec>,
     /// `--manifest` / `--resume` / `--point-limit`.
     pub durable: DurableOptions,
-    /// `--quiet` / `--progress` (default: auto-detect a TTY).
-    pub progress: ProgressMode,
 }
 
 impl CommonRunOpts {
@@ -176,7 +198,6 @@ impl CommonRunOpts {
             topologies: topologies_from_opts(opts)?,
             telemetry: telemetry_from_opts(opts)?,
             durable: durable_from_opts(opts)?,
-            progress: progress_mode_from_opts(opts)?,
         })
     }
 }
@@ -244,6 +265,32 @@ mod tests {
     }
 
     #[test]
+    fn single_run_flags_share_one_reader() {
+        let bare = parse(&["report"]).unwrap();
+        assert_eq!(policy_from_opts(&bare.opts).unwrap(), PolicySpec::Dynamic);
+        assert_eq!(fault_profile_from_opts(&bare.opts), "none");
+        assert_eq!(sample_interval_from_opts(&bare.opts).unwrap(), 60.0);
+        let args = parse(&[
+            "trace-run",
+            "--policy",
+            "static",
+            "--fault-profile",
+            "heavy",
+        ])
+        .unwrap();
+        assert_eq!(policy_from_opts(&args.opts).unwrap(), PolicySpec::Static);
+        assert_eq!(fault_profile_from_opts(&args.opts), "heavy");
+        let bad = parse(&["simulate", "--policy", "greedy"]).unwrap();
+        let err = policy_from_opts(&bad.opts).unwrap_err();
+        assert!(err.starts_with("--policy:"), "{err}");
+        for bad in ["abc", "0", "-5", "nan"] {
+            let args = parse(&["report", "--sample-interval", bad]).unwrap();
+            let err = sample_interval_from_opts(&args.opts).unwrap_err();
+            assert!(err.starts_with("--sample-interval:"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn topology_specs_round_trip_through_args() {
         let args = parse(&[
             "fig5",
@@ -304,7 +351,7 @@ mod tests {
     #[test]
     fn fault_seed_round_trips_through_args() {
         let args = parse(&["fault-sweep", "--fault-seed", "3735928559"]).unwrap();
-        assert_eq!(args.command, "fault-sweep");
+        assert_eq!(args.command.name, "fault-sweep");
         let seed: u64 = opt_parse(&args.opts, "fault-seed", FAULT_SEED).unwrap();
         assert_eq!(seed, 0xDEAD_BEEF);
         // Absent flag falls back to the sweep's published default seed.
@@ -405,14 +452,12 @@ mod tests {
         assert_eq!(common.topologies, topologies_from_opts(&args.opts).unwrap());
         assert_eq!(common.telemetry, telemetry_from_opts(&args.opts).unwrap());
         assert_eq!(common.durable.point_limit, Some(2));
-        assert_eq!(common.progress, ProgressMode::Off);
 
         // Defaults mirror the individual readers' defaults.
         let bare = CommonRunOpts::from_opts(&parse(&["fig5"]).unwrap().opts).unwrap();
         assert_eq!(bare.policies, PolicySpec::all_default());
         assert_eq!(bare.topologies, vec![TopologySpec::Flat]);
         assert_eq!(bare.telemetry, None);
-        assert_eq!(bare.progress, ProgressMode::Auto);
 
         // Errors keep their flag-name prefix and surface in one read.
         let bad = parse(&["fig5", "--policies", "greedy"]).unwrap();

@@ -9,6 +9,8 @@ use crate::scale::Scale;
 use crate::scenario::{grizzly_bundle, synthetic_workload, BASE_SEED};
 use crate::table::TextTable;
 use dmhpc_core::config::SystemConfig;
+use dmhpc_core::spec::SpecRegistry;
+use dmhpc_metrics::cost::CostModel;
 use dmhpc_metrics::summary::{binned_percentages, FiveNumber};
 use dmhpc_traces::distributions::{table2_percentages, Dataset, SizeClass, TABLE2_EDGES_GB};
 use dmhpc_traces::pipeline::NORMAL_NODE_MB;
@@ -174,7 +176,7 @@ pub fn table4() -> TextTable {
         "32/64/128".into(),
         "32/64/128".into(),
     ]);
-    let policies = dmhpc_core::policy::PolicySpec::registry()
+    let policies = dmhpc_core::policy::PolicySpec::spec_registry()
         .iter()
         .map(|i| i.name)
         .collect::<Vec<_>>()
@@ -204,15 +206,17 @@ pub fn table4() -> TextTable {
         "0/15/25/50/75/100".into(),
         "0/15/25/50/75/100".into(),
     ]);
+    // Both systems are priced by the §4.3 cost model Figure 7 uses.
+    let cost = CostModel::default();
     t.row(vec![
         "cost per node (excl. mem)".to_string(),
-        format!("${:.0}", synth.cost_per_node_usd),
-        format!("${:.0}", griz.cost_per_node_usd),
+        format!("${:.0}", cost.per_node_usd),
+        format!("${:.0}", cost.per_node_usd),
     ]);
     t.row(vec![
         "cost per 128 GB".to_string(),
-        format!("${:.0}", synth.cost_per_128gb_usd),
-        format!("${:.0}", griz.cost_per_128gb_usd),
+        format!("${:.0}", cost.per_128gb_usd),
+        format!("${:.0}", cost.per_128gb_usd),
     ]);
     t.row(vec![
         "mem update interval (s)".to_string(),

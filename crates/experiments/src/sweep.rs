@@ -356,17 +356,6 @@ impl ThroughputSweep {
             .filter(move |p| p.trace == trace && p.overest == overest)
     }
 
-    /// Points matching a `(trace, overest, topology)` leg.
-    pub fn leg_topo<'a>(
-        &'a self,
-        trace: &'a str,
-        overest: f64,
-        topology: TopologySpec,
-    ) -> impl Iterator<Item = &'a SweepPoint> {
-        self.leg(trace, overest)
-            .filter(move |p| p.topology == topology)
-    }
-
     /// The distinct topologies in this sweep, in first-seen order.
     pub fn topologies(&self) -> Vec<TopologySpec> {
         let mut out: Vec<TopologySpec> = Vec::new();

@@ -123,16 +123,6 @@ impl Ecdf {
     pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
         qs.iter().map(|&q| self.quantile(q)).collect()
     }
-
-    /// Maximum vertical distance to another ECDF (two-sample
-    /// Kolmogorov–Smirnov statistic) — handy for comparing policies.
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
 }
 
 /// Quantiles of a raw time-series value vector: drops non-finite
@@ -251,18 +241,5 @@ mod tests {
             assert!(w[1].0 > w[0].0);
             assert!(w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn ks_distance_zero_for_self() {
-        let e = ecdf(&[1.0, 5.0, 7.0]);
-        assert_eq!(e.ks_distance(&e), 0.0);
-    }
-
-    #[test]
-    fn ks_distance_detects_shift() {
-        let a = ecdf(&(0..100).map(|i| i as f64).collect::<Vec<_>>());
-        let b = ecdf(&(0..100).map(|i| i as f64 + 50.0).collect::<Vec<_>>());
-        assert!(a.ks_distance(&b) >= 0.5);
     }
 }

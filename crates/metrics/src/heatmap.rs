@@ -82,13 +82,6 @@ impl Heatmap2D {
         }
     }
 
-    /// Percentage of samples in each y row (summed over x).
-    pub fn row_percents(&self) -> Vec<f64> {
-        (0..self.y_bins())
-            .map(|yi| (0..self.x_bins()).map(|xi| self.percent(xi, yi)).sum())
-            .collect()
-    }
-
     /// Total samples recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -155,16 +148,6 @@ mod tests {
         assert_eq!(Heatmap2D::bin(&edges, 8.0), 3);
         assert_eq!(Heatmap2D::bin(&edges, 9.0), 4);
         assert_eq!(Heatmap2D::bin(&edges, 128.0), 7);
-    }
-
-    #[test]
-    fn row_percents_sum_to_100() {
-        let mut h = Heatmap2D::new(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 2.0]);
-        for i in 0..10 {
-            h.add(i as f64 * 0.2, i as f64 * 0.2);
-        }
-        let rows = h.row_percents();
-        assert!((rows.iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -52,14 +52,6 @@ impl ResilienceSample {
         }
         self.checkpoint_credit_s / total
     }
-
-    /// Mean fault kills per affected job (`0` when no job was killed).
-    pub fn kills_per_affected_job(&self) -> f64 {
-        if self.jobs_fault_killed == 0 {
-            return 0.0;
-        }
-        self.fault_kills as f64 / self.jobs_fault_killed as f64
-    }
 }
 
 /// Aggregate over a set of runs (e.g. one policy across fault seeds).
@@ -149,17 +141,6 @@ mod tests {
         assert_eq!(sample(100, 0.0, 0.0).checkpoint_save_ratio(), 1.0);
         assert_eq!(sample(100, 300.0, 100.0).checkpoint_save_ratio(), 0.25);
         assert_eq!(sample(100, 100.0, 0.0).checkpoint_save_ratio(), 0.0);
-    }
-
-    #[test]
-    fn kills_per_affected_job() {
-        assert_eq!(sample(100, 0.0, 0.0).kills_per_affected_job(), 2.0);
-        let clean = ResilienceSample {
-            fault_kills: 0,
-            jobs_fault_killed: 0,
-            ..sample(100, 0.0, 0.0)
-        };
-        assert_eq!(clean.kills_per_affected_job(), 0.0);
     }
 
     #[test]

@@ -114,6 +114,7 @@ impl SensitivityCurve {
     }
 
     /// Slowdown at zero pressure: the pure remote-latency penalty.
+    #[cfg(test)]
     pub fn base_slowdown(&self) -> f64 {
         self.points[0].1
     }

@@ -110,15 +110,6 @@ pub fn sample_table3_peak_mb(rng: &mut Rng64, class: MemoryClass) -> u64 {
     ((lo + t * (hi - lo)).exp()) as u64
 }
 
-/// Classify a per-node demand in MB against the normal node capacity.
-pub fn memory_class_of(peak_mb: u64, normal_capacity_mb: u64) -> MemoryClass {
-    if peak_mb > normal_capacity_mb {
-        MemoryClass::Large
-    } else {
-        MemoryClass::Normal
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,12 +190,5 @@ mod tests {
             assert!(l > 65_536, "large sample {l} fits a normal node");
             assert!(l <= 130_100);
         }
-    }
-
-    #[test]
-    fn classify_against_capacity() {
-        assert_eq!(memory_class_of(1000, 65_536), MemoryClass::Normal);
-        assert_eq!(memory_class_of(65_536, 65_536), MemoryClass::Normal);
-        assert_eq!(memory_class_of(65_537, 65_536), MemoryClass::Large);
     }
 }

@@ -77,14 +77,6 @@ impl GoogleJob {
         self.peak_norm() * MAX_MACHINE_MB
     }
 
-    /// Time-average of the window averages, normalised.
-    pub fn avg_norm(&self) -> f64 {
-        if self.windows.is_empty() {
-            return 0.0;
-        }
-        self.windows.iter().map(|w| w.avg).sum::<f64>() / self.windows.len() as f64
-    }
-
     /// The usage shape as `(progress, fraction_of_peak)` points, built
     /// from the window **maxima** — the paper uses the max within each
     /// window to define the usage for the period, and scales the trace's
@@ -398,7 +390,8 @@ mod tests {
             }
             // The paper's headroom observation: job-level average usage
             // sits below the peak.
-            assert!(j.avg_norm() < j.peak_norm());
+            let avg = j.windows.iter().map(|w| w.avg).sum::<f64>() / j.windows.len() as f64;
+            assert!(avg < j.peak_norm());
         }
     }
 

@@ -98,12 +98,6 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Override the profiled-application pool size.
-    pub fn profile_pool(mut self, n: usize) -> Self {
-        self.cfg.profile_pool_size = n;
-        self
-    }
-
     /// The underlying pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.cfg
@@ -138,8 +132,7 @@ mod tests {
             .large_job_fraction(0.1)
             .overestimation(0.25)
             .target_utilization(0.7)
-            .google_pool(500)
-            .profile_pool(16);
+            .google_pool(500);
         assert_eq!(b.config().job_count, 50);
         assert_eq!(b.config().large_fraction, 0.1);
         assert_eq!(b.config().overestimation, 0.25);

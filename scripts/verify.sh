@@ -147,6 +147,23 @@ code=0
 ./target/release/dmhpc trace-run --scale small --sample-s 60 > /dev/null 2>&1 || code=$?
 [ "$code" -eq 2 ] || { echo "expected --sample-s to exit 2, got $code"; exit 1; }
 
+echo "== CLI smoke (one command table) =="
+# An unknown command and an option the command does not read are usage
+# errors: exit 2 before anything runs.
+code=0
+./target/release/dmhpc bogus > /dev/null 2>&1 || code=$?
+[ "$code" -eq 2 ] || { echo "expected dmhpc bogus to exit 2, got $code"; exit 1; }
+code=0
+./target/release/dmhpc all --topology flat > /dev/null 2>&1 || code=$?
+[ "$code" -eq 2 ] || { echo "expected all --topology to exit 2, got $code"; exit 1; }
+# `dmhpc help` names every command: a row dropped from the table fails.
+./target/release/dmhpc help > "$T/help.txt"
+for cmd in table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8 fig9 \
+           ablate fault-sweep validate all policies topologies export \
+           simulate chart trace-run sweep-status report help; do
+    grep -qE "^  $cmd( |\$)" "$T/help.txt" || { echo "dmhpc help does not list $cmd"; exit 1; }
+done
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

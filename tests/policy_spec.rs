@@ -3,6 +3,7 @@
 //! parsing preserves order and arity for arbitrary spec lists.
 
 use dmhpc::core::policy::PolicySpec;
+use dmhpc::core::spec::SpecRegistry;
 use proptest::prelude::*;
 
 /// Build a spec from raw draws; `kind` selects the registry row and the
@@ -40,7 +41,7 @@ proptest! {
         prop_assert_eq!(back, spec);
         prop_assert_eq!(back.to_string(), text);
         // The name half of the grammar always matches the registry.
-        prop_assert!(PolicySpec::known_names().contains(spec.name()));
+        prop_assert!(PolicySpec::registry_names().contains(spec.name()));
     }
 
     /// Joining canonical specs with the list separator and re-parsing
