@@ -15,10 +15,17 @@
 //! asserts. The indexes are maintained solely by [`Cluster::touch`];
 //! [`Cluster::check_invariants`] compares them against a from-scratch
 //! rebuild.
+//!
+//! The lender pool is one index per rack and nothing beside it (a flat
+//! cluster has one rack). A [`LenderWalk`] reads one rack's index
+//! first and, only if the caller walks past it, merges the other racks'
+//! walks by the same key: merging sorted sequences of disjoint nodes
+//! yields the order one global index would, so no global index is kept.
 
 use super::{Cluster, NodeId};
 use crate::error::CoreError;
 use crate::job::JobId;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashMap;
 
 /// The packed index key of `id` at `free` MB.
@@ -89,18 +96,155 @@ impl FreeIndex {
 
     /// Every node, `(free desc, id asc)`: tie runs from the back of
     /// the array, each read front to back.
-    pub(super) fn desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.keys
-            .chunk_by(|a, b| a >> 32 == b >> 32)
-            .rev()
-            .flatten()
-            .map(|&k| unpack(k))
+    pub(super) fn desc(&self) -> Desc<'_> {
+        Desc {
+            rest: &self.keys,
+            run: [].iter(),
+        }
     }
 
     /// The packed keys, ascending; for the invariant audit.
     pub(super) fn keys(&self) -> &[u64] {
         &self.keys
     }
+}
+
+/// A walk of one index in `(free desc, id asc)` order.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Desc<'a> {
+    /// The keys not yet reached, all below the current tie run.
+    rest: &'a [u64],
+    /// What is left of the current tie run, read front to back.
+    run: std::slice::Iter<'a, u64>,
+}
+
+impl Iterator for Desc<'_> {
+    type Item = (u64, NodeId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, NodeId)> {
+        if let Some(&key) = self.run.next() {
+            return Some(unpack(key));
+        }
+        let &last = self.rest.last()?;
+        let start = self
+            .rest
+            .iter()
+            .rposition(|&k| k >> 32 != last >> 32)
+            .map_or(0, |p| p + 1);
+        let (rest, run) = self.rest.split_at(start);
+        self.rest = rest;
+        self.run = run[1..].iter();
+        Some(unpack(run[0]))
+    }
+}
+
+/// A lender walk in `(free desc, id asc)` order: one rack's index
+/// first, then the k-way merge of the racks it skipped, built on the
+/// first step past that index. A walk that stays in its first index
+/// allocates nothing.
+#[derive(Debug)]
+pub(super) struct LenderWalk<'a> {
+    racks: &'a [FreeIndex],
+    first: Desc<'a>,
+    /// The rack `first` walks, left out of the merge; `None` when the
+    /// merge is the whole walk.
+    skip: Option<usize>,
+    /// The merge of the other racks; `None` until the walk needs it.
+    pub(super) rest: Option<Merge<'a>>,
+}
+
+impl<'a> LenderWalk<'a> {
+    /// Rack `rack`'s lenders, then every other rack's.
+    pub(super) fn from_rack(racks: &'a [FreeIndex], rack: usize) -> Self {
+        LenderWalk {
+            racks,
+            first: racks[rack].desc(),
+            skip: Some(rack),
+            rest: None,
+        }
+    }
+
+    /// Every rack's lenders in one order. A single rack is walked
+    /// directly, with no merge.
+    pub(super) fn global(racks: &'a [FreeIndex]) -> Self {
+        if racks.len() == 1 {
+            return Self::from_rack(racks, 0);
+        }
+        LenderWalk {
+            racks,
+            first: Desc::default(),
+            skip: None,
+            rest: None,
+        }
+    }
+}
+
+impl Iterator for LenderWalk<'_> {
+    type Item = (u64, NodeId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, NodeId)> {
+        if let Some(lender) = self.first.next() {
+            return Some(lender);
+        }
+        let (racks, skip) = (self.racks, self.skip);
+        if racks.len() == 1 {
+            return None; // the one rack was `first`: nothing to merge
+        }
+        self.rest
+            .get_or_insert_with(|| Merge::new(racks, skip))
+            .next()
+    }
+}
+
+/// The k-way merge of several racks' [`Desc`] walks. The heap holds
+/// each unfinished walk's head as `(free << 32 | !id, walk)`, so the
+/// max-heap's top is the head with the most free memory and, within a
+/// tie, the lowest id.
+#[derive(Debug)]
+pub(super) struct Merge<'a> {
+    walks: Vec<Desc<'a>>,
+    heads: BinaryHeap<(u64, u32)>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(racks: &'a [FreeIndex], skip: Option<usize>) -> Self {
+        let mut merge = Merge {
+            walks: Vec::new(),
+            heads: BinaryHeap::new(),
+        };
+        for (rack, index) in racks.iter().enumerate() {
+            if Some(rack) == skip {
+                continue;
+            }
+            let mut walk = index.desc();
+            if let Some((free, id)) = walk.next() {
+                merge.heads.push((rank(free, id), merge.walks.len() as u32));
+                merge.walks.push(walk);
+            }
+        }
+        merge
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, NodeId)> {
+        let mut top = self.heads.peek_mut()?;
+        let (head, walk) = *top;
+        match self.walks[walk as usize].next() {
+            Some((free, id)) => *top = (rank(free, id), walk),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some((head >> 32, NodeId(!(head as u32))))
+    }
+}
+
+/// A merge key whose descending order is `(free desc, id asc)`.
+#[inline]
+fn rank(free: u64, id: NodeId) -> u64 {
+    free << 32 | u64::from(!id.0)
 }
 
 /// The index a from-scratch rebuild would hold for `nodes`.
@@ -238,27 +382,44 @@ impl Cluster {
                 self.total_cross_mb
             ));
         }
-        // The incremental indexes must match a from-scratch rebuild.
-        let free_expected = rebuild(
-            self.iter()
-                .filter(|(_, n)| n.free_mb() > 0)
-                .map(|(id, n)| (n.free_mb(), id)),
-        );
-        let sched_expected = rebuild(
-            self.iter()
-                .filter(|&(id, _)| self.schedulable(id))
-                .map(|(id, n)| (n.free_mb(), id)),
-        );
-        if self.free_index.keys() != &free_expected[..] {
-            return err("free index out of sync with node ledgers".to_string());
+        // The incremental indexes must match a from-scratch rebuild:
+        // one lender index per rack, then the schedulable index.
+        if self.rack_lenders.len() != self.topology.racks() as usize {
+            return err(format!(
+                "{} rack lender indexes for {} racks",
+                self.rack_lenders.len(),
+                self.topology.racks()
+            ));
         }
-        let lender_free: u64 = free_expected.iter().map(|&k| unpack(k).0).sum();
+        let mut rack_expected = vec![Vec::new(); self.rack_lenders.len()];
+        let mut lender_free = 0u64;
+        for (id, n) in self.iter() {
+            if n.free_mb() > 0 {
+                rack_expected[self.topology.rack_of(id) as usize].push(pack(n.free_mb(), id));
+                lender_free += n.free_mb();
+            }
+        }
+        for (rack, (expected, index)) in
+            rack_expected.iter_mut().zip(&self.rack_lenders).enumerate()
+        {
+            expected.sort_unstable();
+            if index.keys() != &expected[..] {
+                return err(format!(
+                    "rack {rack} lender index out of sync with node ledgers"
+                ));
+            }
+        }
         if lender_free != self.lender_free_mb {
             return err(format!(
                 "lender free counter mismatch: rebuild {lender_free} vs counter {}",
                 self.lender_free_mb
             ));
         }
+        let sched_expected = rebuild(
+            self.iter()
+                .filter(|&(id, _)| self.schedulable(id))
+                .map(|(id, n)| (n.free_mb(), id)),
+        );
         if self.sched_index.keys() != &sched_expected[..] {
             return err("schedulable index out of sync with node ledgers".to_string());
         }
@@ -268,33 +429,6 @@ impl Cluster {
                 sched_expected.len(),
                 self.schedulable_count
             ));
-        }
-        // Per-rack lender indexes exist exactly when the topology has
-        // more than one rack, and must match a per-rack rebuild.
-        if self.rack_free.is_empty() {
-            if self.topology.racks() > 1 {
-                return err("multi-rack topology without rack indexes".to_string());
-            }
-        } else {
-            if self.rack_free.len() != self.topology.racks() as usize {
-                return err("rack index count mismatch".to_string());
-            }
-            let mut rack_expected = vec![Vec::new(); self.rack_free.len()];
-            for (id, n) in self.iter() {
-                if n.free_mb() > 0 {
-                    rack_expected[self.topology.rack_of(id) as usize].push(pack(n.free_mb(), id));
-                }
-            }
-            let in_sync = rack_expected
-                .iter_mut()
-                .zip(&self.rack_free)
-                .all(|(expected, index)| {
-                    expected.sort_unstable();
-                    index.keys() == &expected[..]
-                });
-            if !in_sync {
-                return err("rack lender indexes out of sync with node ledgers".to_string());
-            }
         }
         Ok(())
     }

@@ -23,24 +23,28 @@
 //!   and the start/finish/shrink/grow mutations;
 //! * `indexes` — the incremental free-memory indexes and the
 //!   invariant audit. To keep the scheduler hot path free of O(N)
-//!   scans, the cluster maintains two persistent indexes updated
+//!   scans, the cluster maintains persistent indexes updated
 //!   incrementally by every mutation: the schedulable nodes (serving
 //!   best-fit placement directly) and the lender pool of all nodes
-//!   with free memory. Each is one sorted array of packed
+//!   with free memory, held as one index per rack (a flat cluster has
+//!   one rack). Each is one sorted array of packed
 //!   `free << 32 | id` keys, so a forward walk yields
 //!   `(free asc, id asc)` and a backward walk by tie runs yields
 //!   `(free desc, id asc)` — exactly the two orders the placement
 //!   policy sorts by, which keeps indexed placement bit-identical to
 //!   the full-scan twins in [`crate::oracle`] (debug builds assert it
 //!   on every placement and growth plan). A ledger change re-keys a
-//!   node with two binary searches and a shift of the keys between
-//!   its old and new positions;
+//!   node in its rack's lender index and the schedulable index, each
+//!   with two binary searches and a shift of the keys between its old
+//!   and new positions. The whole-cluster lender order is a k-way
+//!   merge of the rack walks, built only when a walk leaves its first
+//!   rack;
 //! * `faults` — node crash/repair, blade degradation, and lender
 //!   revocation;
 //! * [`topology`] — the fabric partition ([`TopologySpec`],
-//!   [`Topology`]): racks, per-rack lender indexes, and the pricing of
-//!   cross-rack borrowing. The flat topology builds none of the rack
-//!   machinery, so the pre-topology hot path is untouched.
+//!   [`Topology`]): racks and the pricing of cross-rack borrowing. The
+//!   flat topology is one rack with no per-node table, so its lender
+//!   walks read one index, as before the topology layer.
 
 mod alloc;
 mod faults;
@@ -55,7 +59,7 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
-use indexes::FreeIndex;
+use indexes::{FreeIndex, LenderWalk};
 
 /// One job's row of the cluster's per-job ledger.
 #[derive(Clone, Debug, Default)]
@@ -75,19 +79,6 @@ struct JobSlot {
     remote_mb: u64,
     /// The cross-rack slice of `remote_mb`; zero on flat topologies.
     cross_mb: u64,
-}
-
-/// Move `id` from `old` to `new` free MB in a lender index, which holds
-/// exactly the nodes with free memory: one re-key while the node stays
-/// a member, an insert or remove when it joins or leaves.
-#[inline]
-fn resync(index: &mut FreeIndex, old: u64, new: u64, id: NodeId) {
-    match (old > 0, new > 0) {
-        (true, true) => index.rekey(old, new, id),
-        (true, false) => index.remove(old, id),
-        (false, true) => index.insert(new, id),
-        (false, false) => {}
-    }
 }
 
 /// Whole-cluster state: node ledgers plus the per-job allocation table
@@ -117,15 +108,12 @@ pub struct Cluster {
     /// Schedulable nodes (idle, within lend cap) sorted by `(free, id)`.
     /// Serves best-fit placement directly.
     sched_index: FreeIndex,
-    /// All nodes with free memory — the lender pool — keyed the same way.
-    free_index: FreeIndex,
     /// The fabric partition. Flat topologies carry no per-node table.
     topology: Topology,
-    /// Per-rack lender indexes, keyed like `free_index`. Empty (never
-    /// allocated, never maintained) on flat topologies, so the flat hot
-    /// path pays one `Vec::is_empty` branch per mutation and nothing
-    /// else.
-    rack_free: Vec<FreeIndex>,
+    /// The lender pool, one index per rack of `topology`: each holds
+    /// the rack's nodes with free memory, keyed like `sched_index`. A
+    /// flat cluster has one rack, so one index.
+    rack_lenders: Vec<FreeIndex>,
     /// Running total of borrowed (remote) MB across all allocations.
     /// Maintained by every mutation so the metrics loop can integrate
     /// remote occupancy in O(1) per event.
@@ -135,7 +123,7 @@ pub struct Cluster {
     total_cross_mb: u64,
     /// Cached `sched_index` population for O(1) feasibility checks.
     schedulable_count: usize,
-    /// Free MB summed over `free_index`, the lender pool. Kept by
+    /// Free MB summed over `rack_lenders`, the lender pool. Kept by
     /// `touch`; unlike [`Self::free_pool_mb`] it does not assume down
     /// nodes hold no allocation.
     lender_free_mb: u64,
@@ -193,14 +181,7 @@ impl Cluster {
                 degraded_mb: 0,
             })
             .collect();
-        // Rack indexes exist only when there is more than one rack:
-        // with a single rack (flat included) the global lender pool is
-        // already the rack's pool.
-        let rack_free = if topology.racks() > 1 {
-            vec![FreeIndex::default(); topology.racks() as usize]
-        } else {
-            Vec::new()
-        };
+        let rack_lenders = vec![FreeIndex::default(); topology.racks() as usize];
         let mut cluster = Self {
             nodes,
             lend_cap_fraction,
@@ -212,9 +193,8 @@ impl Cluster {
             total_offline_mb: 0,
             down_count: 0,
             sched_index: FreeIndex::default(),
-            free_index: FreeIndex::default(),
             topology,
-            rack_free,
+            rack_lenders,
             total_remote_mb: 0,
             total_cross_mb: 0,
             schedulable_count: 0,
@@ -230,12 +210,9 @@ impl Cluster {
             let id = NodeId(i as u32);
             let free = cluster.nodes[i].free_mb();
             if free > 0 {
-                cluster.free_index.insert(free, id);
+                let rack = cluster.topology.rack_of(id) as usize;
+                cluster.rack_lenders[rack].insert(free, id);
                 cluster.lender_free_mb += free;
-                if !cluster.rack_free.is_empty() {
-                    let rack = cluster.topology.rack_of(id) as usize;
-                    cluster.rack_free[rack].insert(free, id);
-                }
             }
             cluster.sched_index.insert(free, id);
         }
@@ -256,10 +233,15 @@ impl Cluster {
         let new_sched = self.schedulable(id);
         if old_free != new_free {
             self.lender_free_mb = self.lender_free_mb - old_free + new_free;
-            resync(&mut self.free_index, old_free, new_free, id);
-            if !self.rack_free.is_empty() {
-                let rack = self.topology.rack_of(id) as usize;
-                resync(&mut self.rack_free[rack], old_free, new_free, id);
+            // A lender index holds exactly the nodes with free memory:
+            // one re-key while the node stays a member, an insert or
+            // remove when it joins or leaves.
+            let lenders = &mut self.rack_lenders[self.topology.rack_of(id) as usize];
+            match (old_free > 0, new_free > 0) {
+                (true, true) => lenders.rekey(old_free, new_free, id),
+                (true, false) => lenders.remove(old_free, id),
+                (false, true) => lenders.insert(new_free, id),
+                (false, false) => {}
             }
         }
         match (old_sched, new_sched) {
@@ -380,9 +362,10 @@ impl Cluster {
     }
 
     /// The lender pool: every node with free memory, descending by free
-    /// with ids ascending within ties.
+    /// with ids ascending within ties. One index walk on a single-rack
+    /// cluster, a merge of the rack walks otherwise.
     pub fn free_by_free_desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.free_index.desc()
+        LenderWalk::global(&self.rack_lenders)
     }
 
     /// Free MB across the lender pool ([`Self::free_by_free_desc`]).
@@ -529,30 +512,15 @@ impl Cluster {
         self.total_cross_mb
     }
 
-    /// Lenders in rack `rack`, descending by free memory with ids
-    /// ascending within ties. Empty unless the topology has more than
-    /// one rack.
-    pub fn rack_lenders_desc(&self, rack: u32) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.rack_free
-            .get(rack as usize)
-            .into_iter()
-            .flat_map(FreeIndex::desc)
-    }
-
     /// Locality-aware lender order for a borrower homed on `home`:
     /// intra-rack lenders first (free desc, id asc), then cross-rack
-    /// lenders in the same order. When the topology has a single domain
-    /// — flat, or a racked spec whose one rack holds every node (no
-    /// per-rack index is built) — this is exactly
+    /// lenders in the same order. The cross-rack tail is a merge of the
+    /// other racks' walks, built only if the caller walks past the home
+    /// rack. When the topology has a single rack — flat, or a racked
+    /// spec whose one rack holds every node — this is exactly
     /// [`Self::free_by_free_desc`]: nothing is cross.
     pub fn lenders_from(&self, home: NodeId) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        let home_rack = self.topology.rack_of(home);
-        let single_domain = self.topology.racks() <= 1;
-        let intra = self.rack_lenders_desc(home_rack);
-        let cross = self
-            .free_by_free_desc()
-            .filter(move |&(_, id)| single_domain || self.topology.rack_of(id) != home_rack);
-        intra.chain(cross)
+        LenderWalk::from_rack(&self.rack_lenders, self.topology.rack_of(home) as usize)
     }
 
     /// Effective remote fraction of a job's allocation with cross-rack

@@ -180,14 +180,13 @@ fn assert_indexes_match_rebuild(c: &Cluster) {
         c.free_by_free_desc().collect::<Vec<_>>(),
         desc(&|_, n| n.free_mb() > 0)
     );
-    // Rack indexes exist only on multi-rack topologies.
-    if c.topology().racks() > 1 {
-        for rack in 0..c.topology().racks() {
-            assert_eq!(
-                c.rack_lenders_desc(rack).collect::<Vec<_>>(),
-                desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
-            );
-        }
+    // One lender index per rack, flat clusters included.
+    assert_eq!(c.rack_lenders.len(), c.topology().racks() as usize);
+    for (rack, index) in (0..).zip(&c.rack_lenders) {
+        assert_eq!(
+            index.desc().collect::<Vec<_>>(),
+            desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
+        );
     }
     assert_eq!(c.check_invariants(), Ok(()));
 }
@@ -222,7 +221,8 @@ fn index_rekeys_through_ties_and_back() {
     assert_indexes_match_rebuild(&c);
     c.finish_job(JobId(2));
     assert_indexes_match_rebuild(&c);
-    // Back to the start: one eight-way tie in each global index.
+    // Back to the start: one eight-way tie in the schedulable index
+    // and in the merged lender walk.
     assert_eq!(c.free_by_free_desc().count(), 8);
     assert!(c.free_by_free_desc().all(|(f, _)| f == 1000));
 }
@@ -553,6 +553,150 @@ mod free_index {
                 let mut want: Vec<_> = reference.iter().copied().collect();
                 want.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
                 prop_assert_eq!(index.desc().collect::<Vec<_>>(), want);
+            }
+        }
+    }
+}
+
+/// The audit is the only rebuild check on the per-rack lender indexes
+/// and their free-MB counter: a stale key in one rack's index, and a
+/// counter off by 1 MB, are each reported.
+#[test]
+fn audit_catches_a_stale_rack_lender_index() {
+    let spec = TopologySpec::Racks {
+        size: 2,
+        cross_cap: 1.0,
+    };
+    let mut c = Cluster::new_with_topology(vec![1000; 6], 0.5, spec);
+    c.start_job(JobId(1), local_alloc(&[2], 300), 1.0);
+    assert_eq!(c.check_invariants(), Ok(()));
+    // Rack 1 (nodes 2 and 3) still keys node 2 as idle.
+    let mut stale = c.clone();
+    stale.rack_lenders[1].rekey(700, 1000, NodeId(2));
+    let err = stale.check_invariants().unwrap_err().to_string();
+    assert!(
+        err.contains("rack 1 lender index out of sync with node ledgers"),
+        "{err}"
+    );
+    let mut stale = c.clone();
+    stale.lender_free_mb += 1;
+    let err = stale.check_invariants().unwrap_err().to_string();
+    assert!(
+        err.contains("lender free counter mismatch: rebuild 5700 vs counter 5701"),
+        "{err}"
+    );
+}
+
+mod rack_lenders {
+    use super::*;
+    use crate::policy::{place_spread_with, plan_growth, PlacementScratch};
+    use proptest::prelude::*;
+
+    const JOBS: u32 = 6;
+
+    /// Both lender walks against a full-scan sort of the node table:
+    /// every rack merged, and for every home node its own rack first,
+    /// then the rest. A walk that stops at the end of its home rack
+    /// must not have built the cross-rack merge.
+    fn check(c: &Cluster) -> Result<(), String> {
+        let mut all: Vec<(u64, NodeId)> = c
+            .iter()
+            .filter(|(_, n)| n.free_mb() > 0)
+            .map(|(id, n)| (n.free_mb(), id))
+            .collect();
+        all.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
+        prop_assert_eq!(c.free_by_free_desc().collect::<Vec<_>>(), all);
+        for (home, _) in c.iter() {
+            let rack = c.rack_of(home);
+            let (mut want, cross): (Vec<_>, Vec<_>) =
+                all.iter().partition(|&&(_, id)| c.rack_of(id) == rack);
+            let intra = want.len();
+            want.extend(cross);
+            prop_assert_eq!(c.lenders_from(home).collect::<Vec<_>>(), want);
+            let mut walk = LenderWalk::from_rack(&c.rack_lenders, rack as usize);
+            prop_assert_eq!(walk.by_ref().take(intra).count(), intra);
+            prop_assert!(
+                walk.rest.is_none(),
+                "{home:?}: merge built inside the home rack"
+            );
+        }
+        Ok(())
+    }
+
+    /// Crash `id` after evacuating it (its job finished, its borrowers
+    /// revoked), or repair it if it is down.
+    fn crash_or_repair(c: &mut Cluster, id: NodeId) {
+        if c.is_down(id) {
+            c.repair_node(id);
+            return;
+        }
+        if let Some(job) = c.node(id).running {
+            c.finish_job(job);
+        }
+        for job in c.borrowers_of(id).to_vec() {
+            c.revoke_lender(job, id, 1.0);
+        }
+        c.set_node_down(id);
+    }
+
+    proptest! {
+        /// Random start/grow/shrink/finish/crash/degrade sequences on
+        /// random rack partitions (sizes that do not divide the node
+        /// count, and sizes of at least the node count, included) and
+        /// on the flat fabric keep both lender walks equal to a
+        /// full-scan sort after every step.
+        #[test]
+        fn lender_walks_match_full_sort(
+            caps in prop::collection::vec(256u64..4096, 3..24),
+            rack_size in 1u32..28,
+            cross_idx in 0usize..3,
+            ops in prop::collection::vec((0u64..6, 0u32..JOBS, 0u64..64, 1u64..4000), 1..80),
+        ) {
+            let cross_cap = [0.0, 0.5, 1.0][cross_idx];
+            for spec in [TopologySpec::Flat, TopologySpec::Racks { size: rack_size, cross_cap }] {
+                let mut c = Cluster::new_with_topology(caps.clone(), 0.5, spec);
+                let mut scratch = PlacementScratch::new();
+                let mut compute = Vec::new();
+                check(&c)?;
+                for &(op, j, pick, mb) in &ops {
+                    let job = JobId(j);
+                    let node = NodeId((pick % caps.len() as u64) as u32);
+                    match (op, c.alloc_of(job)) {
+                        (4, _) => crash_or_repair(&mut c, node),
+                        (5, _) => {
+                            let degraded = c.node(node).degraded_mb;
+                            let free = c.node(node).free_mb();
+                            if degraded > 0 {
+                                c.restore_degrade(node, degraded);
+                            } else if free > 0 {
+                                c.apply_degrade(node, free.min(mb));
+                            }
+                        }
+                        (_, None) => {
+                            let nodes = 1 + (pick % 4) as u32;
+                            if let Some(a) = place_spread_with(&c, nodes, 256 + mb, &mut scratch) {
+                                c.start_job(job, a, 1.0);
+                            }
+                        }
+                        (0 | 1, Some(alloc)) => {
+                            compute.clear();
+                            compute.extend(alloc.entries.iter().map(|e| e.node));
+                            let entry = compute[pick as usize % compute.len()];
+                            if let Some((local, borrows)) = plan_growth(&c, entry, &compute, mb) {
+                                c.grow_entry(job, entry, local, &borrows, 1.0);
+                            }
+                        }
+                        (2, Some(alloc)) => {
+                            let min = alloc.entries.iter().map(AllocEntry::total_mb).min().unwrap();
+                            c.shrink_job(job, min.saturating_sub(mb), 1.0);
+                        }
+                        _ => {
+                            c.finish_job(job);
+                        }
+                    }
+                    check(&c)?;
+                }
+                prop_assert_eq!(c.check_invariants(), Ok(()));
             }
         }
     }

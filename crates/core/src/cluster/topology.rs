@@ -345,6 +345,17 @@ mod tests {
     }
 
     #[test]
+    fn repeated_parameter_is_rejected() {
+        let err = TopologySpec::parse_list("racks:size=16,size=8")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("topology 'racks': parameter 'size' given twice"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn list_parsing_handles_parameter_commas() {
         let specs =
             TopologySpec::parse_list("flat, racks:size=16,cross_cap=0.5, racks:size=64").unwrap();

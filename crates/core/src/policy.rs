@@ -52,11 +52,19 @@ pub struct PlacementScratch {
     fit: Vec<(u64, NodeId)>,
     /// Phase-2 compute-node selection as `(free, id)`.
     compute: Vec<(u64, NodeId)>,
-    /// Racked phase-2 drain overlay as `(lender, mb already planned)`:
-    /// rack-aware lender iteration restarts per entry, so drained
-    /// amounts are tracked on the side instead of in a single stream.
-    taken: Vec<(NodeId, u64)>,
+    /// Phase-2 per-node marks, all zero between calls: [`COMPUTE`] on
+    /// the job's compute nodes and, on racked fabrics, the MB already
+    /// planned from each lender. Rack-aware lender iteration restarts
+    /// per entry, so drained amounts are tracked here instead of in a
+    /// single stream.
+    mark: Vec<u64>,
+    /// The lenders with a drain mark, for clearing.
+    taken: Vec<NodeId>,
 }
+
+/// The [`PlacementScratch::mark`] of a compute node. Above any drain
+/// mark: node capacities fit a `u32`.
+const COMPUTE: u64 = u64::MAX;
 
 impl PlacementScratch {
     /// Empty scratch; buffers grow to steady state on first use.
@@ -194,18 +202,42 @@ fn place_spread_indexed(
     if need > cluster.lender_free_mb() - compute_free {
         return None;
     }
-    if !cluster.is_flat() {
-        return place_spread_racked(cluster, request_mb, scratch);
+    if scratch.mark.len() < cluster.len() {
+        scratch.mark.resize(cluster.len(), 0);
     }
-    let compute = &scratch.compute[..];
-    // Lenders stream straight off the free index (most free first),
+    for &(_, id) in &scratch.compute {
+        scratch.mark[id.0 as usize] = COMPUTE;
+    }
+    let alloc = if cluster.is_flat() {
+        place_spread_flat(cluster, request_mb, scratch)
+    } else {
+        place_spread_racked(cluster, request_mb, scratch)
+    };
+    for &(_, id) in &scratch.compute {
+        scratch.mark[id.0 as usize] = 0;
+    }
+    for id in scratch.taken.drain(..) {
+        scratch.mark[id.0 as usize] = 0;
+    }
+    alloc
+}
+
+/// Phase-2 spread placement on the flat fabric, over the compute nodes
+/// already in `scratch.compute` and marked in `scratch.mark`.
+fn place_spread_flat(
+    cluster: &Cluster,
+    request_mb: u64,
+    scratch: &PlacementScratch,
+) -> Option<JobAlloc> {
+    let PlacementScratch { compute, mark, .. } = scratch;
+    // Lenders stream straight off the lender index (most free first),
     // skipping the job's own compute nodes; `current` carries the
     // partially drained lender across entries.
     let mut lender_iter = cluster
         .free_by_free_desc()
-        .filter(|(_, id)| !compute.iter().any(|&(_, c)| c == *id));
+        .filter(|(_, id)| mark[id.0 as usize] != COMPUTE);
     let mut current: Option<(u64, NodeId)> = None;
-    let mut entries = Vec::with_capacity(n);
+    let mut entries = Vec::with_capacity(compute.len());
     for &(free, id) in compute {
         let local = free.min(request_mb);
         let mut need = request_mb - local;
@@ -233,39 +265,42 @@ fn place_spread_indexed(
 }
 
 /// Phase-2 spread placement on a racked topology, over the compute
-/// nodes already in `scratch.compute`. Compute nodes are
-/// still the globally most-free schedulable nodes — rack boundaries do
-/// not change where a job *runs* — but each entry's borrows walk the
-/// locality-aware lender order (own rack first, then cross-rack) and
-/// cross-rack borrowing is capped at the topology's per-plan budget.
-/// Because the lender order restarts per entry, drained amounts are
-/// tracked in the `scratch.taken` overlay rather than a single
-/// partially-consumed stream.
+/// nodes already in `scratch.compute` and marked in `scratch.mark`.
+/// Compute nodes are still the globally most-free schedulable nodes —
+/// rack boundaries do not change where a job *runs* — but each entry's
+/// borrows walk the locality-aware lender order (own rack first, then
+/// cross-rack) and cross-rack borrowing is capped at the topology's
+/// per-plan budget. Because the lender order restarts per entry,
+/// drained amounts are kept in the lenders' marks (listed in
+/// `scratch.taken`) rather than a single partially-consumed stream.
 fn place_spread_racked(
     cluster: &Cluster,
     request_mb: u64,
     scratch: &mut PlacementScratch,
 ) -> Option<JobAlloc> {
-    scratch.taken.clear();
-    let PlacementScratch { compute, taken, .. } = scratch;
-    let compute = &compute[..];
+    let PlacementScratch {
+        compute,
+        mark,
+        taken,
+        ..
+    } = scratch;
     let mut entries = Vec::with_capacity(compute.len());
-    for &(free, id) in compute {
+    for &(free, id) in compute.iter() {
         let local = free.min(request_mb);
         let mut need = request_mb - local;
         let mut cross_budget = cluster.topology().cross_budget(need);
         let mut remote = Vec::new();
-        for (lfree, lid) in cluster.lenders_from(id) {
-            if need == 0 {
+        // Stop as soon as the entry is covered, so a walk that its home
+        // rack satisfies never builds the cross-rack merge.
+        let mut lenders = cluster.lenders_from(id);
+        while need > 0 {
+            let Some((lfree, lid)) = lenders.next() else {
                 break;
-            }
-            if compute.iter().any(|&(_, c)| c == lid) {
+            };
+            let already = mark[lid.0 as usize];
+            if already == COMPUTE {
                 continue;
             }
-            let already = taken
-                .iter()
-                .find(|&&(t, _)| t == lid)
-                .map_or(0, |&(_, a)| a);
             let avail = lfree - already;
             let is_cross = cluster.is_cross(id, lid);
             let take = if is_cross {
@@ -281,10 +316,10 @@ fn place_spread_racked(
             if is_cross {
                 cross_budget -= take;
             }
-            match taken.iter_mut().find(|&&mut (t, _)| t == lid) {
-                Some(slot) => slot.1 += take,
-                None => taken.push((lid, take)),
+            if already == 0 {
+                taken.push(lid);
             }
+            mark[lid.0 as usize] += take;
         }
         if need > 0 {
             return None; // pool (or cross-rack budget) exhausted

@@ -362,6 +362,17 @@ mod tests {
     }
 
     #[test]
+    fn repeated_parameter_is_rejected() {
+        let err = PolicySpec::parse_list("overcommit:factor=0.5,factor=2")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("policy 'overcommit': parameter 'factor' given twice"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn list_parsing_handles_parameter_commas() {
         let specs = PolicySpec::parse_list(
             "dynamic, overcommit:factor=0.8, conservative:quantum=2048,predictive:history=off",

@@ -81,19 +81,26 @@ pub trait SpecRegistry: Sized + std::str::FromStr<Err = CoreError> {
     /// Split a parameter tail into `key=value` pairs.
     ///
     /// # Errors
-    /// Returns an error naming the first token that is not `key=value`.
+    /// Returns an error naming the first token that is not `key=value`,
+    /// or the first key given twice.
     fn split_params<'a>(name: &str, params: &'a str) -> Result<Vec<(&'a str, &'a str)>, CoreError> {
-        params
-            .split(',')
-            .map(|kv| {
-                kv.split_once('=').ok_or_else(|| {
-                    CoreError::invalid_config(format!(
-                        "{} '{name}': parameter '{kv}' is not key=value",
-                        Self::KIND
-                    ))
-                })
-            })
-            .collect()
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        for kv in params.split(',') {
+            let (key, value) = kv.split_once('=').ok_or_else(|| {
+                CoreError::invalid_config(format!(
+                    "{} '{name}': parameter '{kv}' is not key=value",
+                    Self::KIND
+                ))
+            })?;
+            if pairs.iter().any(|&(k, _)| k == key) {
+                return Err(CoreError::invalid_config(format!(
+                    "{} '{name}': parameter '{key}' given twice",
+                    Self::KIND
+                )));
+            }
+            pairs.push((key, value));
+        }
+        Ok(pairs)
     }
 
     /// Reject parameters on a parameterless spec.
@@ -249,6 +256,14 @@ mod tests {
         let err = "knobbed:turns".parse::<Widget>().unwrap_err().to_string();
         assert!(
             err.contains("widget 'knobbed': parameter 'turns' is not key=value"),
+            "{err}"
+        );
+        let err = "knobbed:turns=1,turns=2"
+            .parse::<Widget>()
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("widget 'knobbed': parameter 'turns' given twice"),
             "{err}"
         );
         let err = Widget::parse_spec_list("  ,  ").unwrap_err().to_string();

@@ -32,12 +32,14 @@ cargo test --release -q --test determinism_golden --test topology --test fast_pa
 # The lane-merged event queue (arrivals, tick slot, near-future bucket
 # ring with its wrap-around and sorted head bucket, far heap) against a
 # plain min-heap, the sorted-array free-memory index against a
-# BTreeSet, and the O(1) contention inputs (cached per-job totals,
+# BTreeSet, the per-rack lender walks (every rack merged, and home rack
+# first) against a full-scan sort, and the O(1) contention inputs (cached per-job totals,
 # hottest lender over demand rows) against the slice folds: an ordering
 # or bookkeeping slip would change results without tripping any
 # debug-only check.
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
+cargo test --release -q -p dmhpc-core --lib cluster::tests::rack_lenders::lender_walks_match_full_sort
 cargo test --release -q -p dmhpc-core --lib cluster::tests::contention_inputs::contention_inputs_match_slice_folds
 # The pruned nearest-neighbour Google-shape match against the linear
 # scan on seeded and tie-heavy pools: trace generation picks the same
@@ -87,6 +89,13 @@ cmp "$T/topo_default.csv" "$T/topo_flat.csv"
 ./target/release/dmhpc fault-sweep --scale small --threads 4 --csv --topology "flat,racks:size=16" > "$T/topo_racks_b.csv"
 cmp "$T/topo_racks_a.csv" "$T/topo_racks_b.csv"
 grep -q "racks:size=16" "$T/topo_racks_a.csv"
+# A spec parameter given twice is a config error, not "last one wins".
+if ./target/release/dmhpc fault-sweep --scale small --csv --topology "racks:size=16,size=8" > /dev/null 2>&1; then
+    echo "fault-sweep accepted a repeated topology parameter"; exit 1
+fi
+if ./target/release/dmhpc fault-sweep --scale small --csv --policies "overcommit:factor=0.5,factor=2" > /dev/null 2>&1; then
+    echo "fault-sweep accepted a repeated policy parameter"; exit 1
+fi
 
 echo "== durable-sweep smoke (journal, interrupt at 75, resume, bit-identical) =="
 M="$T/durable_sweep.jsonl"
