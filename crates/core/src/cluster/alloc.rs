@@ -125,10 +125,10 @@ impl Cluster {
     }
 
     /// The cross-rack MB among `remote`, the borrows of compute node
-    /// `node`. Zero on flat topologies, without a look at the slices.
+    /// `node`. Zero on a one-rack cluster, without a look at the slices.
     #[inline]
     fn cross_mb_of(&self, node: NodeId, remote: &[(NodeId, u64)]) -> u64 {
-        if self.is_flat() {
+        if self.topology.racks() == 1 {
             return 0;
         }
         remote

@@ -17,12 +17,14 @@
 //! rebuild.
 //!
 //! The lender pool is one index per rack and nothing beside it (a flat
-//! cluster has one rack). A [`LenderWalk`] reads one rack's index
-//! first and, only if the caller walks past it, merges the other racks'
-//! walks by the same key: merging sorted sequences of disjoint nodes
-//! yields the order one global index would, so no global index is kept.
+//! cluster has one rack). A borrow plan reads it through
+//! [`LenderCursors`], one cursor per rack: an entry borrows from its
+//! home rack's walk first and, only if that runs out, from a merge of
+//! the other racks' heads by the same key. Merging sorted sequences of
+//! disjoint nodes yields the order one global index would, so no global
+//! index is kept.
 
-use super::{Cluster, NodeId};
+use super::{Cluster, NodeId, Topology};
 use crate::error::CoreError;
 use crate::job::JobId;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -110,7 +112,7 @@ impl FreeIndex {
 }
 
 /// A walk of one index in `(free desc, id asc)` order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(super) struct Desc<'a> {
     /// The keys not yet reached, all below the current tie run.
     rest: &'a [u64],
@@ -139,105 +141,133 @@ impl Iterator for Desc<'_> {
     }
 }
 
-/// A lender walk in `(free desc, id asc)` order: one rack's index
-/// first, then the k-way merge of the racks it skipped, built on the
-/// first step past that index. A walk that stays in its first index
-/// allocates nothing.
+/// One rack's place in a borrow plan: its lender walk, positioned
+/// just past `head`, the first lender the plan has not drained.
 #[derive(Debug)]
-pub(super) struct LenderWalk<'a> {
-    racks: &'a [FreeIndex],
-    first: Desc<'a>,
-    /// The rack `first` walks, left out of the merge; `None` when the
-    /// merge is the whole walk.
-    skip: Option<usize>,
-    /// The merge of the other racks; `None` until the walk needs it.
-    pub(super) rest: Option<Merge<'a>>,
+struct Cursor<'a> {
+    walk: Desc<'a>,
+    /// `(free, id, MB left)` of the head; `None` until pulled off the
+    /// walk.
+    head: Option<(u64, NodeId, u64)>,
 }
 
-impl<'a> LenderWalk<'a> {
-    /// Rack `rack`'s lenders, then every other rack's.
-    pub(super) fn from_rack(racks: &'a [FreeIndex], rack: usize) -> Self {
-        LenderWalk {
-            racks,
-            first: racks[rack].desc(),
-            skip: Some(rack),
-            rest: None,
-        }
-    }
-
-    /// Every rack's lenders in one order. A single rack is walked
-    /// directly, with no merge.
-    pub(super) fn global(racks: &'a [FreeIndex]) -> Self {
-        if racks.len() == 1 {
-            return Self::from_rack(racks, 0);
-        }
-        LenderWalk {
-            racks,
-            first: Desc::default(),
-            skip: None,
-            rest: None,
-        }
-    }
-}
-
-impl Iterator for LenderWalk<'_> {
-    type Item = (u64, NodeId);
-
+impl Cursor<'_> {
+    /// The head, pulling the next lender `skip` lets through once the
+    /// last one is drained.
     #[inline]
-    fn next(&mut self) -> Option<(u64, NodeId)> {
-        if let Some(lender) = self.first.next() {
-            return Some(lender);
+    fn head(&mut self, skip: &impl Fn(NodeId) -> bool) -> Option<(u64, NodeId, u64)> {
+        if self.head.is_none() {
+            self.head = self
+                .walk
+                .find(|&(_, id)| !skip(id))
+                .map(|(free, id)| (free, id, free));
         }
-        let (racks, skip) = (self.racks, self.skip);
-        if racks.len() == 1 {
-            return None; // the one rack was `first`: nothing to merge
+        self.head
+    }
+
+    /// Take `mb` of what the head has left, moving past it once it is
+    /// drained.
+    #[inline]
+    fn take(&mut self, mb: u64) {
+        if let Some((_, _, left)) = &mut self.head {
+            *left -= mb;
+            if *left == 0 {
+                self.head = None;
+            }
         }
-        self.rest
-            .get_or_insert_with(|| Merge::new(racks, skip))
-            .next()
     }
 }
 
-/// The k-way merge of several racks' [`Desc`] walks. The heap holds
-/// each unfinished walk's head as `(free << 32 | !id, walk)`, so the
-/// max-heap's top is the head with the most free memory and, within a
-/// tie, the lowest id.
+/// The lender pool as one placement or growth plan sees it: a cursor
+/// per rack, over the nodes `skip` lets through (the plan's compute
+/// nodes are not lenders). A plan drains each rack's lenders in its
+/// walk order — the home rack from the top, the other racks by their
+/// heads in the cross-rack merge — so each rack's drained lenders are
+/// a prefix of its walk and one cursor per rack replaces any re-walk.
 #[derive(Debug)]
-pub(super) struct Merge<'a> {
-    walks: Vec<Desc<'a>>,
-    heads: BinaryHeap<(u64, u32)>,
+pub(crate) struct LenderCursors<'a, S> {
+    topology: &'a Topology,
+    cursors: Vec<Cursor<'a>>,
+    /// The other racks' heads as `(free << 32 | !id, rack)`, so the
+    /// max-heap's top is the `(free desc, id asc)` first; rebuilt by
+    /// each borrow that leaves its home rack and empty until one does.
+    pub(super) heads: BinaryHeap<(u64, u32)>,
+    skip: S,
 }
 
-impl<'a> Merge<'a> {
-    fn new(racks: &'a [FreeIndex], skip: Option<usize>) -> Self {
-        let mut merge = Merge {
-            walks: Vec::new(),
+impl<'a, S: Fn(NodeId) -> bool> LenderCursors<'a, S> {
+    pub(super) fn new(racks: &'a [FreeIndex], topology: &'a Topology, skip: S) -> Self {
+        let cursors = racks
+            .iter()
+            .map(|index| Cursor {
+                walk: index.desc(),
+                head: None,
+            })
+            .collect();
+        LenderCursors {
+            topology,
+            cursors,
             heads: BinaryHeap::new(),
-        };
-        for (rack, index) in racks.iter().enumerate() {
-            if Some(rack) == skip {
-                continue;
-            }
-            let mut walk = index.desc();
-            if let Some((free, id)) = walk.next() {
-                merge.heads.push((rank(free, id), merge.walks.len() as u32));
-                merge.walks.push(walk);
-            }
+            skip,
         }
-        merge
     }
 
-    #[inline]
-    fn next(&mut self) -> Option<(u64, NodeId)> {
-        let mut top = self.heads.peek_mut()?;
-        let (head, walk) = *top;
-        match self.walks[walk as usize].next() {
-            Some((free, id)) => *top = (rank(free, id), walk),
-            None => {
-                PeekMut::pop(top);
+    /// Borrow `need` MB for an entry homed on `home`: the home rack's
+    /// lenders first, then the other racks' by `(free desc, id asc)`,
+    /// taking at most the topology's cross budget for `need` across
+    /// racks. Returns the `(lender, MB)` slices in walk order, or
+    /// `None` when the pool or the cross budget runs out.
+    pub(crate) fn borrow(&mut self, home: NodeId, mut need: u64) -> Option<Vec<(NodeId, u64)>> {
+        // The budget is the cap's share of the entry's whole remote
+        // need, not of what the home rack leaves.
+        let budget_of = need;
+        let home_rack = self.topology.rack_of(home) as usize;
+        let skip = &self.skip;
+        let mut remote = Vec::new();
+        let cursor = &mut self.cursors[home_rack];
+        while need > 0 {
+            let Some((_, id, left)) = cursor.head(skip) else {
+                break;
+            };
+            let take = left.min(need);
+            remote.push((id, take));
+            cursor.take(take);
+            need -= take;
+        }
+        if need == 0 {
+            return Some(remote);
+        }
+        let mut cross_budget = self.topology.cross_budget(budget_of);
+        if cross_budget == 0 {
+            return None;
+        }
+        self.heads.clear();
+        for (rack, cursor) in self.cursors.iter_mut().enumerate() {
+            if rack != home_rack {
+                if let Some((free, id, _)) = cursor.head(skip) {
+                    self.heads.push((rank(free, id), rack as u32));
+                }
             }
         }
-        Some((head >> 32, NodeId(!(head as u32))))
+        while need > 0 && cross_budget > 0 {
+            let Some(mut top) = self.heads.peek_mut() else {
+                break;
+            };
+            let cursor = &mut self.cursors[top.1 as usize];
+            let (_, id, left) = cursor.head(skip).expect("a merged rack has a head");
+            let take = left.min(need).min(cross_budget);
+            remote.push((id, take));
+            cursor.take(take);
+            need -= take;
+            cross_budget -= take;
+            match cursor.head(skip) {
+                Some((free, id, _)) => top.0 = rank(free, id),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        (need == 0).then_some(remote)
     }
 }
 

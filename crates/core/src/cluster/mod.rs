@@ -36,15 +36,16 @@
 //!   on every placement and growth plan). A ledger change re-keys a
 //!   node in its rack's lender index and the schedulable index, each
 //!   with two binary searches and a shift of the keys between its old
-//!   and new positions. The whole-cluster lender order is a k-way
-//!   merge of the rack walks, built only when a walk leaves its first
-//!   rack;
+//!   and new positions. Every borrow plan reads the lender pool
+//!   through one cursor per rack: the home rack's walk first, then a
+//!   merge of the other racks' heads, built only when a plan leaves
+//!   its home rack;
 //! * `faults` — node crash/repair, blade degradation, and lender
 //!   revocation;
 //! * [`topology`] — the fabric partition ([`TopologySpec`],
 //!   [`Topology`]): racks and the pricing of cross-rack borrowing. The
-//!   flat topology is one rack with no per-node table, so its lender
-//!   walks read one index, as before the topology layer.
+//!   flat topology is one rack with no per-node table, so its borrow
+//!   plans read one index, as before the topology layer.
 
 mod alloc;
 mod faults;
@@ -59,7 +60,7 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
-use indexes::{FreeIndex, LenderWalk};
+use indexes::{FreeIndex, LenderCursors};
 
 /// One job's row of the cluster's per-job ledger.
 #[derive(Clone, Debug, Default)]
@@ -361,14 +362,14 @@ impl Cluster {
         self.sched_index.desc()
     }
 
-    /// The lender pool: every node with free memory, descending by free
-    /// with ids ascending within ties. One index walk on a single-rack
-    /// cluster, a merge of the rack walks otherwise.
-    pub fn free_by_free_desc(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        LenderWalk::global(&self.rack_lenders)
+    /// The lender pool for one borrow plan: a cursor per rack over the
+    /// nodes with free memory that `skip` lets through (a plan's own
+    /// compute nodes never lend to it).
+    pub(crate) fn lender_cursors<S: Fn(NodeId) -> bool>(&self, skip: S) -> LenderCursors<'_, S> {
+        LenderCursors::new(&self.rack_lenders, &self.topology, skip)
     }
 
-    /// Free MB across the lender pool ([`Self::free_by_free_desc`]).
+    /// Free MB across the lender pool, every node with free memory.
     /// O(1).
     pub(crate) fn lender_free_mb(&self) -> u64 {
         self.lender_free_mb
@@ -481,13 +482,6 @@ impl Cluster {
         &self.topology
     }
 
-    /// Whether the cluster is on the flat (single-domain) topology.
-    /// Placement uses this to keep the original scan on the hot path.
-    #[inline]
-    pub fn is_flat(&self) -> bool {
-        self.topology.is_flat()
-    }
-
     /// Rack of a node (0 on flat topologies).
     #[inline]
     pub fn rack_of(&self, id: NodeId) -> u32 {
@@ -510,17 +504,6 @@ impl Cluster {
     /// flat topologies.
     pub fn total_cross_rack_mb(&self) -> u64 {
         self.total_cross_mb
-    }
-
-    /// Locality-aware lender order for a borrower homed on `home`:
-    /// intra-rack lenders first (free desc, id asc), then cross-rack
-    /// lenders in the same order. The cross-rack tail is a merge of the
-    /// other racks' walks, built only if the caller walks past the home
-    /// rack. When the topology has a single rack — flat, or a racked
-    /// spec whose one rack holds every node — this is exactly
-    /// [`Self::free_by_free_desc`]: nothing is cross.
-    pub fn lenders_from(&self, home: NodeId) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        LenderWalk::from_rack(&self.rack_lenders, self.topology.rack_of(home) as usize)
     }
 
     /// Effective remote fraction of a job's allocation with cross-rack

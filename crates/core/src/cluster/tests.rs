@@ -159,6 +159,14 @@ fn grow_local_and_remote() {
     assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(1)]);
 }
 
+/// Every rack's lender index, merged into one `(free desc, id asc)`
+/// list: the whole lender pool.
+fn lender_pool_desc(c: &Cluster) -> Vec<(u64, NodeId)> {
+    let mut all: Vec<_> = c.rack_lenders.iter().flat_map(FreeIndex::desc).collect();
+    all.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
+    all
+}
+
 /// Every index iterator against a sorted rebuild from the node table,
 /// plus the full invariant audit.
 fn assert_indexes_match_rebuild(c: &Cluster) {
@@ -176,10 +184,6 @@ fn assert_indexes_match_rebuild(c: &Cluster) {
     sched_asc.sort();
     assert_eq!(c.schedulable_by_free_asc(0).collect::<Vec<_>>(), sched_asc);
     assert_eq!(c.schedulable_by_free_desc().collect::<Vec<_>>(), sched);
-    assert_eq!(
-        c.free_by_free_desc().collect::<Vec<_>>(),
-        desc(&|_, n| n.free_mb() > 0)
-    );
     // One lender index per rack, flat clusters included.
     assert_eq!(c.rack_lenders.len(), c.topology().racks() as usize);
     for (rack, index) in (0..).zip(&c.rack_lenders) {
@@ -223,8 +227,9 @@ fn index_rekeys_through_ties_and_back() {
     assert_indexes_match_rebuild(&c);
     // Back to the start: one eight-way tie in the schedulable index
     // and in the merged lender walk.
-    assert_eq!(c.free_by_free_desc().count(), 8);
-    assert!(c.free_by_free_desc().all(|(f, _)| f == 1000));
+    let pool = lender_pool_desc(&c);
+    assert_eq!(pool.len(), 8);
+    assert!(pool.iter().all(|&(f, _)| f == 1000));
 }
 
 /// The debug-build oracle check is wired: with the schedulable index
@@ -374,7 +379,7 @@ fn shared_lender_across_entries_is_counted_once_and_fully_released() {
     assert_eq!(c.total_allocated_mb(), 0);
     assert_eq!(c.total_remote_mb(), 0);
     assert_eq!(c.idle_count(), 4);
-    assert!(c.free_by_free_desc().eq(empty.free_by_free_desc()));
+    assert_eq!(lender_pool_desc(&c), lender_pool_desc(&empty));
     assert!(c
         .schedulable_by_free_desc()
         .eq(empty.schedulable_by_free_desc()));
@@ -401,7 +406,7 @@ fn down_node_leaves_pool_and_indexes() {
     assert!(!c.schedulable(NodeId(1)));
     assert_eq!(c.schedulable_count(), 3);
     // The free/sched indexes must not offer the down node.
-    assert!(c.free_by_free_desc().all(|(_, id)| id != NodeId(1)));
+    assert!(lender_pool_desc(&c).iter().all(|&(_, id)| id != NodeId(1)));
     assert!(c.schedulable_by_free_asc(0).all(|(_, id)| id != NodeId(1)));
     c.repair_node(NodeId(1));
     assert_eq!(c.total_offline_mb(), 0);
@@ -589,36 +594,39 @@ fn audit_catches_a_stale_rack_lender_index() {
 
 mod rack_lenders {
     use super::*;
+    use crate::oracle::{borrow_reference, lender_pool};
     use crate::policy::{place_spread_with, plan_growth, PlacementScratch};
     use proptest::prelude::*;
 
     const JOBS: u32 = 6;
 
-    /// Both lender walks against a full-scan sort of the node table:
-    /// every rack merged, and for every home node its own rack first,
-    /// then the rest. A walk that stops at the end of its home rack
-    /// must not have built the cross-rack merge.
-    fn check(c: &Cluster) -> Result<(), String> {
-        let mut all: Vec<(u64, NodeId)> = c
-            .iter()
-            .filter(|(_, n)| n.free_mb() > 0)
-            .map(|(id, n)| (n.free_mb(), id))
-            .collect();
-        all.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
-        prop_assert_eq!(c.free_by_free_desc().collect::<Vec<_>>(), all);
-        for (home, _) in c.iter() {
-            let rack = c.rack_of(home);
-            let (mut want, cross): (Vec<_>, Vec<_>) =
-                all.iter().partition(|&&(_, id)| c.rack_of(id) == rack);
-            let intra = want.len();
-            want.extend(cross);
-            prop_assert_eq!(c.lenders_from(home).collect::<Vec<_>>(), want);
-            let mut walk = LenderWalk::from_rack(&c.rack_lenders, rack as usize);
-            prop_assert_eq!(walk.by_ref().take(intra).count(), intra);
-            prop_assert!(
-                walk.rest.is_none(),
-                "{home:?}: merge built inside the home rack"
-            );
+    /// Borrow sequences off fresh lender cursors against the full-scan
+    /// oracle (the node table sorted once, with a drained overlay): from
+    /// every start node, the borrows of `needs` homed on it and the
+    /// nodes after it, with the start node and its successor excluded
+    /// as a plan's compute nodes are. Until a borrow crosses racks, the
+    /// cursors must not have built the cross-rack merge.
+    fn check(c: &Cluster, needs: &[u64]) -> Result<(), String> {
+        let n = c.len() as u32;
+        for start in 0..n {
+            let exclude = [NodeId(start), NodeId((start + 1) % n)];
+            let mut cursors = c.lender_cursors(|id| exclude.contains(&id));
+            let mut pool = lender_pool(c, &exclude);
+            let mut crossed = false;
+            for (k, &need) in (0..).zip(needs) {
+                let home = NodeId((start + k) % n);
+                let got = cursors.borrow(home, need);
+                let want = borrow_reference(c, &mut pool, home, need);
+                prop_assert!(got == want, "from {start}, borrow {k}: {got:?} vs {want:?}");
+                let Some(slices) = want else {
+                    break;
+                };
+                crossed |= slices.iter().any(|&(l, _)| c.is_cross(home, l));
+                prop_assert!(
+                    crossed || cursors.heads.capacity() == 0,
+                    "from {start}, borrow {k}: merge built inside the home rack"
+                );
+            }
         }
         Ok(())
     }
@@ -643,21 +651,25 @@ mod rack_lenders {
         /// Random start/grow/shrink/finish/crash/degrade sequences on
         /// random rack partitions (sizes that do not divide the node
         /// count, and sizes of at least the node count, included) and
-        /// on the flat fabric keep both lender walks equal to a
-        /// full-scan sort after every step.
+        /// on the flat fabric keep every borrow sequence off the lender
+        /// cursors equal to the full-scan oracle's after every step.
+        /// Capacities are multiples of 256 MB, so equal-free lenders in
+        /// different racks are common and the merge's tie order counts.
         #[test]
-        fn lender_walks_match_full_sort(
-            caps in prop::collection::vec(256u64..4096, 3..24),
+        fn lender_cursors_match_full_sort(
+            units in prop::collection::vec(1u64..16, 3..24),
             rack_size in 1u32..28,
             cross_idx in 0usize..3,
             ops in prop::collection::vec((0u64..6, 0u32..JOBS, 0u64..64, 1u64..4000), 1..80),
+            needs in prop::collection::vec(1u64..4000, 1..6),
         ) {
             let cross_cap = [0.0, 0.5, 1.0][cross_idx];
+            let caps: Vec<u64> = units.iter().map(|u| u * 256).collect();
             for spec in [TopologySpec::Flat, TopologySpec::Racks { size: rack_size, cross_cap }] {
                 let mut c = Cluster::new_with_topology(caps.clone(), 0.5, spec);
                 let mut scratch = PlacementScratch::new();
                 let mut compute = Vec::new();
-                check(&c)?;
+                check(&c, &needs)?;
                 for &(op, j, pick, mb) in &ops {
                     let job = JobId(j);
                     let node = NodeId((pick % caps.len() as u64) as u32);
@@ -694,7 +706,7 @@ mod rack_lenders {
                             c.finish_job(job);
                         }
                     }
-                    check(&c)?;
+                    check(&c, &needs)?;
                 }
                 prop_assert_eq!(c.check_invariants(), Ok(()));
             }

@@ -17,9 +17,10 @@
 //! ```
 //!
 //! * `flat` — one fabric domain holding every node: any node borrows
-//!   from any other at uniform cost. Bit-identical to the pre-topology
-//!   simulator by construction (the rack index machinery is never
-//!   built and every lender scan takes the original code path).
+//!   from any other at uniform cost. It is one rack with no per-node
+//!   table: its lender pool is one index, nothing is cross, and its
+//!   cross budget is the whole need, so the one lender walk reproduces
+//!   the pre-topology simulator bit for bit.
 //! * `racks:size=<N>[,cross_cap=<frac>]` — nodes partition into racks
 //!   of `N` consecutive ids. Lender iteration prefers intra-rack
 //!   lenders (most free first), then crosses rack boundaries; each
@@ -242,13 +243,8 @@ impl Topology {
         self.spec
     }
 
-    /// Whether this is the flat (single-domain) topology.
-    #[inline]
-    pub fn is_flat(&self) -> bool {
-        matches!(self.spec, TopologySpec::Flat)
-    }
-
     /// Number of racks (1 for flat).
+    #[inline]
     pub fn racks(&self) -> u32 {
         self.racks
     }
@@ -402,10 +398,8 @@ mod tests {
         assert_eq!(t.rack_of(NodeId(3)), 0);
         assert_eq!(t.rack_of(NodeId(4)), 1);
         assert_eq!(t.rack_of(NodeId(9)), 2);
-        assert!(!t.is_flat());
 
         let flat = TopologySpec::Flat.build(10);
-        assert!(flat.is_flat());
         assert_eq!(flat.racks(), 1);
         assert_eq!(flat.rack_of(NodeId(7)), 0);
     }

@@ -168,9 +168,10 @@ impl SystemConfig {
     }
 
     /// Validate the configuration, returning the first violation found.
-    /// The simulator asserts this on construction; callers building
-    /// configs from user input (CLI flags, config files) should call it
-    /// to surface errors instead of panics.
+    /// Nothing checks this on construction: an invalid config panics
+    /// somewhere inside the run (a zero-node cluster when it is built),
+    /// so callers building configs from user input (`dmhpc simulate`)
+    /// call it to surface a named error instead.
     pub fn validate(&self) -> Result<(), CoreError> {
         let bad = |msg: String| Err(CoreError::InvalidConfig(msg));
         if self.nodes == 0 {

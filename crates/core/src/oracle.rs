@@ -102,116 +102,20 @@ pub fn place_spread_reference(cluster: &Cluster, nodes: u32, request_mb: u64) ->
                 .collect(),
         });
     }
-    if !cluster.is_flat() {
-        return place_spread_racked_reference(cluster, sched, n, request_mb);
-    }
     // Phase 2: nodes with the most free memory + borrowing.
     // Sort descending by free, ascending by id for determinism.
     sched.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let compute = &sched[..n];
     let compute_ids: Vec<NodeId> = compute.iter().map(|&(_, id)| id).collect();
-    // Lenders: every other node with free memory, most free first.
-    let mut lenders: Vec<(u64, NodeId)> = cluster
-        .iter()
-        .filter(|(id, node)| node.free_mb() > 0 && !compute_ids.contains(id))
-        .map(|(id, node)| (node.free_mb(), id))
-        .collect();
-    lenders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut li = 0usize;
+    let mut pool = lender_pool(cluster, &compute_ids);
+    // The pool's lenders before `first` are drained: skipping them keeps
+    // a flat placement one pass over the pool.
+    let mut first = 0;
     let mut entries = Vec::with_capacity(n);
     for &(free, id) in compute {
         let local = free.min(request_mb);
-        let mut need = request_mb - local;
-        let mut remote = Vec::new();
-        while need > 0 {
-            let Some(slot) = lenders.get_mut(li) else {
-                return None; // pool exhausted
-            };
-            let take = slot.0.min(need);
-            if take > 0 {
-                remote.push((slot.1, take));
-                slot.0 -= take;
-                need -= take;
-            }
-            if slot.0 == 0 {
-                li += 1;
-            }
-        }
-        entries.push(AllocEntry {
-            node: id,
-            local_mb: local,
-            remote,
-        });
-    }
-    Some(JobAlloc { entries })
-}
-
-/// Full-scan twin of the racked phase-2 spread placement: `sched` is
-/// the [`sched_scan`] of `cluster`, and the lender pool is re-sorted
-/// per entry by `(cross-rack?, free desc, id asc)` with original
-/// free-memory keys, drained amounts living in a side overlay exactly
-/// like the indexed implementation.
-pub fn place_spread_racked_reference(
-    cluster: &Cluster,
-    mut sched: Vec<(u64, NodeId)>,
-    n: usize,
-    request_mb: u64,
-) -> Option<JobAlloc> {
-    sched.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let compute = &sched[..n];
-    let compute_ids: Vec<NodeId> = compute.iter().map(|&(_, id)| id).collect();
-    let lenders: Vec<(u64, NodeId)> = cluster
-        .iter()
-        .filter(|(id, node)| node.free_mb() > 0 && !compute_ids.contains(id))
-        .map(|(id, node)| (node.free_mb(), id))
-        .collect();
-    let mut taken: Vec<(NodeId, u64)> = Vec::new();
-    let mut entries = Vec::with_capacity(n);
-    for &(free, id) in compute {
-        let local = free.min(request_mb);
-        let mut need = request_mb - local;
-        let mut cross_budget = cluster.topology().cross_budget(need);
-        // Re-order the pool for *this* entry: own-rack lenders first.
-        let mut order = lenders.clone();
-        order.sort_unstable_by(|a, b| {
-            cluster
-                .is_cross(id, a.1)
-                .cmp(&cluster.is_cross(id, b.1))
-                .then(b.0.cmp(&a.0))
-                .then(a.1.cmp(&b.1))
-        });
-        let mut remote = Vec::new();
-        for (lfree, lid) in order {
-            if need == 0 {
-                break;
-            }
-            let already = taken
-                .iter()
-                .find(|&&(t, _)| t == lid)
-                .map_or(0, |&(_, a)| a);
-            let avail = lfree - already;
-            let is_cross = cluster.is_cross(id, lid);
-            let take = if is_cross {
-                avail.min(need).min(cross_budget)
-            } else {
-                avail.min(need)
-            };
-            if take == 0 {
-                continue;
-            }
-            remote.push((lid, take));
-            need -= take;
-            if is_cross {
-                cross_budget -= take;
-            }
-            match taken.iter_mut().find(|&&mut (t, _)| t == lid) {
-                Some(slot) => slot.1 += take,
-                None => taken.push((lid, take)),
-            }
-        }
-        if need > 0 {
-            return None; // pool (or cross-rack budget) exhausted
-        }
+        let remote = borrow_reference(cluster, &mut pool[first..], id, request_mb - local)?;
+        first += pool[first..].iter().take_while(|l| l.1 == 0).count();
         entries.push(AllocEntry {
             node: id,
             local_mb: local,
@@ -228,71 +132,59 @@ pub fn plan_growth_reference(
     compute_ids: &[NodeId],
     need_mb: u64,
 ) -> Option<(u64, Vec<(NodeId, u64)>)> {
-    if need_mb == 0 {
-        return Some((0, vec![]));
-    }
     let local = cluster.node(entry_node).free_mb().min(need_mb);
-    let mut need = need_mb - local;
-    if need == 0 {
-        return Some((local, vec![]));
-    }
-    let mut lenders: Vec<(u64, NodeId)> = cluster
+    let mut pool = lender_pool(cluster, compute_ids);
+    let borrows = borrow_reference(cluster, &mut pool, entry_node, need_mb - local)?;
+    Some((local, borrows))
+}
+
+/// The lender pool of a plan whose compute nodes are `exclude`: every
+/// other node with free memory as `(id, MB left)`, sorted by
+/// `(free desc, id asc)`. Borrows lower the left column in place.
+pub(crate) fn lender_pool(cluster: &Cluster, exclude: &[NodeId]) -> Vec<(NodeId, u64)> {
+    let mut pool: Vec<(NodeId, u64)> = cluster
         .iter()
-        .filter(|(id, node)| node.free_mb() > 0 && !compute_ids.contains(id))
-        .map(|(id, node)| (node.free_mb(), id))
+        .filter(|(id, node)| node.free_mb() > 0 && !exclude.contains(id))
+        .map(|(id, node)| (id, node.free_mb()))
         .collect();
-    if !cluster.is_flat() {
-        // Racked twin: sort by (cross-rack?, free desc, id asc) and walk
-        // under the cross-rack budget.
-        lenders.sort_unstable_by(|a, b| {
-            cluster
-                .is_cross(entry_node, a.1)
-                .cmp(&cluster.is_cross(entry_node, b.1))
-                .then(b.0.cmp(&a.0))
-                .then(a.1.cmp(&b.1))
-        });
-        let mut cross_budget = cluster.topology().cross_budget(need);
-        let mut borrows = Vec::new();
-        for (free, id) in lenders {
+    pool.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    pool
+}
+
+/// Borrow `need` MB from `pool` for an entry homed on `home`: one pass
+/// over the home rack's lenders in pool order, then one over every
+/// other rack's, whose takes together stay within the topology's cross
+/// budget for `need`. `None` when the pool or the budget runs out.
+pub(crate) fn borrow_reference(
+    cluster: &Cluster,
+    pool: &mut [(NodeId, u64)],
+    home: NodeId,
+    mut need: u64,
+) -> Option<Vec<(NodeId, u64)>> {
+    let mut cross_budget = cluster.topology().cross_budget(need);
+    let mut remote = Vec::new();
+    for cross in [false, true] {
+        for (id, left) in pool.iter_mut() {
             if need == 0 {
                 break;
             }
-            let is_cross = cluster.is_cross(entry_node, id);
-            let take = if is_cross {
-                free.min(need).min(cross_budget)
-            } else {
-                free.min(need)
-            };
+            if cluster.is_cross(home, *id) != cross {
+                continue;
+            }
+            let cap = if cross { cross_budget } else { need };
+            let take = (*left).min(need).min(cap);
             if take == 0 {
                 continue;
             }
-            borrows.push((id, take));
+            remote.push((*id, take));
+            *left -= take;
             need -= take;
-            if is_cross {
+            if cross {
                 cross_budget -= take;
             }
         }
-        return if need > 0 {
-            None
-        } else {
-            Some((local, borrows))
-        };
     }
-    lenders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut borrows = Vec::new();
-    for (free, id) in lenders {
-        if need == 0 {
-            break;
-        }
-        let take = free.min(need);
-        borrows.push((id, take));
-        need -= take;
-    }
-    if need > 0 {
-        None
-    } else {
-        Some((local, borrows))
-    }
+    (need == 0).then_some(remote)
 }
 
 /// Slice-fold twin of [`Cluster::priced_remote_fraction`]: every remote
@@ -302,9 +194,6 @@ pub fn priced_remote_fraction_reference(cluster: &Cluster, job: JobId) -> f64 {
     let Some(alloc) = cluster.alloc_of(job) else {
         return 0.0;
     };
-    if cluster.is_flat() {
-        return alloc.remote_fraction();
-    }
     let total = alloc.total_mb();
     if total == 0 {
         return 0.0;

@@ -45,26 +45,17 @@ pub use spec::PolicySpec;
 
 /// Reusable buffers for [`place_exclusive_with`] / [`place_spread_with`];
 /// owning one across calls makes the placement hot path allocation-free
-/// apart from the returned [`JobAlloc`] itself.
+/// apart from the returned [`JobAlloc`] and its lender cursors.
 #[derive(Clone, Debug, Default)]
 pub struct PlacementScratch {
     /// Baseline candidate list as `(capacity, id)`.
     fit: Vec<(u64, NodeId)>,
     /// Phase-2 compute-node selection as `(free, id)`.
     compute: Vec<(u64, NodeId)>,
-    /// Phase-2 per-node marks, all zero between calls: [`COMPUTE`] on
-    /// the job's compute nodes and, on racked fabrics, the MB already
-    /// planned from each lender. Rack-aware lender iteration restarts
-    /// per entry, so drained amounts are tracked here instead of in a
-    /// single stream.
-    mark: Vec<u64>,
-    /// The lenders with a drain mark, for clearing.
-    taken: Vec<NodeId>,
+    /// Per-node phase-2 mark, set on the job's compute nodes (which do
+    /// not lend to it) and all clear between calls.
+    mark: Vec<bool>,
 }
-
-/// The [`PlacementScratch::mark`] of a compute node. Above any drain
-/// mark: node capacities fit a `u32`.
-const COMPUTE: u64 = u64::MAX;
 
 impl PlacementScratch {
     /// Empty scratch; buffers grow to steady state on first use.
@@ -182,7 +173,8 @@ fn place_spread_indexed(
         return Some(JobAlloc { entries });
     }
     // Phase 2: the n nodes with the most free memory become compute
-    // nodes; the rest of the free pool lends.
+    // nodes, on any topology (racks decide where a job borrows, not
+    // where it runs); the rest of the free pool lends.
     scratch.compute.clear();
     scratch
         .compute
@@ -190,9 +182,10 @@ fn place_spread_indexed(
     // Pool-capacity early exit, before anything is allocated: the
     // entries together must borrow `Σ (req − min(free_i, req))`, and the
     // lenders (the free pool minus the compute nodes) hold
-    // `lender free − Σ free_i`. On flat fabrics the greedy walk below
-    // fails exactly when the first exceeds the second; on racked ones
-    // that is one of its failure cases, so the exit is exact on both.
+    // `lender free − Σ free_i`. On a one-rack fabric the borrow walk
+    // below fails exactly when the first exceeds the second; on racked
+    // ones that is one of its failure cases, so the exit is exact on
+    // both.
     let (need, compute_free) = scratch
         .compute
         .iter()
@@ -202,135 +195,33 @@ fn place_spread_indexed(
     if need > cluster.lender_free_mb() - compute_free {
         return None;
     }
-    if scratch.mark.len() < cluster.len() {
-        scratch.mark.resize(cluster.len(), 0);
-    }
-    for &(_, id) in &scratch.compute {
-        scratch.mark[id.0 as usize] = COMPUTE;
-    }
-    let alloc = if cluster.is_flat() {
-        place_spread_flat(cluster, request_mb, scratch)
-    } else {
-        place_spread_racked(cluster, request_mb, scratch)
-    };
-    for &(_, id) in &scratch.compute {
-        scratch.mark[id.0 as usize] = 0;
-    }
-    for id in scratch.taken.drain(..) {
-        scratch.mark[id.0 as usize] = 0;
-    }
-    alloc
-}
-
-/// Phase-2 spread placement on the flat fabric, over the compute nodes
-/// already in `scratch.compute` and marked in `scratch.mark`.
-fn place_spread_flat(
-    cluster: &Cluster,
-    request_mb: u64,
-    scratch: &PlacementScratch,
-) -> Option<JobAlloc> {
     let PlacementScratch { compute, mark, .. } = scratch;
-    // Lenders stream straight off the lender index (most free first),
-    // skipping the job's own compute nodes; `current` carries the
-    // partially drained lender across entries.
-    let mut lender_iter = cluster
-        .free_by_free_desc()
-        .filter(|(_, id)| mark[id.0 as usize] != COMPUTE);
-    let mut current: Option<(u64, NodeId)> = None;
-    let mut entries = Vec::with_capacity(compute.len());
-    for &(free, id) in compute {
-        let local = free.min(request_mb);
-        let mut need = request_mb - local;
-        let mut remote = Vec::new();
-        while need > 0 {
-            match current {
-                Some((rem, lid)) if rem > 0 => {
-                    let take = rem.min(need);
-                    remote.push((lid, take));
-                    current = Some((rem - take, lid));
-                    need -= take;
-                }
-                _ => {
-                    current = Some(lender_iter.next()?); // pool exhausted
-                }
-            }
-        }
-        entries.push(AllocEntry {
-            node: id,
-            local_mb: local,
-            remote,
-        });
+    if mark.len() < cluster.len() {
+        mark.resize(cluster.len(), false);
     }
-    Some(JobAlloc { entries })
-}
-
-/// Phase-2 spread placement on a racked topology, over the compute
-/// nodes already in `scratch.compute` and marked in `scratch.mark`.
-/// Compute nodes are still the globally most-free schedulable nodes —
-/// rack boundaries do not change where a job *runs* — but each entry's
-/// borrows walk the locality-aware lender order (own rack first, then
-/// cross-rack) and cross-rack borrowing is capped at the topology's
-/// per-plan budget. Because the lender order restarts per entry,
-/// drained amounts are kept in the lenders' marks (listed in
-/// `scratch.taken`) rather than a single partially-consumed stream.
-fn place_spread_racked(
-    cluster: &Cluster,
-    request_mb: u64,
-    scratch: &mut PlacementScratch,
-) -> Option<JobAlloc> {
-    let PlacementScratch {
-        compute,
-        mark,
-        taken,
-        ..
-    } = scratch;
+    for &(_, id) in compute.iter() {
+        mark[id.0 as usize] = true;
+    }
+    // Each entry borrows what its node lacks, off one set of lender
+    // cursors shared by the whole job, so the entries drain the pool in
+    // turn.
+    let mut lenders = cluster.lender_cursors(|id: NodeId| mark[id.0 as usize]);
     let mut entries = Vec::with_capacity(compute.len());
     for &(free, id) in compute.iter() {
         let local = free.min(request_mb);
-        let mut need = request_mb - local;
-        let mut cross_budget = cluster.topology().cross_budget(need);
-        let mut remote = Vec::new();
-        // Stop as soon as the entry is covered, so a walk that its home
-        // rack satisfies never builds the cross-rack merge.
-        let mut lenders = cluster.lenders_from(id);
-        while need > 0 {
-            let Some((lfree, lid)) = lenders.next() else {
-                break;
-            };
-            let already = mark[lid.0 as usize];
-            if already == COMPUTE {
-                continue;
-            }
-            let avail = lfree - already;
-            let is_cross = cluster.is_cross(id, lid);
-            let take = if is_cross {
-                avail.min(need).min(cross_budget)
-            } else {
-                avail.min(need)
-            };
-            if take == 0 {
-                continue;
-            }
-            remote.push((lid, take));
-            need -= take;
-            if is_cross {
-                cross_budget -= take;
-            }
-            if already == 0 {
-                taken.push(lid);
-            }
-            mark[lid.0 as usize] += take;
-        }
-        if need > 0 {
-            return None; // pool (or cross-rack budget) exhausted
-        }
+        let Some(remote) = lenders.borrow(id, request_mb - local) else {
+            break; // pool (or cross-rack budget) exhausted
+        };
         entries.push(AllocEntry {
             node: id,
             local_mb: local,
             remote,
         });
     }
-    Some(JobAlloc { entries })
+    for &(_, id) in compute.iter() {
+        mark[id.0 as usize] = false;
+    }
+    (entries.len() == compute.len()).then_some(JobAlloc { entries })
 }
 
 /// Plan the growth of one compute-node entry by `need_mb`: local memory
@@ -363,66 +254,14 @@ fn plan_growth_indexed(
     compute_ids: &[NodeId],
     need_mb: u64,
 ) -> Option<(u64, Vec<(NodeId, u64)>)> {
-    if need_mb == 0 {
-        return Some((0, vec![]));
-    }
     let local = cluster.node(entry_node).free_mb().min(need_mb);
-    let mut need = need_mb - local;
-    if need == 0 {
+    if local == need_mb {
         return Some((local, vec![]));
     }
-    if !cluster.is_flat() {
-        // Racked: walk the locality-aware order (own rack first) under
-        // the cross-rack budget.
-        let mut cross_budget = cluster.topology().cross_budget(need);
-        let mut borrows = Vec::new();
-        for (free, id) in cluster.lenders_from(entry_node) {
-            if compute_ids.contains(&id) {
-                continue;
-            }
-            let is_cross = cluster.is_cross(entry_node, id);
-            let take = if is_cross {
-                free.min(need).min(cross_budget)
-            } else {
-                free.min(need)
-            };
-            if take == 0 {
-                continue;
-            }
-            borrows.push((id, take));
-            need -= take;
-            if is_cross {
-                cross_budget -= take;
-            }
-            if need == 0 {
-                break;
-            }
-        }
-        return if need > 0 {
-            None
-        } else {
-            Some((local, borrows))
-        };
-    }
-    // Lenders stream off the free index (most free first) instead of a
-    // collect-and-sort pass over every node.
-    let mut borrows = Vec::new();
-    for (free, id) in cluster.free_by_free_desc() {
-        if compute_ids.contains(&id) {
-            continue;
-        }
-        let take = free.min(need);
-        borrows.push((id, take));
-        need -= take;
-        if need == 0 {
-            break;
-        }
-    }
-    if need > 0 {
-        None
-    } else {
-        Some((local, borrows))
-    }
+    let borrows = cluster
+        .lender_cursors(|id| compute_ids.contains(&id))
+        .borrow(entry_node, need_mb - local)?;
+    Some((local, borrows))
 }
 
 #[cfg(test)]

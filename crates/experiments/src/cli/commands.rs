@@ -11,8 +11,9 @@
 
 use super::args::{usage, Args};
 use super::opts::{
-    fault_profile_from_opts, opt_parse, policy_from_opts, sample_interval_from_opts,
-    telemetry_from_opts, CommonRunOpts,
+    count_from_opts, fault_profile_from_opts, fraction_from_opts, opt_parse,
+    overestimation_from_opts, policy_from_opts, sample_interval_from_opts, telemetry_from_opts,
+    CommonRunOpts,
 };
 use crate::durable::{DurableError, PointStatus, ResumeState};
 use crate::exp;
@@ -612,9 +613,9 @@ fn cmd_export(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     use dmhpc_core::config::SystemConfig;
     let (scale, opts) = (a.scale, &a.opts);
     let dir = opts.get("out").ok_or("export requires --out DIR")?.clone();
-    let jobs: usize = opt_parse(opts, "jobs", scale.synthetic_jobs())?;
-    let large: f64 = opt_parse(opts, "large", 0.5)?;
-    let over: f64 = opt_parse(opts, "over", 0.0)?;
+    let jobs = count_from_opts(opts, "jobs", scale.synthetic_jobs())?;
+    let large = fraction_from_opts(opts, "large", 0.5)?;
+    let over = overestimation_from_opts(opts, 0.0)?;
     let seed: u64 = opt_parse(opts, "seed", 42)?;
     let system = SystemConfig::with_nodes(scale.synthetic_nodes());
     let workload = dmhpc_traces::WorkloadBuilder::new(seed)
@@ -663,8 +664,8 @@ fn cmd_chart(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     use crate::chart::sweep_panel;
     use crate::{ThroughputSweep, TraceSpec};
     let opts = &a.opts;
-    let large: f64 = opt_parse(opts, "large", 0.5)?;
-    let over: f64 = opt_parse(opts, "over", 0.6)?;
+    let large = fraction_from_opts(opts, "large", 0.5)?;
+    let over = overestimation_from_opts(opts, 0.6)?;
     let width: usize = opt_parse(opts, "width", 40)?;
     let trace = TraceSpec::Synthetic {
         large_fraction: large,
@@ -695,25 +696,26 @@ fn cmd_simulate(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     use dmhpc_core::sim::SimBuilder;
     let opts = &a.opts;
     let swf_path = opts.get("swf").ok_or("simulate requires --swf FILE")?;
+    let policy = policy_from_opts(opts)?;
+    let nodes = count_from_opts(opts, "nodes", a.scale.synthetic_nodes())?;
+    let large_nodes = fraction_from_opts(opts, "large-nodes", 1.0)?;
+    let system = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::new(
+        64 * 1024,
+        128 * 1024,
+        large_nodes,
+    ));
+    system.validate().map_err(|e| e.to_string())?;
     let swf_text = std::fs::read_to_string(swf_path).map_err(|e| format!("{swf_path}: {e}"))?;
     let usage_text = match opts.get("usage") {
         Some(p) => Some(std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?),
         None => None,
     };
-    let policy = policy_from_opts(opts)?;
-    let nodes: u32 = opt_parse(opts, "nodes", a.scale.synthetic_nodes())?;
-    let large_nodes: f64 = opt_parse(opts, "large-nodes", 1.0)?;
     let workload = dmhpc_traces::workload_from_text(
         &swf_text,
         usage_text.as_deref(),
         &dmhpc_traces::ImportOptions::default(),
     )
     .map_err(String::from)?;
-    let system = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::new(
-        64 * 1024,
-        128 * 1024,
-        large_nodes,
-    ));
     let n_jobs = workload.len();
     let collector = telemetry_from_opts(opts)?.map(TelemetryCollector::new);
     let mut sim = SimBuilder::new(system, workload).policy(policy);

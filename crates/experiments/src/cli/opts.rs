@@ -31,6 +31,65 @@ where
     }
 }
 
+/// Parse `opts[key]` like [`opt_parse`], then reject a value `ok`
+/// refuses: `--key: must be <expect>, got <value>`.
+///
+/// # Errors
+/// Returns the parse error or the range message.
+fn opt_checked<T>(
+    opts: &OptMap,
+    key: &str,
+    default: T,
+    expect: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let value = opt_parse(opts, key, default)?;
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(format!("--{key}: must be {expect}, got {value}"))
+    }
+}
+
+/// Parse a count option (`--nodes`, `--jobs`), which must be at least 1.
+///
+/// # Errors
+/// Returns a message naming the option when it is malformed or zero.
+pub(crate) fn count_from_opts<T>(opts: &OptMap, key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + std::fmt::Display + PartialOrd + Default,
+    T::Err: std::fmt::Display,
+{
+    opt_checked(opts, key, default, "at least 1", |n| *n > T::default())
+}
+
+/// Parse a fraction option (`--large`, `--large-nodes`) within `[0, 1]`.
+///
+/// # Errors
+/// Returns a message naming the option when it is malformed, NaN or
+/// out of range.
+pub(crate) fn fraction_from_opts(opts: &OptMap, key: &str, default: f64) -> Result<f64, String> {
+    opt_checked(opts, key, default, "a fraction within [0, 1]", |f| {
+        (0.0..=1.0).contains(f)
+    })
+}
+
+/// Parse `--over F`, the memory-request overestimation factor: finite
+/// and above -1 (a request of at least nothing).
+///
+/// # Errors
+/// Returns a message naming the option when it is malformed, NaN,
+/// infinite or at most -1.
+pub(crate) fn overestimation_from_opts(opts: &OptMap, default: f64) -> Result<f64, String> {
+    opt_checked(opts, "over", default, "a finite factor above -1", |o| {
+        o.is_finite() && *o > -1.0
+    })
+}
+
 /// Parse `--policies spec,spec,...` from the option map, defaulting to
 /// every registered policy. The baseline policy is always included —
 /// sweeps normalise against it.
@@ -87,13 +146,13 @@ pub fn topologies_from_opts(opts: &OptMap) -> Result<Vec<TopologySpec>, String> 
 /// # Errors
 /// Returns a message when the interval is malformed or non-positive.
 pub(crate) fn sample_interval_from_opts(opts: &OptMap) -> Result<f64, String> {
-    let interval: f64 = opt_parse(opts, "sample-interval", 60.0)?;
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!(
-            "--sample-interval: must be a positive number of seconds, got {interval}"
-        ));
-    }
-    Ok(interval)
+    opt_checked(
+        opts,
+        "sample-interval",
+        60.0,
+        "a positive number of seconds",
+        |s| s.is_finite() && *s > 0.0,
+    )
 }
 
 /// Parse the telemetry flags: `None` without `--telemetry` (the
@@ -287,6 +346,39 @@ mod tests {
             let args = parse(&["report", "--sample-interval", bad]).unwrap();
             let err = sample_interval_from_opts(&args.opts).unwrap_err();
             assert!(err.starts_with("--sample-interval:"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn numeric_options_reject_out_of_range_values() {
+        let opts = |argv: &[&str]| parse(argv).unwrap().opts;
+        let bare = opts(&["simulate"]);
+        assert_eq!(count_from_opts(&bare, "nodes", 96u32).unwrap(), 96);
+        assert_eq!(fraction_from_opts(&bare, "large-nodes", 1.0).unwrap(), 1.0);
+        assert_eq!(overestimation_from_opts(&bare, 0.6).unwrap(), 0.6);
+        let good = opts(&["export", "--jobs", "5", "--large", "0", "--over", "-0.5"]);
+        assert_eq!(count_from_opts(&good, "jobs", 1usize).unwrap(), 5);
+        assert_eq!(fraction_from_opts(&good, "large", 0.5).unwrap(), 0.0);
+        assert_eq!(overestimation_from_opts(&good, 0.0).unwrap(), -0.5);
+        for (cmd, key, bad) in [
+            ("simulate", "nodes", "0"),
+            ("export", "jobs", "0"),
+            ("export", "jobs", "-2"),
+        ] {
+            let err =
+                count_from_opts(&opts(&[cmd, &format!("--{key}"), bad]), key, 1usize).unwrap_err();
+            assert!(err.starts_with(&format!("--{key}:")), "{bad}: {err}");
+        }
+        for (cmd, key) in [("chart", "large"), ("simulate", "large-nodes")] {
+            for bad in ["7", "-1", "1.5", "nan", "x"] {
+                let err = fraction_from_opts(&opts(&[cmd, &format!("--{key}"), bad]), key, 0.5)
+                    .unwrap_err();
+                assert!(err.starts_with(&format!("--{key}:")), "{bad}: {err}");
+            }
+        }
+        for bad in ["-3", "-1", "nan", "inf"] {
+            let err = overestimation_from_opts(&opts(&["chart", "--over", bad]), 0.6).unwrap_err();
+            assert!(err.starts_with("--over:"), "{bad}: {err}");
         }
     }
 

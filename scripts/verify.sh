@@ -32,14 +32,15 @@ cargo test --release -q --test determinism_golden --test topology --test fast_pa
 # The lane-merged event queue (arrivals, tick slot, near-future bucket
 # ring with its wrap-around and sorted head bucket, far heap) against a
 # plain min-heap, the sorted-array free-memory index against a
-# BTreeSet, the per-rack lender walks (every rack merged, and home rack
-# first) against a full-scan sort, and the O(1) contention inputs (cached per-job totals,
-# hottest lender over demand rows) against the slice folds: an ordering
-# or bookkeeping slip would change results without tripping any
-# debug-only check.
+# BTreeSet, the per-rack lender cursors' borrow sequences (home rack
+# first, then the cross-rack merge under the cross cap) against the
+# full-scan oracle, and the O(1) contention inputs (cached per-job
+# totals, hottest lender over demand rows) against the slice folds: an
+# ordering or bookkeeping slip would change results without tripping
+# any debug-only check.
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
-cargo test --release -q -p dmhpc-core --lib cluster::tests::rack_lenders::lender_walks_match_full_sort
+cargo test --release -q -p dmhpc-core --lib cluster::tests::rack_lenders::lender_cursors_match_full_sort
 cargo test --release -q -p dmhpc-core --lib cluster::tests::contention_inputs::contention_inputs_match_slice_folds
 # The pruned nearest-neighbour Google-shape match against the linear
 # scan on seeded and tie-heavy pools: trace generation picks the same
@@ -165,6 +166,17 @@ code=0
 code=0
 ./target/release/dmhpc all --topology flat > /dev/null 2>&1 || code=$?
 [ "$code" -eq 2 ] || { echo "expected all --topology to exit 2, got $code"; exit 1; }
+# A numeric option out of range is a one-line error naming it (exit 1),
+# never a panic (exit 101) or a silent clamp.
+rejects() {
+    local opt=$1 code=0
+    shift
+    ./target/release/dmhpc "$@" > /dev/null 2> "$T/reject.err" || code=$?
+    { [ "$code" -eq 1 ] && grep -q -- "$opt:" "$T/reject.err"; } || { echo "dmhpc $* exited $code"; exit 1; }
+}
+rejects --nodes simulate --swf "$T/none.swf" --nodes 0
+rejects --jobs export --out "$T/export" --jobs 0
+rejects --large chart --scale small --large 7
 # `dmhpc help` names every command: a row dropped from the table fails.
 ./target/release/dmhpc help > "$T/help.txt"
 for cmd in table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8 fig9 \

@@ -6,7 +6,10 @@
 //! bit. These tests pin that guarantee the same way the sim
 //! decomposition was pinned — a behavior-snapshot digest per
 //! (fault profile, policy), captured on the pre-topology tree and
-//! compared forever after — and add property tests that the cluster
+//! compared forever after. The racked walk where the cross cap binds,
+//! and two points at the paper's 1,024 nodes (every plan checked
+//! against the oracle in a debug build), are pinned the same way.
+//! Property tests check that the cluster
 //! ledger, the per-rack indexes, and the remote/cross counters stay
 //! consistent under random operation sequences on random rack
 //! partitions, with the indexed placements matching their full-scan
@@ -23,6 +26,7 @@ use dmhpc::core::policy::{place_spread_with, plan_growth, PlacementScratch, Poli
 use dmhpc::core::sim::SimulationOutcome;
 use dmhpc::experiments::scenario::{simulate, synthetic_system, synthetic_workload, BASE_SEED};
 use dmhpc::experiments::Scale;
+use dmhpc::traces::{CirneModel, WorkloadBuilder};
 use proptest::prelude::*;
 
 /// The fault-sweep seed (`exp::faults::FAULT_SEED`), restated so the
@@ -53,6 +57,32 @@ const FLAT_DIGESTS: [(&str, &str, u64); 18] = [
     ("heavy", "predictive:history=on", 0x815434621EB64A7A),
     ("heavy", "overcommit:factor=0.8", 0x74CA00DB2D2CA11D),
     ("heavy", "conservative:quantum=4096", 0x1B2FF338C18B6AD4),
+];
+
+/// Behavior digests of the same 18 points on 16-node racks with
+/// `cross_cap=0.5`, captured at commit `df14d4d` (the last tree whose
+/// flat and racked fabrics took separate lender walks). Half of each
+/// plan's remote need may cross racks, so the cap binds: these pin the
+/// locality-aware walk where it differs from the flat one.
+const RACKED_DIGESTS: [(&str, &str, u64); 18] = [
+    ("none", "baseline", 0xD2170CB29CE839DD),
+    ("none", "static", 0x2D3FB13679710355),
+    ("none", "dynamic", 0xC0689C7CAA6398F3),
+    ("none", "predictive:history=on", 0x70FD93468743BC4C),
+    ("none", "overcommit:factor=0.8", 0xC0A48A31760645DA),
+    ("none", "conservative:quantum=4096", 0xB4311CFDFA2BE967),
+    ("light", "baseline", 0x53231B34C2F27B22),
+    ("light", "static", 0xF2892D0E23894A8B),
+    ("light", "dynamic", 0x26F33E39EB686E8F),
+    ("light", "predictive:history=on", 0x530582FA9C57F302),
+    ("light", "overcommit:factor=0.8", 0xBBDD2CD69F606D88),
+    ("light", "conservative:quantum=4096", 0xF1B278F5C7408D2D),
+    ("heavy", "baseline", 0x71D11475FAF31A55),
+    ("heavy", "static", 0xEA4DDE650EEFC2BB),
+    ("heavy", "dynamic", 0x6F6BDB054716C0AA),
+    ("heavy", "predictive:history=on", 0x99A9872839023B8F),
+    ("heavy", "overcommit:factor=0.8", 0xF23CEF712EB4193E),
+    ("heavy", "conservative:quantum=4096", 0x77D36A906267F1C8),
 ];
 
 /// Digest of everything a simulation decides, over the field set that
@@ -130,6 +160,84 @@ fn flat_topology_is_bit_identical_to_pre_refactor() {
     }
 }
 
+/// Every point of the stress scenario on `racks:size=16,cross_cap=0.5`
+/// digests to its [`RACKED_DIGESTS`] value.
+#[test]
+fn racked_topology_with_a_binding_cross_cap_is_pinned() {
+    let racks = TopologySpec::Racks {
+        size: 16,
+        cross_cap: 0.5,
+    };
+    for &(profile, spec, want) in &RACKED_DIGESTS {
+        let policy: PolicySpec = spec.parse().expect("golden spec parses");
+        let got = digest_outcome(&run_point(policy, profile, racks));
+        assert_eq!(
+            got, want,
+            "racked digest moved for ({profile}, {spec}): got 0x{got:016X}, want 0x{want:016X}"
+        );
+    }
+}
+
+/// Jobs of each paper-scale point: enough for a backlog at 1,024 nodes,
+/// few enough that a test-profile build (every placement, growth plan
+/// and dynloop update checked against `core::oracle`) runs each point
+/// in about ten seconds.
+const PAPER_SCALE_JOBS: usize = 500;
+
+/// One dynamic-policy point at the paper's 1,024 nodes: 50% large jobs,
+/// +60% overestimation, Checkpoint/Restart.
+fn paper_scale_point(mix: MemoryMix, profile: &str, topology: TopologySpec) -> u64 {
+    let scale = Scale::Full;
+    let cirne = CirneModel {
+        max_nodes: scale.max_job_nodes(),
+        ..CirneModel::default()
+    };
+    let workload = WorkloadBuilder::new(BASE_SEED ^ 0xFA)
+        .jobs(PAPER_SCALE_JOBS)
+        .large_job_fraction(0.5)
+        .overestimation(0.6)
+        .google_pool(scale.google_pool())
+        .cirne(cirne)
+        .build_for(&synthetic_system(scale, MemoryMix::all_large()));
+    let system = synthetic_system(scale, mix)
+        .with_restart(RestartStrategy::CheckpointRestart)
+        .with_faults(
+            FaultConfig::profile(profile)
+                .expect("built-in profile")
+                .with_seed(FAULT_SEED),
+        )
+        .with_topology(topology);
+    digest_outcome(&simulate(
+        system,
+        workload,
+        PolicySpec::Dynamic,
+        BASE_SEED ^ 0xFA17,
+    ))
+}
+
+/// The tight end of the memory axis (37%) on the flat fabric, at the
+/// paper's scale; digest from the release build at `df14d4d`.
+#[test]
+fn paper_scale_tight_memory_point_is_pinned() {
+    let tight = MemoryMix::paper_axis()[0].1;
+    let got = paper_scale_point(tight, "none", TopologySpec::Flat);
+    assert_eq!(got, 0x944A_CC6E_CD6B_1926, "got 0x{got:016X}");
+}
+
+/// Heavy faults on 32-node racks whose plans may take half their remote
+/// need across racks, at the paper's scale; digest from the release
+/// build at `df14d4d`.
+#[test]
+fn paper_scale_heavy_fault_racked_point_is_pinned() {
+    let mid = MemoryMix::new(64 * 1024, 128 * 1024, 0.25);
+    let racks = TopologySpec::Racks {
+        size: 32,
+        cross_cap: 0.5,
+    };
+    let got = paper_scale_point(mid, "heavy", racks);
+    assert_eq!(got, 0xF153_E238_BCF3_11E9, "got 0x{got:016X}");
+}
+
 /// The golden table covers the whole policy registry and every fault
 /// profile — a new policy or profile must be added to the snapshot.
 #[test]
@@ -138,17 +246,17 @@ fn golden_table_covers_the_registries() {
         .iter()
         .map(|p| p.to_string())
         .collect();
-    for profile in ["none", "light", "heavy"] {
-        for p in &policies {
-            assert!(
-                FLAT_DIGESTS
-                    .iter()
-                    .any(|&(pr, sp, _)| pr == profile && sp == p),
-                "golden table is missing ({profile}, {p})"
-            );
+    for table in [&FLAT_DIGESTS, &RACKED_DIGESTS] {
+        for profile in ["none", "light", "heavy"] {
+            for p in &policies {
+                assert!(
+                    table.iter().any(|&(pr, sp, _)| pr == profile && sp == p),
+                    "golden table is missing ({profile}, {p})"
+                );
+            }
         }
+        assert_eq!(table.len(), 3 * policies.len());
     }
-    assert_eq!(FLAT_DIGESTS.len(), 3 * policies.len());
 }
 
 /// Thread count must not change simulated bits, on flat and racked
