@@ -21,24 +21,24 @@
 //! * `node` — node-level types ([`NodeId`], [`MemoryMix`], [`Node`]);
 //! * `alloc` — the allocation ledger ([`JobAlloc`], [`AllocEntry`])
 //!   and the start/finish/shrink/grow mutations;
-//! * `indexes` — the incremental free-memory indexes and the
-//!   invariant audit. To keep the scheduler hot path free of O(N)
-//!   scans, the cluster maintains persistent indexes updated
-//!   incrementally by every mutation: the schedulable nodes (serving
-//!   best-fit placement directly) and the lender pool of all nodes
-//!   with free memory, held as one index per rack (a flat cluster has
-//!   one rack). Each is one sorted array of packed
-//!   `free << 32 | id` keys, so a forward walk yields
-//!   `(free asc, id asc)` and a backward walk by tie runs yields
+//! * `indexes` — the persistent free-memory indexes and the invariant
+//!   audit. To keep the scheduler hot path free of O(N) scans, the
+//!   cluster keeps the schedulable nodes (serving best-fit placement
+//!   directly) and the lender pool of all nodes with free memory, held
+//!   as one index per rack (a flat cluster has one rack). Each is one
+//!   sorted array of packed `free << 32 | id` keys, so a forward walk
+//!   yields `(free asc, id asc)` and a backward walk by tie runs yields
 //!   `(free desc, id asc)` — exactly the two orders the placement
 //!   policy sorts by, which keeps indexed placement bit-identical to
 //!   the full-scan twins in [`crate::oracle`] (debug builds assert it
-//!   on every placement and growth plan). A ledger change re-keys a
-//!   node in its rack's lender index and the schedulable index, each
-//!   with two binary searches and a shift of the keys between its old
-//!   and new positions. Every borrow plan reads the lender pool
-//!   through one cursor per rack: the home rack's walk first, then a
-//!   merge of the other racks' heads, built only when a plan leaves
+//!   on every placement and growth plan). A ledger change re-keys the
+//!   node in the schedulable index at once, with two binary searches
+//!   and a shift of the keys between its old and new positions, and
+//!   only marks it changed in the lender pool: the next borrow plan
+//!   re-keys the changed nodes, or merges them into their rack's index
+//!   in one pass when many changed. Every borrow plan reads the lender
+//!   pool through one cursor per rack: the home rack's walk first, then
+//!   a merge of the other racks' heads, built only when a plan leaves
 //!   its home rack;
 //! * `faults` — node crash/repair, blade degradation, and lender
 //!   revocation;
@@ -60,7 +60,8 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
-use indexes::{FreeIndex, LenderCursors};
+use indexes::{FreeIndex, LenderCursors, LenderPool};
+use std::cell::RefCell;
 
 /// One job's row of the cluster's per-job ledger.
 #[derive(Clone, Debug, Default)]
@@ -113,8 +114,10 @@ pub struct Cluster {
     topology: Topology,
     /// The lender pool, one index per rack of `topology`: each holds
     /// the rack's nodes with free memory, keyed like `sched_index`. A
-    /// flat cluster has one rack, so one index.
-    rack_lenders: Vec<FreeIndex>,
+    /// flat cluster has one rack, so one index. A ledger change only
+    /// marks its node; [`Self::lender_cursors`] syncs the pool, through
+    /// `&self`, so it sits in a `RefCell`.
+    lenders: RefCell<LenderPool>,
     /// Running total of borrowed (remote) MB across all allocations.
     /// Maintained by every mutation so the metrics loop can integrate
     /// remote occupancy in O(1) per event.
@@ -124,7 +127,7 @@ pub struct Cluster {
     total_cross_mb: u64,
     /// Cached `sched_index` population for O(1) feasibility checks.
     schedulable_count: usize,
-    /// Free MB summed over `rack_lenders`, the lender pool. Kept by
+    /// Free MB summed over every node, the lender pool. Kept exact by
     /// `touch`; unlike [`Self::free_pool_mb`] it does not assume down
     /// nodes hold no allocation.
     lender_free_mb: u64,
@@ -170,7 +173,7 @@ impl Cluster {
         let topology = spec.build(capacities.len() as u32);
         let total_capacity_mb = capacities.iter().sum();
         let node_count = capacities.len();
-        let nodes = capacities
+        let nodes: Vec<Node> = capacities
             .into_iter()
             .map(|capacity_mb| Node {
                 capacity_mb,
@@ -182,7 +185,7 @@ impl Cluster {
                 degraded_mb: 0,
             })
             .collect();
-        let rack_lenders = vec![FreeIndex::default(); topology.racks() as usize];
+        let lenders = RefCell::new(LenderPool::new(&nodes, &topology));
         let mut cluster = Self {
             nodes,
             lend_cap_fraction,
@@ -195,7 +198,7 @@ impl Cluster {
             down_count: 0,
             sched_index: FreeIndex::default(),
             topology,
-            rack_lenders,
+            lenders,
             total_remote_mb: 0,
             total_cross_mb: 0,
             schedulable_count: 0,
@@ -208,14 +211,9 @@ impl Cluster {
         };
         // Every node starts idle with its full capacity free.
         for i in 0..cluster.nodes.len() {
-            let id = NodeId(i as u32);
             let free = cluster.nodes[i].free_mb();
-            if free > 0 {
-                let rack = cluster.topology.rack_of(id) as usize;
-                cluster.rack_lenders[rack].insert(free, id);
-                cluster.lender_free_mb += free;
-            }
-            cluster.sched_index.insert(free, id);
+            cluster.lender_free_mb += free;
+            cluster.sched_index.insert(free, NodeId(i as u32));
         }
         cluster.schedulable_count = cluster.nodes.len();
         cluster
@@ -224,6 +222,11 @@ impl Cluster {
     /// Apply a mutation to one node and resync the indexes from its
     /// before/after `(free, schedulable)` state. Every node mutation
     /// that can move free memory or schedulability goes through here.
+    ///
+    /// The schedulable index is re-keyed here, and `lender_free_mb`
+    /// stays exact. The node's rack lender index is not: the node is
+    /// only marked changed, and the next [`Self::lender_cursors`]
+    /// re-keys it once however often it changed in between.
     #[inline]
     fn touch<F: FnOnce(&mut Node)>(&mut self, id: NodeId, f: F) {
         let i = id.0 as usize;
@@ -234,16 +237,7 @@ impl Cluster {
         let new_sched = self.schedulable(id);
         if old_free != new_free {
             self.lender_free_mb = self.lender_free_mb - old_free + new_free;
-            // A lender index holds exactly the nodes with free memory:
-            // one re-key while the node stays a member, an insert or
-            // remove when it joins or leaves.
-            let lenders = &mut self.rack_lenders[self.topology.rack_of(id) as usize];
-            match (old_free > 0, new_free > 0) {
-                (true, true) => lenders.rekey(old_free, new_free, id),
-                (true, false) => lenders.remove(old_free, id),
-                (false, true) => lenders.insert(new_free, id),
-                (false, false) => {}
-            }
+            self.lenders.get_mut().mark(id, self.topology.rack_of(id));
         }
         match (old_sched, new_sched) {
             (true, true) if old_free != new_free => self.sched_index.rekey(old_free, new_free, id),
@@ -364,9 +358,13 @@ impl Cluster {
 
     /// The lender pool for one borrow plan: a cursor per rack over the
     /// nodes with free memory that `skip` lets through (a plan's own
-    /// compute nodes never lend to it).
+    /// compute nodes never lend to it). First brings every rack index
+    /// that lags a ledger change up to date.
     pub(crate) fn lender_cursors<S: Fn(NodeId) -> bool>(&self, skip: S) -> LenderCursors<'_, S> {
-        LenderCursors::new(&self.rack_lenders, &self.topology, skip)
+        if self.lenders.borrow().is_stale() {
+            self.lenders.borrow_mut().sync(&self.nodes, indexes::merges);
+        }
+        LenderCursors::new(self.lenders.borrow(), &self.topology, skip)
     }
 
     /// Free MB across the lender pool, every node with free memory.

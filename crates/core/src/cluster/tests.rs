@@ -159,17 +159,27 @@ fn grow_local_and_remote() {
     assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(1)]);
 }
 
+/// The lender pool with every rack index brought up to date, as the
+/// next borrow plan reads it.
+fn synced_lenders(c: &Cluster) -> std::cell::Ref<'_, indexes::LenderPool> {
+    drop(c.lender_cursors(|_| false));
+    c.lenders.borrow()
+}
+
 /// Every rack's lender index, merged into one `(free desc, id asc)`
 /// list: the whole lender pool.
 fn lender_pool_desc(c: &Cluster) -> Vec<(u64, NodeId)> {
-    let mut all: Vec<_> = c.rack_lenders.iter().flat_map(FreeIndex::desc).collect();
+    let pool = synced_lenders(c);
+    let mut all: Vec<_> = pool.racks.iter().flat_map(FreeIndex::desc).collect();
     all.sort_by_key(|&(f, id)| (std::cmp::Reverse(f), id));
     all
 }
 
 /// Every index iterator against a sorted rebuild from the node table,
-/// plus the full invariant audit.
+/// plus the full invariant audit before and after the lender pool is
+/// synced.
 fn assert_indexes_match_rebuild(c: &Cluster) {
+    assert_eq!(c.check_invariants(), Ok(()));
     let desc = |keep: &dyn Fn(NodeId, &Node) -> bool| {
         let mut v: Vec<(u64, NodeId)> = c
             .iter()
@@ -185,8 +195,10 @@ fn assert_indexes_match_rebuild(c: &Cluster) {
     assert_eq!(c.schedulable_by_free_asc(0).collect::<Vec<_>>(), sched_asc);
     assert_eq!(c.schedulable_by_free_desc().collect::<Vec<_>>(), sched);
     // One lender index per rack, flat clusters included.
-    assert_eq!(c.rack_lenders.len(), c.topology().racks() as usize);
-    for (rack, index) in (0..).zip(&c.rack_lenders) {
+    let pool = synced_lenders(c);
+    assert!(!pool.is_stale());
+    assert_eq!(pool.racks.len(), c.topology().racks() as usize);
+    for (rack, index) in (0..).zip(&pool.racks) {
         assert_eq!(
             index.desc().collect::<Vec<_>>(),
             desc(&|id, n| c.rack_of(id) == rack && n.free_mb() > 0)
@@ -564,8 +576,10 @@ mod free_index {
 }
 
 /// The audit is the only rebuild check on the per-rack lender indexes
-/// and their free-MB counter: a stale key in one rack's index, and a
-/// counter off by 1 MB, are each reported.
+/// and their free-MB counter, and it never syncs the pool: a stale key
+/// in one rack's index, a counter off by 1 MB, a clean node keyed at a
+/// stale value, and a changed node missing from its rack's changed
+/// list are each reported.
 #[test]
 fn audit_catches_a_stale_rack_lender_index() {
     let spec = TopologySpec::Racks {
@@ -574,27 +588,67 @@ fn audit_catches_a_stale_rack_lender_index() {
     };
     let mut c = Cluster::new_with_topology(vec![1000; 6], 0.5, spec);
     c.start_job(JobId(1), local_alloc(&[2], 300), 1.0);
+    // Node 2 waits on rack 1's changed list, still keyed as idle.
+    let lagging = c.clone();
+    assert_eq!(lagging.lenders.borrow().pending[1], [NodeId(2)]);
+    assert_eq!(lagging.lenders.borrow().keyed[2], 1000);
+    assert_eq!(lagging.check_invariants(), Ok(()));
+    drop(synced_lenders(&c));
     assert_eq!(c.check_invariants(), Ok(()));
-    // Rack 1 (nodes 2 and 3) still keys node 2 as idle.
+    let audit = |c: &Cluster| c.check_invariants().unwrap_err().to_string();
+    // Rack 1's index keys node 2 as idle, its keyed MB does not.
     let mut stale = c.clone();
-    stale.rack_lenders[1].rekey(700, 1000, NodeId(2));
-    let err = stale.check_invariants().unwrap_err().to_string();
+    stale.lenders.get_mut().racks[1].rekey(700, 1000, NodeId(2));
+    let err = audit(&stale);
     assert!(
-        err.contains("rack 1 lender index out of sync with node ledgers"),
+        err.contains("rack 1 lender index out of sync with its keyed MB"),
         "{err}"
     );
     let mut stale = c.clone();
     stale.lender_free_mb += 1;
-    let err = stale.check_invariants().unwrap_err().to_string();
+    let err = audit(&stale);
     assert!(
         err.contains("lender free counter mismatch: rebuild 5700 vs counter 5701"),
+        "{err}"
+    );
+    // A clean node keyed, index and all, at a value it no longer has.
+    let mut stale = c.clone();
+    let pool = stale.lenders.get_mut();
+    pool.racks[1].rekey(700, 1000, NodeId(2));
+    pool.keyed[2] = 1000;
+    let err = audit(&stale);
+    assert!(
+        err.contains("NodeId(2) not marked changed but keyed at 1000 MB with 700 MB free"),
+        "{err}"
+    );
+    // A change whose node never reached the changed list.
+    let mut stale = lagging.clone();
+    let pool = stale.lenders.get_mut();
+    pool.pending[1].clear();
+    pool.stale_racks.clear();
+    pool.changed[2] = false;
+    let err = audit(&stale);
+    assert!(
+        err.contains("NodeId(2) not marked changed but keyed at 1000 MB with 700 MB free"),
+        "{err}"
+    );
+    // Marked changed, but dropped from the list: no sync would reach it.
+    let mut stale = lagging.clone();
+    let pool = stale.lenders.get_mut();
+    pool.pending[1].clear();
+    pool.stale_racks.clear();
+    let err = audit(&stale);
+    assert!(
+        err.contains("NodeId(2) marked changed but on no changed list"),
         "{err}"
     );
 }
 
 mod rack_lenders {
     use super::*;
-    use crate::oracle::{borrow_reference, lender_pool};
+    use crate::oracle::{
+        borrow_reference, lender_pool, place_spread_reference, plan_growth_reference,
+    };
     use crate::policy::{place_spread_with, plan_growth, PlacementScratch};
     use proptest::prelude::*;
 
@@ -647,6 +701,77 @@ mod rack_lenders {
         c.set_node_down(id);
     }
 
+    /// One random ledger step `(op, job, pick, mb)`: op 4 crashes or
+    /// repairs a node, op 5 degrades or restores one, and the others
+    /// start the job if it is not placed, else grow (0, 1), shrink (2)
+    /// or finish it. With `indexed`, placements and growth plans come
+    /// from the indexed planners, which read the lender pool; without,
+    /// from their full-scan twins, which leave it unsynced.
+    fn apply(c: &mut Cluster, (op, j, pick, mb): (u64, u32, u64, u64), indexed: bool) {
+        let job = JobId(j);
+        let node = NodeId((pick % c.len() as u64) as u32);
+        match (op, c.alloc_of(job)) {
+            (4, _) => crash_or_repair(c, node),
+            (5, _) => {
+                let degraded = c.node(node).degraded_mb;
+                let free = c.node(node).free_mb();
+                if degraded > 0 {
+                    c.restore_degrade(node, degraded);
+                } else if free > 0 {
+                    c.apply_degrade(node, free.min(mb));
+                }
+            }
+            (_, None) => {
+                let (nodes, request) = (1 + (pick % 4) as u32, 256 + mb);
+                let alloc = if indexed {
+                    place_spread_with(c, nodes, request, &mut PlacementScratch::new())
+                } else {
+                    place_spread_reference(c, nodes, request)
+                };
+                if let Some(a) = alloc {
+                    c.start_job(job, a, 1.0);
+                }
+            }
+            (0 | 1, Some(alloc)) => {
+                let compute: Vec<NodeId> = alloc.entries.iter().map(|e| e.node).collect();
+                let entry = compute[pick as usize % compute.len()];
+                let plan = if indexed {
+                    plan_growth(c, entry, &compute, mb)
+                } else {
+                    plan_growth_reference(c, entry, &compute, mb)
+                };
+                if let Some((local, borrows)) = plan {
+                    c.grow_entry(job, entry, local, &borrows, 1.0);
+                }
+            }
+            (2, Some(alloc)) => {
+                let min = alloc
+                    .entries
+                    .iter()
+                    .map(AllocEntry::total_mb)
+                    .min()
+                    .unwrap();
+                c.shrink_job(job, min.saturating_sub(mb), 1.0);
+            }
+            _ => {
+                c.finish_job(job);
+            }
+        }
+    }
+
+    /// The flat fabric and a `rack_size` partition with the cross cap
+    /// picked by `cross_idx`.
+    fn specs(rack_size: u32, cross_idx: usize) -> [TopologySpec; 2] {
+        let cross_cap = [0.0, 0.5, 1.0][cross_idx];
+        [
+            TopologySpec::Flat,
+            TopologySpec::Racks {
+                size: rack_size,
+                cross_cap,
+            },
+        ]
+    }
+
     proptest! {
         /// Random start/grow/shrink/finish/crash/degrade sequences on
         /// random rack partitions (sizes that do not divide the node
@@ -663,48 +788,49 @@ mod rack_lenders {
             ops in prop::collection::vec((0u64..6, 0u32..JOBS, 0u64..64, 1u64..4000), 1..80),
             needs in prop::collection::vec(1u64..4000, 1..6),
         ) {
-            let cross_cap = [0.0, 0.5, 1.0][cross_idx];
             let caps: Vec<u64> = units.iter().map(|u| u * 256).collect();
-            for spec in [TopologySpec::Flat, TopologySpec::Racks { size: rack_size, cross_cap }] {
+            for spec in specs(rack_size, cross_idx) {
                 let mut c = Cluster::new_with_topology(caps.clone(), 0.5, spec);
-                let mut scratch = PlacementScratch::new();
-                let mut compute = Vec::new();
                 check(&c, &needs)?;
-                for &(op, j, pick, mb) in &ops {
-                    let job = JobId(j);
-                    let node = NodeId((pick % caps.len() as u64) as u32);
-                    match (op, c.alloc_of(job)) {
-                        (4, _) => crash_or_repair(&mut c, node),
-                        (5, _) => {
-                            let degraded = c.node(node).degraded_mb;
-                            let free = c.node(node).free_mb();
-                            if degraded > 0 {
-                                c.restore_degrade(node, degraded);
-                            } else if free > 0 {
-                                c.apply_degrade(node, free.min(mb));
-                            }
-                        }
-                        (_, None) => {
-                            let nodes = 1 + (pick % 4) as u32;
-                            if let Some(a) = place_spread_with(&c, nodes, 256 + mb, &mut scratch) {
-                                c.start_job(job, a, 1.0);
-                            }
-                        }
-                        (0 | 1, Some(alloc)) => {
-                            compute.clear();
-                            compute.extend(alloc.entries.iter().map(|e| e.node));
-                            let entry = compute[pick as usize % compute.len()];
-                            if let Some((local, borrows)) = plan_growth(&c, entry, &compute, mb) {
-                                c.grow_entry(job, entry, local, &borrows, 1.0);
-                            }
-                        }
-                        (2, Some(alloc)) => {
-                            let min = alloc.entries.iter().map(AllocEntry::total_mb).min().unwrap();
-                            c.shrink_job(job, min.saturating_sub(mb), 1.0);
-                        }
-                        _ => {
-                            c.finish_job(job);
-                        }
+                for &step in &ops {
+                    apply(&mut c, step, true);
+                    check(&c, &needs)?;
+                }
+                prop_assert_eq!(c.check_invariants(), Ok(()));
+            }
+        }
+
+        /// The same steps and partitions, with 1–8 steps between reads:
+        /// the steps plan off the full-scan twins, so each read brings a
+        /// batch of changed nodes up to date at once. Each batch is
+        /// synced by the cluster's own cut-over, by one merge pass per
+        /// rack, or node by node (these small racks rarely reach the
+        /// merge cut-over). Before each sync the unsynced pool passes
+        /// the audit; after it every borrow sequence off the cursors
+        /// equals the full-scan oracle's.
+        #[test]
+        fn batched_changes_match_full_sort(
+            units in prop::collection::vec(1u64..16, 3..24),
+            rack_size in 1u32..28,
+            cross_idx in 0usize..3,
+            batches in prop::collection::vec(
+                (prop::collection::vec((0u64..6, 0u32..JOBS, 0u64..64, 1u64..4000), 1..9), 0usize..3),
+                1..16,
+            ),
+            needs in prop::collection::vec(1u64..4000, 1..6),
+        ) {
+            let caps: Vec<u64> = units.iter().map(|u| u * 256).collect();
+            for spec in specs(rack_size, cross_idx) {
+                let mut c = Cluster::new_with_topology(caps.clone(), 0.5, spec);
+                for (batch, sync) in &batches {
+                    for &step in batch {
+                        apply(&mut c, step, false);
+                    }
+                    prop_assert_eq!(c.check_invariants(), Ok(()));
+                    match sync {
+                        1 => c.lenders.get_mut().sync(&c.nodes, |_, _| true),
+                        2 => c.lenders.get_mut().sync(&c.nodes, |_, _| false),
+                        _ => {}
                     }
                     check(&c, &needs)?;
                 }

@@ -43,13 +43,11 @@ pub use overcommit::Overcommit;
 pub use predictive::Predictive;
 pub use spec::PolicySpec;
 
-/// Reusable buffers for [`place_exclusive_with`] / [`place_spread_with`];
-/// owning one across calls makes the placement hot path allocation-free
-/// apart from the returned [`JobAlloc`] and its lender cursors.
+/// Reusable buffers for [`place_spread_with`]; owning one across calls
+/// makes the placement hot path allocation-free apart from the returned
+/// [`JobAlloc`] and its lender cursors.
 #[derive(Clone, Debug, Default)]
 pub struct PlacementScratch {
-    /// Baseline candidate list as `(capacity, id)`.
-    fit: Vec<(u64, NodeId)>,
     /// Phase-2 compute-node selection as `(free, id)`.
     compute: Vec<(u64, NodeId)>,
     /// Per-node phase-2 mark, set on the job's compute nodes (which do
@@ -67,13 +65,8 @@ impl PlacementScratch {
 /// Baseline placement off the cluster indexes: only nodes whose full
 /// usable DRAM covers the request, and the job gets each node's whole
 /// memory (exclusive access, no disaggregation).
-pub fn place_exclusive_with(
-    cluster: &Cluster,
-    nodes: u32,
-    request_mb: u64,
-    scratch: &mut PlacementScratch,
-) -> Option<JobAlloc> {
-    let alloc = place_exclusive_indexed(cluster, nodes, request_mb, scratch);
+pub fn place_exclusive_with(cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
+    let alloc = place_exclusive_indexed(cluster, nodes, request_mb);
     debug_assert_eq!(
         alloc,
         oracle::place_exclusive_reference(cluster, nodes, request_mb),
@@ -82,12 +75,7 @@ pub fn place_exclusive_with(
     alloc
 }
 
-fn place_exclusive_indexed(
-    cluster: &Cluster,
-    nodes: u32,
-    request_mb: u64,
-    scratch: &mut PlacementScratch,
-) -> Option<JobAlloc> {
+fn place_exclusive_indexed(cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
     let n = nodes as usize;
     if n == 0 {
         return None;
@@ -99,25 +87,17 @@ fn place_exclusive_indexed(
     // gets the whole node (exclusive access to all resources). An idle
     // baseline node never lends, so its free memory IS its usable
     // capacity — minus any degraded blade slice, which exclusive
-    // allocation must not touch. Keyed by free, so this still needs a
-    // sort — but only over the schedulable subset, and into a reused
-    // buffer.
-    scratch.fit.clear();
-    scratch.fit.extend(
-        cluster
-            .schedulable_by_free_asc(0)
-            .filter(|&(free, _)| free >= request_mb),
-    );
-    if scratch.fit.len() < n {
+    // allocation must not touch. The index range walk yields best fit
+    // (smallest adequate node first, preserving large nodes for large
+    // jobs) directly, and knows its length.
+    let fits = cluster.schedulable_by_free_asc(request_mb);
+    if fits.len() < n {
         return None;
     }
-    // Best fit: smallest adequate node first, preserving large nodes
-    // for large jobs.
-    scratch.fit.sort_unstable();
     Some(JobAlloc {
-        entries: scratch.fit[..n]
-            .iter()
-            .map(|&(free, id)| AllocEntry {
+        entries: fits
+            .take(n)
+            .map(|(free, id)| AllocEntry {
                 node: id,
                 local_mb: free,
                 remote: vec![],
@@ -274,7 +254,7 @@ mod tests {
     }
 
     fn exclusive(c: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
-        place_exclusive_with(c, nodes, request_mb, &mut PlacementScratch::new())
+        place_exclusive_with(c, nodes, request_mb)
     }
 
     fn spread(c: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {

@@ -143,9 +143,9 @@ impl MemoryPolicy for Baseline {
         cluster: &Cluster,
         nodes: u32,
         request_mb: u64,
-        scratch: &mut PlacementScratch,
+        _scratch: &mut PlacementScratch,
     ) -> Option<JobAlloc> {
-        place_exclusive_with(cluster, nodes, request_mb, scratch)
+        place_exclusive_with(cluster, nodes, request_mb)
     }
 
     fn management(&self, _static_mode: bool, _undersized: bool) -> MemManagement {

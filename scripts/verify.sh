@@ -34,13 +34,16 @@ cargo test --release -q --test determinism_golden --test topology --test fast_pa
 # plain min-heap, the sorted-array free-memory index against a
 # BTreeSet, the per-rack lender cursors' borrow sequences (home rack
 # first, then the cross-rack merge under the cross cap) against the
-# full-scan oracle, and the O(1) contention inputs (cached per-job
-# totals, hottest lender over demand rows) against the slice folds: an
-# ordering or bookkeeping slip would change results without tripping
-# any debug-only check.
+# full-scan oracle after every ledger step and after batches of 1-8
+# steps (the lazy lender pool synced by its own cut-over, by merge
+# passes only, or node by node only), and the O(1) contention inputs
+# (cached per-job totals, hottest lender over demand rows) against the
+# slice folds: an ordering or bookkeeping slip would change results
+# without tripping any debug-only check.
 cargo test --release -q -p dmhpc-core --lib engine::tests::lanes_pop_like_one_heap
 cargo test --release -q -p dmhpc-core --lib cluster::tests::free_index::free_index_orders_match_btreeset
 cargo test --release -q -p dmhpc-core --lib cluster::tests::rack_lenders::lender_cursors_match_full_sort
+cargo test --release -q -p dmhpc-core --lib cluster::tests::rack_lenders::batched_changes_match_full_sort
 cargo test --release -q -p dmhpc-core --lib cluster::tests::contention_inputs::contention_inputs_match_slice_folds
 # The pruned nearest-neighbour Google-shape match against the linear
 # scan on seeded and tie-heavy pools: trace generation picks the same
