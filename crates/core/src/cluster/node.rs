@@ -63,25 +63,24 @@ impl MemoryMix {
         ]
     }
 
-    /// Whether node `i` of `n` is a large node. Large nodes are spread
-    /// evenly across the id space so borrowing distances stay uniform.
-    pub fn is_large(&self, i: u32, _n: u32) -> bool {
+    /// Whether node `i` is a large node. Large nodes are spread evenly
+    /// across the id space so borrowing distances stay uniform.
+    pub fn is_large(&self, i: u32) -> bool {
         let f = self.large_fraction;
         ((i + 1) as f64 * f).floor() > (i as f64 * f).floor()
     }
 
-    /// Capacity of node `i` of `n` in MB.
-    pub fn capacity_of(&self, i: u32, n: u32) -> u64 {
-        if self.is_large(i, n) {
-            self.large_mb
-        } else {
-            self.normal_mb
-        }
-    }
-
-    /// Capacities of all `n` nodes.
+    /// Capacities of all `n` nodes, in MB.
     pub fn capacities(&self, n: u32) -> Vec<u64> {
-        (0..n).map(|i| self.capacity_of(i, n)).collect()
+        (0..n)
+            .map(|i| {
+                if self.is_large(i) {
+                    self.large_mb
+                } else {
+                    self.normal_mb
+                }
+            })
+            .collect()
     }
 
     /// Total memory of an `n`-node system in MB.
@@ -91,7 +90,7 @@ impl MemoryMix {
 
     /// Number of large nodes in an `n`-node system.
     pub fn large_nodes(&self, n: u32) -> u32 {
-        (0..n).filter(|&i| self.is_large(i, n)).count() as u32
+        (0..n).filter(|&i| self.is_large(i)).count() as u32
     }
 }
 

@@ -15,15 +15,17 @@ use super::opts::{
     overestimation_from_opts, policy_from_opts, sample_interval_from_opts, telemetry_from_opts,
     CommonRunOpts,
 };
-use crate::durable::{DurableError, PointStatus, ResumeState};
+use crate::durable::{DurableError, DurableOptions, PointStatus, ResumeState};
 use crate::exp;
 use crate::report;
 use crate::scale::Scale;
 use crate::table::TextTable;
 use dmhpc_core::cluster::TopologySpec;
 use dmhpc_core::policy::PolicySpec;
+use dmhpc_core::sim::Stats;
 use dmhpc_core::spec::SpecRegistry;
 use dmhpc_core::telemetry::{Profile, TelemetryCollector, TelemetrySpec};
+use dmhpc_core::RunMetrics;
 use std::io::{self, Write};
 
 /// Why a command stopped early. Usage errors exit 2, run failures
@@ -205,7 +207,7 @@ pub static COMMANDS: [Command; 24] = [
         synopsis: "",
         about: "Figure 9: min memory for 95% throughput",
         run: |out, a| {
-            let f = exp::fig9::run(a.scale, a.threads);
+            let f = exp::fig9::run(a.scale, a.threads)?;
             emit(out, FIG9_TITLE, &f.table(), a.csv)
         },
     },
@@ -449,7 +451,7 @@ fn cmd_fig4(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
 
 fn cmd_fig5(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     let common = CommonRunOpts::from_opts(&a.opts)?;
-    let f = exp::fig5::run_durable(
+    let f = exp::fig5::run(
         a.scale,
         a.threads,
         &common.policies,
@@ -498,7 +500,7 @@ fn cmd_fig7(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
 
 fn cmd_fig8(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     let common = CommonRunOpts::from_opts(&a.opts)?;
-    let f = exp::fig8::run_durable(
+    let f = exp::fig8::run(
         a.scale,
         a.threads,
         &common.policies,
@@ -519,7 +521,7 @@ fn cmd_fig8(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
 }
 
 fn cmd_validate(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
-    let v = exp::validate::run(a.scale, a.threads);
+    let v = exp::validate::run(a.scale, a.threads)?;
     let title = "Validation of the paper's headline claims";
     emit(out, title, &v.table(), a.csv)?;
     if !v.all_pass() {
@@ -538,7 +540,13 @@ fn cmd_all(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     }
     // Figures 8 and 9 share one sweep; run it once.
     let policies = CommonRunOpts::from_opts(&a.opts)?.policies;
-    let f8 = exp::fig8::run_with_policies(a.scale, a.threads, &policies);
+    let f8 = exp::fig8::run(
+        a.scale,
+        a.threads,
+        &policies,
+        &[TopologySpec::Flat],
+        &DurableOptions::default(),
+    )?;
     emit(out, FIG8_TITLE, &f8.table(), a.csv)?;
     let f9 = exp::fig9::derive(&f8, "large 50%");
     emit(out, FIG9_TITLE, &f9.table(), a.csv)?;
@@ -676,7 +684,7 @@ fn cmd_chart(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
         vec![0.0, over]
     };
     let common = CommonRunOpts::from_opts(opts)?;
-    let sweep = ThroughputSweep::run_durable(
+    let sweep = ThroughputSweep::run(
         "chart",
         a.scale,
         &[trace],
@@ -760,36 +768,35 @@ fn cmd_simulate(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The scenario `trace-run` traces: the fault sweep's stress system
-/// (underprovisioned, 25% large nodes, Checkpoint/Restart) under the
-/// 50%-large +60%-overestimation workload, so traces exercise the
-/// dynamic-memory loop, the fairness ladder, and the fault machinery.
+/// The scenario `trace-run` and `report` observe: the fault sweep's
+/// stress system (underprovisioned, 25% large nodes, Checkpoint/Restart)
+/// under its workload (50% large jobs, +60% overestimation), so traces
+/// exercise the dynamic-memory loop, the fairness ladder, and the fault
+/// machinery.
 fn trace_scenario(
     scale: Scale,
     profile: &str,
     fault_seed: u64,
 ) -> Result<(dmhpc_core::config::SystemConfig, dmhpc_core::sim::Workload), String> {
-    use crate::scenario::{synthetic_system, synthetic_workload, BASE_SEED};
-    use dmhpc_core::cluster::MemoryMix;
+    use crate::scenario::{stress_system, stress_workload};
     use dmhpc_core::config::RestartStrategy;
     use dmhpc_core::faults::FaultConfig;
     let faults = FaultConfig::profile(profile)
         .map_err(|e| format!("--fault-profile: {e}"))?
         .with_seed(fault_seed);
-    let system = synthetic_system(scale, MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
+    let system = stress_system(scale)
         .with_restart(RestartStrategy::CheckpointRestart)
         .with_faults(faults);
-    let workload = synthetic_workload(scale, 0.5, 0.6, BASE_SEED ^ 0xFA);
+    let workload = stress_workload(scale, exp::faults::WORKLOAD_SEED);
     Ok((system, workload))
 }
 
 /// Run one traced simulation of the [`trace_scenario`]; returns the
-/// JSONL stream and, when `want_metrics`, the folded [`RunMetrics`].
+/// JSONL stream, the folded [`RunMetrics`] when `want_metrics`, and the
+/// run's [`Stats`].
 /// When `telemetry` is given, the run is additionally observed through
 /// that collector (read it back with
 /// [`TelemetryCollector::snapshot`] after this returns).
-///
-/// [`RunMetrics`]: dmhpc_core::RunMetrics
 fn run_traced(
     scale: Scale,
     policy: PolicySpec,
@@ -798,7 +805,7 @@ fn run_traced(
     fault_seed: u64,
     want_metrics: bool,
     telemetry: Option<&TelemetryCollector>,
-) -> Result<(String, Option<dmhpc_core::RunMetrics>), String> {
+) -> Result<(String, Option<RunMetrics>, Stats), String> {
     use dmhpc_core::sim::SimBuilder;
     use dmhpc_core::{CountingSink, FanoutSink, JsonlSink, TraceSink};
     let (system, workload) = trace_scenario(scale, profile, fault_seed)?;
@@ -818,12 +825,12 @@ fn run_traced(
     if let Some(c) = telemetry {
         sim = sim.telemetry(c.clone());
     }
-    sim.run();
+    let stats = sim.run().stats;
     jsonl.flush().map_err(|e| format!("trace stream: {e}"))?;
     if let Some(e) = jsonl.error() {
         return Err(format!("trace stream: {e}"));
     }
-    Ok((buf.contents(), counting.map(|c| c.metrics())))
+    Ok((buf.contents(), counting.map(|c| c.metrics()), stats))
 }
 
 /// Parse `--filter kind=NAME[,NAME…]` into the kind names to keep.
@@ -908,13 +915,12 @@ fn report_diff(out: &mut dyn Write, seed_a: u64, seed_b: u64, a: &str, b: &str) 
 /// seeds produce byte-identical export streams; the wall-clock profile
 /// never enters them).
 fn cmd_report(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
-    use crate::scenario::BASE_SEED;
     use dmhpc_core::sim::SimBuilder;
     let opts = &a.opts;
     let policy = policy_from_opts(opts)?;
     let profile = fault_profile_from_opts(opts);
     let fault_seed: u64 = opt_parse(opts, "fault-seed", exp::faults::FAULT_SEED)?;
-    let seed: u64 = opt_parse(opts, "seed", BASE_SEED ^ 0xFA17)?;
+    let seed: u64 = opt_parse(opts, "seed", exp::faults::SIM_SEED)?;
     let interval = sample_interval_from_opts(opts)?;
     let format = opts.get("format").map(String::as_str).unwrap_or("table");
     let (system, workload) = trace_scenario(a.scale, profile, fault_seed)?;
@@ -958,7 +964,7 @@ fn cmd_report(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
 }
 
 /// Run-level metrics digest on stderr (the JSONL stream owns stdout).
-fn print_trace_summary(m: &dmhpc_core::RunMetrics) {
+fn print_trace_summary(m: &RunMetrics) {
     eprintln!("trace summary: {} events", m.total_events);
     for (sub, n) in m.by_subsystem() {
         eprintln!("  {:<6} {n}", sub.as_str());
@@ -990,7 +996,6 @@ fn print_trace_summary(m: &dmhpc_core::RunMetrics) {
 /// `trace-run`: dump, filter, summarise, validate, or diff structured
 /// event traces of the stress scenario.
 fn cmd_trace_run(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
-    use crate::scenario::BASE_SEED;
     let (scale, opts) = (a.scale, &a.opts);
     // --check FILE: validate an existing stream and stop.
     if let Some(path) = opts.get("check") {
@@ -1011,15 +1016,15 @@ fn cmd_trace_run(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     // --diff A,B: same scenario and fault realisation, two sim seeds.
     if let Some(spec) = opts.get("diff") {
         let (sa, sb) = parse_seed_pair(spec)?;
-        let (ta, _) = run_traced(scale, policy, sa, profile, fault_seed, false, None)?;
-        let (tb, _) = run_traced(scale, policy, sb, profile, fault_seed, false, None)?;
+        let (ta, _, _) = run_traced(scale, policy, sa, profile, fault_seed, false, None)?;
+        let (tb, _, _) = run_traced(scale, policy, sb, profile, fault_seed, false, None)?;
         report_diff(out, sa, sb, &ta, &tb)?;
         return Ok(());
     }
 
-    let seed: u64 = opt_parse(opts, "seed", BASE_SEED ^ 0xFA17)?;
+    let seed: u64 = opt_parse(opts, "seed", exp::faults::SIM_SEED)?;
     let collector = telemetry_from_opts(opts)?.map(TelemetryCollector::new);
-    let (stream, metrics) = run_traced(
+    let (stream, metrics, _) = run_traced(
         scale,
         policy,
         seed,
@@ -1080,7 +1085,7 @@ fn cmd_fault_sweep(out: &mut dyn Write, a: &Args) -> Result<(), Failure> {
     let profile = opts.get("fault-profile").map(String::as_str);
     let common = CommonRunOpts::from_opts(opts)?;
     let telemetry_on = common.telemetry.is_some();
-    let sweep = exp::faults::run_opts_durable(
+    let sweep = exp::faults::run(
         a.scale,
         a.threads,
         seed,
@@ -1247,7 +1252,7 @@ mod tests {
 
     #[test]
     fn trace_run_stream_is_valid_and_deterministic() {
-        let (a, m) = run_traced(
+        let (a, m, _) = run_traced(
             Scale::Small,
             PolicySpec::Dynamic,
             42,
@@ -1260,7 +1265,7 @@ mod tests {
         // The second run adds a telemetry collector: the stream must
         // still match byte for byte (telemetry is observation-only).
         let telem = TelemetryCollector::default();
-        let (b, _) = run_traced(
+        let (b, _, _) = run_traced(
             Scale::Small,
             PolicySpec::Dynamic,
             42,
@@ -1278,5 +1283,37 @@ mod tests {
         assert!(n > 0, "the stress scenario must emit events");
         let m = m.unwrap();
         assert_eq!(m.total_events as usize, n, "CountingSink saw every line");
+    }
+
+    #[test]
+    fn default_trace_run_is_the_fault_sweep_control_row() {
+        // What `trace-run` traces when given no options...
+        let args = parse(&["trace-run", "--scale", "small"]);
+        let (policy, profile) = (
+            policy_from_opts(&args.opts).unwrap(),
+            fault_profile_from_opts(&args.opts),
+        );
+        assert_eq!((policy, profile), (PolicySpec::Dynamic, "none"));
+        let (fault_seed, seed) = (exp::faults::FAULT_SEED, exp::faults::SIM_SEED);
+        let (_, _, stats) =
+            run_traced(args.scale, policy, seed, profile, fault_seed, false, None).unwrap();
+        // ...is the fault sweep's (none, dynamic, flat) point, bit for bit.
+        let sweep = exp::faults::run(
+            Scale::Small,
+            1,
+            fault_seed,
+            Some(profile),
+            &[policy],
+            &[TopologySpec::Flat],
+            &DurableOptions::default(),
+            None,
+        )
+        .unwrap();
+        let [row] = &sweep.rows[..] else {
+            panic!("one point expected, got {}", sweep.rows.len());
+        };
+        assert_eq!(row.topology, TopologySpec::Flat);
+        assert_eq!(stats.completed, row.sample.completed);
+        assert_eq!(stats.throughput_jps.to_bits(), row.throughput_jps.to_bits());
     }
 }

@@ -624,8 +624,8 @@ where
         None => None,
     };
 
-    let progress = Progress::with_plan(label, &vec![1.0; n], &pre_done);
     let work: Vec<usize> = (0..n).filter(|&i| !pre_done[i]).collect();
+    let progress = Progress::new(label, n, n - work.len());
     let stop = AtomicBool::new(false);
     let completions = AtomicUsize::new(0);
 
@@ -677,7 +677,7 @@ where
         if let Some(w) = &writer {
             w.lock().expect("manifest writer lock").write_line(&record);
         }
-        progress.tick(i);
+        progress.tick();
     };
 
     let outcomes = run_parallel_observed(work.clone(), threads, run_point, observe);

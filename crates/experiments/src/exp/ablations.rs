@@ -13,9 +13,8 @@
 
 use crate::runner::run_parallel;
 use crate::scale::Scale;
-use crate::scenario::{median_response, simulate, synthetic_system, synthetic_workload, BASE_SEED};
+use crate::scenario::{median_response, simulate, stress_system, stress_workload, BASE_SEED};
 use crate::table::TextTable;
-use dmhpc_core::cluster::MemoryMix;
 use dmhpc_core::config::{RestartStrategy, SystemConfig};
 use dmhpc_core::policy::PolicySpec;
 use dmhpc_core::sim::Workload;
@@ -42,11 +41,6 @@ pub struct Ablations {
     pub rows: Vec<AblationRow>,
 }
 
-fn stress_system(scale: Scale) -> SystemConfig {
-    // Underprovisioned: only 25% large nodes for a 50%-large job mix.
-    synthetic_system(scale, MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
-}
-
 fn run_one(system: SystemConfig, workload: Arc<Workload>, label: String) -> AblationRow {
     let mut out = simulate(system, workload, PolicySpec::Dynamic, BASE_SEED ^ 0xAB);
     let median = median_response(&mut out.response_times_s);
@@ -61,7 +55,7 @@ fn run_one(system: SystemConfig, workload: Arc<Workload>, label: String) -> Abla
 
 /// Run every ablation.
 pub fn run(scale: Scale, threads: usize) -> Ablations {
-    let workload = Arc::new(synthetic_workload(scale, 0.5, 0.6, BASE_SEED ^ 0xAB1));
+    let workload = Arc::new(stress_workload(scale, BASE_SEED ^ 0xAB1));
     let mut tasks: Vec<(String, SystemConfig)> = Vec::new();
     // Restart strategy.
     for (name, strat) in [

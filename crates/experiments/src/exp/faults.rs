@@ -13,11 +13,10 @@
 use crate::durable::{run_durable, DurableError, DurableOptions, Fingerprint, Journaled};
 use crate::report::{decode_profile, encode_profile};
 use crate::scale::Scale;
-use crate::scenario::{simulate_observed, synthetic_system, synthetic_workload, BASE_SEED};
+use crate::scenario::{simulate_observed, stress_system, stress_workload, BASE_SEED};
 use crate::table::TextTable;
-use dmhpc_core::cluster::{MemoryMix, TopologySpec};
+use dmhpc_core::cluster::TopologySpec;
 use dmhpc_core::config::{RestartStrategy, SystemConfig};
-use dmhpc_core::error::CoreError;
 use dmhpc_core::faults::FaultConfig;
 use dmhpc_core::json::Object;
 use dmhpc_core::policy::PolicySpec;
@@ -26,6 +25,14 @@ use dmhpc_metrics::resilience::{ResilienceSample, ResilienceSummary};
 
 /// Default fault-schedule seed (override with `--fault-seed`).
 pub const FAULT_SEED: u64 = 0xFA57_5EED;
+
+/// Seed of the stress workload every point runs (`trace-run` and
+/// `report` trace the same workload).
+pub const WORKLOAD_SEED: u64 = BASE_SEED ^ 0xFA;
+
+/// Simulation seed of every point (`trace-run` and `report` default
+/// `--seed` to it).
+pub const SIM_SEED: u64 = BASE_SEED ^ 0xFA17;
 
 /// The fault profiles swept by default, mildest first.
 pub const PROFILES: [&str; 3] = ["none", "light", "heavy"];
@@ -84,11 +91,10 @@ impl Journaled for FaultRow {
                 .str("policy")?
                 .parse::<PolicySpec>()
                 .map_err(|e| e.to_string())?,
-            // Rows journaled before the topology layer were all flat.
-            topology: match p.str("topology") {
-                Ok(s) => s.parse::<TopologySpec>().map_err(|e| e.to_string())?,
-                Err(_) => TopologySpec::Flat,
-            },
+            topology: p
+                .str("topology")?
+                .parse::<TopologySpec>()
+                .map_err(|e| e.to_string())?,
             throughput_jps: p.f64_bits("throughput_jps")?,
             sample: ResilienceSample {
                 total_jobs: p.u64("total_jobs")? as u32,
@@ -116,63 +122,22 @@ pub struct FaultSweep {
     pub rows: Vec<FaultRow>,
 }
 
-/// The stress system under Checkpoint/Restart (so fault kills preserve
-/// checkpointed progress and the credit column is meaningful).
-fn stress_system(scale: Scale) -> SystemConfig {
-    synthetic_system(scale, MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
-        .with_restart(RestartStrategy::CheckpointRestart)
-}
-
-/// Run the default sweep: every profile × every registered policy on
-/// the flat topology.
-pub fn run(scale: Scale, threads: usize) -> FaultSweep {
-    run_opts(
-        scale,
-        threads,
-        FAULT_SEED,
-        None,
-        &PolicySpec::all_default(),
-        &[TopologySpec::Flat],
-    )
-    .expect("built-in fault profiles are valid")
-}
-
-/// Run the sweep with an explicit fault seed, policy list, and topology
-/// list, optionally restricted to one profile (the CLI's
-/// `--fault-seed` / `--fault-profile` / `--policies` / `--topology`).
-pub fn run_opts(
-    scale: Scale,
-    threads: usize,
-    fault_seed: u64,
-    profile: Option<&str>,
-    policies: &[PolicySpec],
-    topologies: &[TopologySpec],
-) -> Result<FaultSweep, CoreError> {
-    match run_opts_durable(
-        scale,
-        threads,
-        fault_seed,
-        profile,
-        policies,
-        topologies,
-        &DurableOptions::default(),
-        None,
-    ) {
-        Ok(sweep) => Ok(sweep),
-        Err(DurableError::Core(e)) => Err(e),
-        Err(e) => panic!("fault sweep failed: {e}"),
-    }
-}
-
-/// [`run_opts`] through the durable execution layer: each
+/// Run every profile (or only `profile`, validated up front) ×
+/// `policies` × `topologies` through the durable execution layer: each
 /// `(profile, policy, topology)` point is fingerprinted over the scale,
 /// profile, policy spec, topology spec, and both seeds, journaled to
 /// `opts.manifest` the moment it completes, and skipped on resume when
-/// already journaled. When `telemetry` is set, every point runs under
-/// the wall-clock phase profiler (its own collector — points run in
-/// parallel) and the per-point profile rides the journal payload.
+/// already journaled. Callers with no journal pass
+/// [`DurableOptions::default()`]. When `telemetry` is set, every point
+/// runs under the wall-clock phase profiler (its own collector — points
+/// run in parallel) and the per-point profile rides the journal
+/// payload.
+///
+/// The system is the stress system under Checkpoint/Restart, so fault
+/// kills preserve checkpointed progress and the credit column is
+/// meaningful.
 #[allow(clippy::too_many_arguments)]
-pub fn run_opts_durable(
+pub fn run(
     scale: Scale,
     threads: usize,
     fault_seed: u64,
@@ -193,7 +158,7 @@ pub fn run_opts_durable(
         !topologies.is_empty(),
         "fault sweep needs at least one topology"
     );
-    let workload = std::sync::Arc::new(synthetic_workload(scale, 0.5, 0.6, BASE_SEED ^ 0xFA));
+    let workload = std::sync::Arc::new(stress_workload(scale, WORKLOAD_SEED));
     let total_jobs = workload.len() as u32;
     let mut tasks: Vec<(String, PolicySpec, TopologySpec, SystemConfig)> = Vec::new();
     for prof in profiles {
@@ -204,7 +169,10 @@ pub fn run_opts_durable(
                     prof.to_string(),
                     policy,
                     topo,
-                    stress_system(scale).with_faults(faults).with_topology(topo),
+                    stress_system(scale)
+                        .with_restart(RestartStrategy::CheckpointRestart)
+                        .with_faults(faults)
+                        .with_topology(topo),
                 ));
             }
         }
@@ -218,7 +186,7 @@ pub fn run_opts_durable(
                 .field("policy", &policy.to_string())
                 .field("topology", &topo.to_string())
                 .field_hex("fault_seed", fault_seed)
-                .field_hex("seed", BASE_SEED ^ 0xFA17)
+                .field_hex("seed", SIM_SEED)
                 .finish()
         })
         .collect();
@@ -229,13 +197,8 @@ pub fn run_opts_durable(
         threads,
         opts,
         |(prof, policy, topo, sys)| {
-            let (out, phase_profile) = simulate_observed(
-                sys.clone(),
-                workload.clone(),
-                *policy,
-                BASE_SEED ^ 0xFA17,
-                telemetry,
-            );
+            let (out, phase_profile) =
+                simulate_observed(sys.clone(), workload.clone(), *policy, SIM_SEED, telemetry);
             FaultRow {
                 profile: prof.clone(),
                 policy: *policy,
@@ -320,18 +283,31 @@ impl FaultSweep {
 mod tests {
     use super::*;
 
+    /// One flat-fabric sweep with no journal and no telemetry.
+    fn flat(
+        threads: usize,
+        fault_seed: u64,
+        profile: &str,
+        policies: &[PolicySpec],
+    ) -> Result<FaultSweep, DurableError> {
+        let opts = DurableOptions::default();
+        let topologies = [TopologySpec::Flat];
+        run(
+            Scale::Small,
+            threads,
+            fault_seed,
+            Some(profile),
+            policies,
+            &topologies,
+            &opts,
+            None,
+        )
+    }
+
     #[test]
     fn none_profile_is_a_clean_control() {
         let policies = PolicySpec::all_default();
-        let sweep = run_opts(
-            Scale::Small,
-            0,
-            FAULT_SEED,
-            Some("none"),
-            &policies,
-            &[TopologySpec::Flat],
-        )
-        .unwrap();
+        let sweep = flat(0, FAULT_SEED, "none", &policies).unwrap();
         assert_eq!(sweep.rows.len(), policies.len());
         for r in &sweep.rows {
             assert_eq!(r.sample.fault_kills, 0, "{}", r.policy);
@@ -346,9 +322,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_and_renders() {
         let policies = PolicySpec::all_default();
-        let flat = [TopologySpec::Flat];
-        let a = run_opts(Scale::Small, 0, 7, Some("heavy"), &policies, &flat).unwrap();
-        let b = run_opts(Scale::Small, 2, 7, Some("heavy"), &policies, &flat).unwrap();
+        let a = flat(0, 7, "heavy", &policies).unwrap();
+        let b = flat(2, 7, "heavy", &policies).unwrap();
         assert_eq!(a.rows.len(), policies.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.sample, y.sample, "{} {}", x.profile, x.policy);
@@ -364,15 +339,14 @@ mod tests {
     #[test]
     fn telemetry_profiles_points_without_changing_outcomes() {
         let policies = [PolicySpec::Dynamic];
-        let flat = [TopologySpec::Flat];
-        let plain = run_opts(Scale::Small, 1, 7, Some("light"), &policies, &flat).unwrap();
-        let observed = run_opts_durable(
+        let plain = flat(1, 7, "light", &policies).unwrap();
+        let observed = run(
             Scale::Small,
             1,
             7,
             Some("light"),
             &policies,
-            &flat,
+            &[TopologySpec::Flat],
             &DurableOptions::default(),
             Some(TelemetrySpec::default()),
         )
@@ -389,24 +363,21 @@ mod tests {
         let total = observed.profile_total();
         assert!(!total.is_empty());
         assert!(total.phase_calls(dmhpc_core::telemetry::Phase::Finalize) > 0);
-        // And the profile survives a journal round trip on each row.
+        // And the profile survives a journal round trip on each row;
+        // a payload without a topology does not decode.
         for r in &observed.rows {
             let back = FaultRow::decode(&r.encode()).unwrap();
             assert_eq!(back.phases, r.phases);
+            assert_eq!(back.topology, r.topology);
+            let untopologized = r.encode().to_json().replace("\"topology\"", "\"fabric\"");
+            let err = FaultRow::decode(&dmhpc_core::json::parse_object(&untopologized).unwrap());
+            assert_eq!(err.unwrap_err(), "missing field \"topology\"");
         }
     }
 
     #[test]
     fn unknown_profile_rejected() {
         let policies = PolicySpec::all_default();
-        assert!(run_opts(
-            Scale::Small,
-            1,
-            1,
-            Some("apocalyptic"),
-            &policies,
-            &[TopologySpec::Flat]
-        )
-        .is_err());
+        assert!(flat(1, 1, "apocalyptic", &policies).is_err());
     }
 }

@@ -22,31 +22,12 @@ pub struct Fig5 {
     pub sweep: ThroughputSweep,
 }
 
-/// Run the Figure 5 experiment over every registered policy.
-pub fn run(scale: Scale, threads: usize) -> Fig5 {
-    run_with_policies(scale, threads, &PolicySpec::all_default())
-}
-
-/// Run the Figure 5 experiment over an explicit policy list (must
-/// include baseline, the normalisation reference).
-pub fn run_with_policies(scale: Scale, threads: usize, policies: &[PolicySpec]) -> Fig5 {
-    match run_durable(
-        scale,
-        threads,
-        policies,
-        &[TopologySpec::Flat],
-        &DurableOptions::default(),
-    ) {
-        Ok(fig) => fig,
-        Err(e) => panic!("fig5 sweep failed: {e}"),
-    }
-}
-
-/// [`run_with_policies`] through the durable execution layer: journals
-/// each point to `opts.manifest`, resumes from `opts.resume`, and
-/// drains gracefully on interruption (see `crate::durable`). Every
-/// point runs once per entry of `topologies`.
-pub fn run_durable(
+/// Run the Figure 5 experiment over `policies` (must include
+/// baseline, the normalisation reference), once per entry of
+/// `topologies`, through the durable execution layer: journals each
+/// point to `opts.manifest`, resumes from `opts.resume`, and drains
+/// gracefully on interruption (see `crate::durable`).
+pub fn run(
     scale: Scale,
     threads: usize,
     policies: &[PolicySpec],
@@ -59,7 +40,7 @@ pub fn run_durable(
         .collect();
     traces.push(TraceSpec::Grizzly);
     Ok(Fig5 {
-        sweep: ThroughputSweep::run_durable(
+        sweep: ThroughputSweep::run(
             "fig5", scale, &traces, &OVERS, threads, policies, topologies, opts,
         )?,
     })

@@ -18,31 +18,12 @@ pub struct Fig8 {
     pub sweep: ThroughputSweep,
 }
 
-/// Run the Figure 8 experiment over every registered policy.
-pub fn run(scale: Scale, threads: usize) -> Fig8 {
-    run_with_policies(scale, threads, &PolicySpec::all_default())
-}
-
-/// Run the Figure 8 experiment over an explicit policy list (must
-/// include baseline, the normalisation reference).
-pub fn run_with_policies(scale: Scale, threads: usize, policies: &[PolicySpec]) -> Fig8 {
-    match run_durable(
-        scale,
-        threads,
-        policies,
-        &[TopologySpec::Flat],
-        &DurableOptions::default(),
-    ) {
-        Ok(fig) => fig,
-        Err(e) => panic!("fig8 sweep failed: {e}"),
-    }
-}
-
-/// [`run_with_policies`] through the durable execution layer: journals
-/// each point to `opts.manifest`, resumes from `opts.resume`, and
-/// drains gracefully on interruption (see `crate::durable`). Every
-/// point runs once per entry of `topologies`.
-pub fn run_durable(
+/// Run the Figure 8 experiment over `policies` (must include
+/// baseline, the normalisation reference), once per entry of
+/// `topologies`, through the durable execution layer: journals each
+/// point to `opts.manifest`, resumes from `opts.resume`, and drains
+/// gracefully on interruption (see `crate::durable`).
+pub fn run(
     scale: Scale,
     threads: usize,
     policies: &[PolicySpec],
@@ -56,7 +37,7 @@ pub fn run_durable(
         TraceSpec::Grizzly,
     ];
     Ok(Fig8 {
-        sweep: ThroughputSweep::run_durable(
+        sweep: ThroughputSweep::run(
             "fig8", scale, &traces, &OVERS, threads, policies, topologies, opts,
         )?,
     })

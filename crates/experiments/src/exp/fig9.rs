@@ -7,9 +7,11 @@
 //! walk the memory axis upward and report the first point whose
 //! normalised throughput reaches the threshold.
 
+use crate::durable::{DurableError, DurableOptions};
 use crate::exp::fig8::{self, Fig8};
 use crate::scale::Scale;
 use crate::table::TextTable;
+use dmhpc_core::cluster::TopologySpec;
 use dmhpc_core::policy::PolicySpec;
 
 /// The throughput threshold (fraction of the fully provisioned
@@ -60,9 +62,17 @@ pub fn derive(fig8: &Fig8, trace: &str) -> Fig9 {
     Fig9 { rows }
 }
 
-/// Run Figure 8 and derive Figure 9 from it.
-pub fn run(scale: Scale, threads: usize) -> Fig9 {
-    derive(&fig8::run(scale, threads), "large 50%")
+/// Run Figure 8 over every registered policy on the flat fabric and
+/// derive Figure 9 from it.
+pub fn run(scale: Scale, threads: usize) -> Result<Fig9, DurableError> {
+    let f8 = fig8::run(
+        scale,
+        threads,
+        &PolicySpec::all_default(),
+        &[TopologySpec::Flat],
+        &DurableOptions::default(),
+    )?;
+    Ok(derive(&f8, "large 50%"))
 }
 
 impl Fig9 {

@@ -6,9 +6,11 @@
 //! the statistical trace clones, so thresholds are deliberately set
 //! below the paper's reported figures.
 
+use crate::durable::{DurableError, DurableOptions};
 use crate::exp::{fig5, fig6, fig7, fig8, fig9};
 use crate::scale::Scale;
 use crate::table::TextTable;
+use dmhpc_core::cluster::TopologySpec;
 use dmhpc_core::policy::PolicySpec;
 
 /// One validated claim.
@@ -31,12 +33,14 @@ pub struct Validation {
 }
 
 /// Run all validations.
-pub fn run(scale: Scale, threads: usize) -> Validation {
+pub fn run(scale: Scale, threads: usize) -> Result<Validation, DurableError> {
     let mut claims = Vec::new();
 
     // Figures 5 + 8 share the sweep machinery; run fig8 once (it has the
     // overestimation sweep) and fig5 for the mix sweep.
-    let f5 = fig5::run(scale, threads);
+    let policies = PolicySpec::all_default();
+    let (flat, journal) = ([TopologySpec::Flat], DurableOptions::default());
+    let f5 = fig5::run(scale, threads, &policies, &flat, &journal)?;
     let gain = f5.max_dynamic_gain();
     claims.push(Claim {
         name: "fig5_dynamic_gain",
@@ -107,7 +111,7 @@ pub fn run(scale: Scale, threads: usize) -> Validation {
         pass: adv.is_some_and(|a| a >= 0.15),
     });
 
-    let f8 = fig8::run(scale, threads);
+    let f8 = fig8::run(scale, threads, &policies, &flat, &journal)?;
     let gap = f8.gap_at_37("large 50%", 1.0);
     claims.push(Claim {
         name: "fig8_overestimation_gap",
@@ -156,7 +160,7 @@ pub fn run(scale: Scale, threads: usize) -> Validation {
         pass: saving >= 12,
     });
 
-    Validation { claims }
+    Ok(Validation { claims })
 }
 
 impl Validation {

@@ -8,13 +8,13 @@
 //! output is reproducible.
 //!
 //! There is exactly one thread-scatter implementation,
-//! [`run_parallel_observed`]; [`run_parallel`] and
-//! [`run_parallel_progress`] are thin parameterisations of it, and the
-//! durable layer ([`crate::durable`]) wraps the same code path with a
-//! journaling observer.
+//! [`run_parallel_observed`]; [`run_parallel`] is it with no observer,
+//! and the durable layer ([`crate::durable`]) wraps the same code path
+//! with an observer that journals each point and ticks a [`Progress`]
+//! line.
 
 use std::io::IsTerminal;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How the stderr [`Progress`] line decides whether to draw.
@@ -147,91 +147,51 @@ where
 /// determinism; output goes to stderr (stdout stays machine-readable)
 /// and only when stderr is a terminal, so piped and CI runs stay quiet.
 ///
-/// The estimate extrapolates the *work fraction* completed this run,
-/// not the point count: each point carries a weight (uniform by
-/// default), and points completed in a previous run (resume) are
-/// excluded from the rate so a sweep that restarts 90% done does not
-/// report a 10× inflated ETA — see [`eta_seconds`].
+/// The estimate extrapolates from the points finished *this run*:
+/// points completed in a previous run (resume) are excluded from the
+/// rate, so a sweep that restarts 90% done does not report an ETA
+/// near zero — see [`eta_seconds`].
 pub struct Progress {
     label: String,
     total: usize,
     pre_done: usize,
-    weights: Vec<f64>,
-    work_total: f64,
     done: AtomicUsize,
-    work_done_bits: AtomicU64,
     start: Instant,
     active: bool,
 }
 
 impl Progress {
-    /// Start reporting a sweep of `total` uniform-weight runs under
-    /// `label`, none pre-completed.
-    pub fn new(label: &str, total: usize) -> Self {
-        Self::with_plan(label, &vec![1.0; total], &vec![false; total])
-    }
-
-    /// Start reporting a sweep whose point `i` costs `weights[i]` units
-    /// of work (relative scale is all that matters) and is already
-    /// complete from a previous run when `pre_done[i]`. Pre-completed
-    /// points count toward the displayed `done/total` but contribute
-    /// neither elapsed time nor remaining work to the ETA.
-    pub fn with_plan(label: &str, weights: &[f64], pre_done: &[bool]) -> Self {
-        assert_eq!(weights.len(), pre_done.len(), "plan length mismatch");
-        let total = weights.len();
-        let pre = pre_done.iter().filter(|&&d| d).count();
-        let work_total: f64 = weights
-            .iter()
-            .zip(pre_done)
-            .filter(|&(_, &d)| !d)
-            .map(|(&w, _)| w)
-            .sum();
+    /// Start reporting a sweep of `total` points under `label`, of which
+    /// `pre_done` are already complete from a previous run. Those count
+    /// toward the displayed `done/total` but contribute neither elapsed
+    /// time nor remaining points to the ETA.
+    pub fn new(label: &str, total: usize, pre_done: usize) -> Self {
+        let left = total.saturating_sub(pre_done);
         Self {
             label: label.to_string(),
             total,
-            pre_done: pre,
-            weights: weights.to_vec(),
-            work_total,
+            pre_done,
             done: AtomicUsize::new(0),
-            work_done_bits: AtomicU64::new(0f64.to_bits()),
             start: Instant::now(),
             active: match progress_mode() {
                 ProgressMode::Off => false,
-                ProgressMode::On => total.saturating_sub(pre) > 0,
-                ProgressMode::Auto => {
-                    std::io::stderr().is_terminal() && total.saturating_sub(pre) > 1
-                }
+                ProgressMode::On => left > 0,
+                ProgressMode::Auto => std::io::stderr().is_terminal() && left > 1,
             },
         }
     }
 
-    /// Record the completion of plan point `index` and redraw the
-    /// status line.
-    pub fn tick(&self, index: usize) {
-        let weight = self.weights.get(index).copied().unwrap_or(1.0);
-        // f64 add via CAS on the bit pattern — no atomic f64 in std.
-        let mut cur = self.work_done_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + weight).to_bits();
-            match self.work_done_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        let done = self.pre_done + self.done.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Record the completion of one point and redraw the status line.
+    pub fn tick(&self) {
+        let finished = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if !self.active {
             return;
         }
-        let work_done = f64::from_bits(self.work_done_bits.load(Ordering::Relaxed));
+        let done = self.pre_done + finished;
         let eta = eta_seconds(
             self.start.elapsed().as_secs_f64(),
-            work_done,
-            self.work_total - work_done,
+            finished,
+            self.total.saturating_sub(done),
         );
         let line = format_progress(&self.label, done, self.total, eta);
         if done >= self.total {
@@ -243,17 +203,16 @@ impl Progress {
 }
 
 /// Extrapolated seconds remaining after `elapsed_s` seconds spent
-/// completing `work_done` of `work_done + work_remaining` units of
-/// work *this run*: `elapsed × remaining ÷ done`. Returns `None` until
-/// some work has finished (no rate to extrapolate) and once nothing
-/// remains. Callers must not feed pre-completed (resumed) work into
-/// `work_done` — it took none of `elapsed_s`, so counting it would
-/// deflate the estimate just as point-counting inflated it.
-pub fn eta_seconds(elapsed_s: f64, work_done: f64, work_remaining: f64) -> Option<f64> {
-    if work_done <= 0.0 || work_remaining <= 0.0 {
+/// finishing `done` points *this run*, with `remaining` still to run:
+/// `elapsed × remaining ÷ done`. Returns `None` until some point has
+/// finished (no rate to extrapolate) and once nothing remains. Callers
+/// must not count pre-completed (resumed) points in `done` — they took
+/// none of `elapsed_s`, so counting them would deflate the estimate.
+pub fn eta_seconds(elapsed_s: f64, done: usize, remaining: usize) -> Option<f64> {
+    if done == 0 || remaining == 0 {
         return None;
     }
-    Some(elapsed_s * work_remaining / work_done)
+    Some(elapsed_s * remaining as f64 / done as f64)
 }
 
 /// Render one progress line: `label: done/total (pct%, ETA Ns)`. The
@@ -265,17 +224,6 @@ pub fn format_progress(label: &str, done: usize, total: usize, eta: Option<f64>)
         None => String::new(),
     };
     format!("{label}: {done}/{total} ({pct}%{eta})")
-}
-
-/// [`run_parallel`] plus a [`Progress`] line per completed input.
-pub fn run_parallel_progress<I, O, F>(inputs: Vec<I>, threads: usize, label: &str, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let progress = Progress::new(label, inputs.len());
-    run_parallel_observed(inputs, threads, f, |i, _| progress.tick(i))
 }
 
 #[cfg(test)]
@@ -330,9 +278,9 @@ mod tests {
     fn progress_formatting() {
         // No ETA before the first completion…
         assert_eq!(format_progress("sweep", 0, 8, None), "sweep: 0/8 (0%)");
-        // …work-fraction extrapolation in the middle…
+        // …rate extrapolation in the middle…
         assert_eq!(
-            format_progress("sweep", 2, 8, eta_seconds(10.0, 2.0, 6.0)),
+            format_progress("sweep", 2, 8, eta_seconds(10.0, 2, 6)),
             "sweep: 2/8 (25%, ETA 30s)"
         );
         // …and none once everything finished.
@@ -341,46 +289,26 @@ mod tests {
     }
 
     #[test]
-    fn eta_uses_work_fraction_not_point_count() {
-        // Synthetic schedule from the Huge tier: one 4,283 s static
-        // point, then seven 17 s dynamic points. After the heavy point
-        // finishes (4,283 s elapsed, 1/8 points done), a count-based
-        // estimator would predict 7 × 4,283 ≈ 30,000 s; the work
-        // estimator knows only 119 units remain.
-        let weights = [4283.0, 17.0, 17.0, 17.0, 17.0, 17.0, 17.0, 17.0];
-        let done: f64 = weights[0];
-        let remaining: f64 = weights[1..].iter().sum();
-        let eta = eta_seconds(4283.0, done, remaining).unwrap();
-        assert!((eta - 119.0).abs() < 1e-9, "eta = {eta}");
-        // Count-based for comparison: wildly off.
-        let naive = 4283.0 / 1.0 * 7.0;
-        assert!(naive > 100.0 * eta);
-    }
-
-    #[test]
-    fn eta_excludes_resumed_work_from_rate() {
-        // 10-point uniform plan, 8 pre-completed on a previous run. The
-        // rate must come only from this run's 2 points: after 1 of them
+    fn eta_excludes_resumed_points_from_rate() {
+        // 10-point plan, 8 pre-completed on a previous run. The rate
+        // must come only from this run's 2 points: after 1 of them
         // (30 s), ETA is 30 s — not 30/9ths of a second, which is what
         // feeding all 9 "done" points into the rate would produce.
-        let eta = eta_seconds(30.0, 1.0, 1.0).unwrap();
+        let eta = eta_seconds(30.0, 1, 1).unwrap();
         assert!((eta - 30.0).abs() < 1e-9);
         // Nothing-left and nothing-done edges.
-        assert_eq!(eta_seconds(30.0, 2.0, 0.0), None);
-        assert_eq!(eta_seconds(0.0, 0.0, 5.0), None);
+        assert_eq!(eta_seconds(30.0, 2, 0), None);
+        assert_eq!(eta_seconds(0.0, 0, 5), None);
     }
 
     #[test]
-    fn with_plan_counts_pre_done() {
-        let p = Progress::with_plan("resume", &[1.0; 4], &[true, true, false, false]);
+    fn new_counts_pre_done() {
+        let p = Progress::new("resume", 4, 2);
         assert_eq!(p.pre_done, 2);
         assert_eq!(p.total, 4);
-        assert!((p.work_total - 2.0).abs() < 1e-12);
-        // Ticking the remaining points accumulates only their weight.
-        p.tick(2);
-        p.tick(3);
-        let done = f64::from_bits(p.work_done_bits.load(Ordering::Relaxed));
-        assert!((done - 2.0).abs() < 1e-12);
+        // Ticking the remaining points counts only this run's.
+        p.tick();
+        p.tick();
         assert_eq!(p.done.load(Ordering::Relaxed), 2);
     }
 
@@ -390,23 +318,15 @@ mod tests {
         // On must force activity anyway (the CLI's --progress); Off
         // stays quiet regardless.
         assert_eq!(progress_mode(), ProgressMode::Auto);
-        assert!(!Progress::new("auto", 8).active);
+        assert!(!Progress::new("auto", 8, 0).active);
         set_progress_mode(ProgressMode::On);
         assert_eq!(progress_mode(), ProgressMode::On);
-        assert!(Progress::new("forced", 8).active);
+        assert!(Progress::new("forced", 8, 0).active);
         // On still skips fully pre-completed plans: nothing will tick.
-        assert!(!Progress::with_plan("done", &[1.0; 2], &[true, true]).active);
+        assert!(!Progress::new("done", 2, 2).active);
         set_progress_mode(ProgressMode::Off);
-        assert!(!Progress::new("quiet", 8).active);
+        assert!(!Progress::new("quiet", 8, 0).active);
         set_progress_mode(ProgressMode::Auto);
-    }
-
-    #[test]
-    fn progress_wrapper_matches_plain_run() {
-        let inputs: Vec<u64> = (0..40).collect();
-        let plain = run_parallel(inputs.clone(), 4, |&x| x * 3);
-        let reported = run_parallel_progress(inputs, 4, "test", |&x| x * 3);
-        assert_eq!(plain, reported);
     }
 
     #[test]

@@ -48,6 +48,20 @@ pub fn synthetic_workload(
         .build_for(&synthetic_system(scale, MemoryMix::all_large()))
 }
 
+/// The stress scenario's system, where the dynamic policy matters most:
+/// underprovisioned, with 64/128 GB nodes and only 25% of them large
+/// for a 50%-large job mix. Callers add their own restart strategy,
+/// faults or knob under study.
+pub fn stress_system(scale: Scale) -> SystemConfig {
+    synthetic_system(scale, MemoryMix::new(64 * 1024, 128 * 1024, 0.25))
+}
+
+/// The stress scenario's workload: 50% large jobs at +60%
+/// overestimation, drawn from `seed`.
+pub fn stress_workload(scale: Scale, seed: u64) -> Workload {
+    synthetic_workload(scale, 0.5, 0.6, seed)
+}
+
 /// The Grizzly dataset at this scale plus the paper's week selection
 /// (≥ 70% utilisation, up to seven weeks).
 pub fn grizzly_bundle(scale: Scale, seed: u64) -> (GrizzlyDataset, Vec<usize>) {

@@ -99,13 +99,11 @@ impl Journaled for SweepPoint {
                 .str("policy")?
                 .parse::<PolicySpec>()
                 .map_err(|e| e.to_string())?,
-            // Rows journaled before the topology layer carry no
-            // topology key; they were all flat.
-            topology: match p.str("topology") {
-                Ok(s) => s.parse::<TopologySpec>().map_err(|e| e.to_string())?,
-                Err(_) => TopologySpec::Flat,
-            },
-            cross_rack_fraction: p.f64_bits("cross_rack_fraction").unwrap_or(0.0),
+            topology: p
+                .str("topology")?
+                .parse::<TopologySpec>()
+                .map_err(|e| e.to_string())?,
+            cross_rack_fraction: p.f64_bits("cross_rack_fraction")?,
             throughput_jps: p.f64_bits("throughput_jps")?,
             feasible: p.bool("feasible")?,
             completed: p.u64("completed")? as u32,
@@ -130,56 +128,27 @@ impl ThroughputSweep {
     /// datasets may have fewer eligible weeks anyway).
     pub const GRIZZLY_WEEKS: usize = 3;
 
-    /// Run the sweep over every registered policy at its default
-    /// parameters (see [`PolicySpec::all_default`]).
-    pub fn run(scale: Scale, traces: &[TraceSpec], overs: &[f64], threads: usize) -> Self {
-        Self::run_with_policies(scale, traces, overs, threads, &PolicySpec::all_default())
-    }
-
-    /// Run the sweep over an explicit policy list. `overs` must contain
-    /// `0.0` and `policies` must contain [`PolicySpec::Baseline`] (the
-    /// normalisation reference is Baseline at 100% memory and +0%
-    /// overestimation).
+    /// Run the sweep over `policies` × `topologies` through the durable
+    /// execution layer (`crate::durable`): each `(leg, mem, policy,
+    /// topology)` point is fingerprinted, journaled to `opts.manifest`
+    /// the moment it completes, isolated against panics, and skipped on
+    /// resume when its outcome is already journaled. Simulated values
+    /// do not depend on `opts` — the layer only decides *whether* a
+    /// point runs, never how. Callers with no journal pass
+    /// [`DurableOptions::default()`]; `label` names the run in the
+    /// manifest header and on the progress line.
+    ///
+    /// `overs` must contain `0.0` and `policies` must contain
+    /// [`PolicySpec::Baseline`]: normalisation is per `(trace,
+    /// topology)` against Baseline at 100% memory and +0%
+    /// overestimation *on that topology*, so topology legs compare
+    /// policy effects, not raw fabric overhead.
     ///
     /// Grizzly points are the mean over up to [`Self::GRIZZLY_WEEKS`]
     /// selected weeks; a configuration counts as feasible only when every
     /// simulated week ran all its jobs (the paper's missing-bar rule).
-    pub fn run_with_policies(
-        scale: Scale,
-        traces: &[TraceSpec],
-        overs: &[f64],
-        threads: usize,
-        policies: &[PolicySpec],
-    ) -> Self {
-        match Self::run_durable(
-            "sweep",
-            scale,
-            traces,
-            overs,
-            threads,
-            policies,
-            &[TopologySpec::Flat],
-            &DurableOptions::default(),
-        ) {
-            Ok(sweep) => sweep,
-            Err(e) => panic!("sweep failed: {e}"),
-        }
-    }
-
-    /// [`Self::run_with_policies`] through the durable execution layer
-    /// (`crate::durable`): each `(leg, mem, policy)` point is
-    /// fingerprinted, journaled to `opts.manifest` the moment it
-    /// completes, isolated against panics, and skipped on resume when
-    /// its outcome is already journaled. Simulated values are
-    /// bit-identical to the plain sweep — the layer only decides
-    /// *whether* a point runs, never how.
-    /// `topologies` adds a fabric-topology axis: every `(leg, mem,
-    /// policy)` point runs once per topology, and normalisation is per
-    /// `(trace, topology)` — each topology is normalised against *its
-    /// own* baseline, so topology legs compare policy effects, not raw
-    /// fabric overhead.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_durable(
+    pub fn run(
         label: &str,
         scale: Scale,
         traces: &[TraceSpec],
@@ -442,16 +411,29 @@ fn fake_outcome(jps: f64, feasible: bool) -> dmhpc_core::sim::SimulationOutcome 
 mod tests {
     use super::*;
 
+    /// A flat, unjournaled sweep of one synthetic trace.
+    fn synthetic(
+        large_fraction: f64,
+        overs: &[f64],
+        threads: usize,
+        policies: &[PolicySpec],
+    ) -> ThroughputSweep {
+        ThroughputSweep::run(
+            "sweep",
+            Scale::Small,
+            &[TraceSpec::Synthetic { large_fraction }],
+            overs,
+            threads,
+            policies,
+            &[TopologySpec::Flat],
+            &DurableOptions::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn small_sweep_has_reference_and_ordering() {
-        let sweep = ThroughputSweep::run(
-            Scale::Small,
-            &[TraceSpec::Synthetic {
-                large_fraction: 0.5,
-            }],
-            &[0.0],
-            0,
-        );
+        let sweep = synthetic(0.5, &[0.0], 0, &PolicySpec::all_default());
         // 8 memory points × 6 registered policies.
         assert_eq!(sweep.points.len(), 48);
         let reference = sweep
@@ -470,15 +452,7 @@ mod tests {
     #[test]
     fn policy_subset_sweep_runs_only_those_policies() {
         let policies = [PolicySpec::Baseline, PolicySpec::Overcommit { factor: 0.8 }];
-        let sweep = ThroughputSweep::run_with_policies(
-            Scale::Small,
-            &[TraceSpec::Synthetic {
-                large_fraction: 0.5,
-            }],
-            &[0.0],
-            0,
-            &policies,
-        );
+        let sweep = synthetic(0.5, &[0.0], 0, &policies);
         // 8 memory points × 2 policies.
         assert_eq!(sweep.points.len(), 16);
         assert!(sweep.points.iter().all(|p| policies.contains(&p.policy)));
@@ -487,28 +461,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "baseline policy")]
     fn sweep_requires_baseline_policy() {
-        ThroughputSweep::run_with_policies(
-            Scale::Small,
-            &[TraceSpec::Synthetic {
-                large_fraction: 0.0,
-            }],
-            &[0.0],
-            1,
-            &[PolicySpec::Dynamic],
-        );
+        synthetic(0.0, &[0.0], 1, &[PolicySpec::Dynamic]);
     }
 
     #[test]
     #[should_panic(expected = "0% overestimation")]
     fn sweep_requires_zero_leg() {
-        ThroughputSweep::run(
-            Scale::Small,
-            &[TraceSpec::Synthetic {
-                large_fraction: 0.0,
-            }],
-            &[0.6],
-            1,
-        );
+        synthetic(0.0, &[0.6], 1, &PolicySpec::all_default());
     }
 
     /// The linear-scan aggregation `aggregate` replaced, kept verbatim
@@ -605,6 +564,22 @@ mod tests {
         // Three grizzly weeks folded into one point per cell: 2 traces ×
         // 2 overs × 3 mem × 6 policies × 2 topologies.
         assert_eq!(fast.len(), 144);
+    }
+
+    #[test]
+    fn journal_payload_round_trips_and_needs_topology() {
+        for p in multiweek_raw() {
+            assert_eq!(SweepPoint::decode(&p.encode()).unwrap(), p);
+            // Every field is required: a payload that lacks the
+            // topology or the cross-rack fraction does not decode.
+            for key in ["topology", "cross_rack_fraction"] {
+                let json = p.encode().to_json();
+                let renamed = json.replace(&format!("\"{key}\""), "\"renamed\"");
+                let payload = dmhpc_core::json::parse_object(&renamed).unwrap();
+                let err = SweepPoint::decode(&payload).unwrap_err();
+                assert_eq!(err, format!("missing field \"{key}\""));
+            }
+        }
     }
 
     #[test]

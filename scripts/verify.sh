@@ -192,7 +192,14 @@ echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (warnings are errors) =="
-RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace
+# RUSTDOCFLAGS fails on rustdoc's warnings but not on cargo's own, such
+# as two targets documenting into one directory (one overwrites the
+# other), so any warning line cargo prints fails the step too.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace 2>&1 | tee "$T/doc.log"
+if grep -q '^warning' "$T/doc.log"; then
+    echo "verify: cargo doc printed a warning" >&2
+    exit 1
+fi
 
 echo "== rustfmt check =="
 cargo fmt --check

@@ -45,7 +45,7 @@ fn temp_path(tag: &str) -> String {
 /// overestimation legs, three policies — 2 legs x 8 memory points x 3
 /// policies = 48 points, enough to interrupt part-way.
 fn golden_sweep(threads: usize, opts: &DurableOptions) -> Result<ThroughputSweep, DurableError> {
-    ThroughputSweep::run_durable(
+    ThroughputSweep::run(
         "golden",
         Scale::Small,
         &[TraceSpec::Synthetic {
@@ -310,7 +310,7 @@ fn incompatible_resume_is_a_hard_error() {
         resume: Some(resume),
         ..DurableOptions::default()
     };
-    let err = ThroughputSweep::run_durable(
+    let err = ThroughputSweep::run(
         "golden",
         Scale::Small,
         &[TraceSpec::Synthetic {
@@ -335,7 +335,7 @@ fn incompatible_resume_is_a_hard_error() {
         resume: Some(resume),
         ..DurableOptions::default()
     };
-    let err = ThroughputSweep::run_durable(
+    let err = ThroughputSweep::run(
         "other-label",
         Scale::Small,
         &[TraceSpec::Synthetic {

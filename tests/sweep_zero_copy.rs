@@ -9,9 +9,10 @@
 //! Grizzly legs) yields identical `SweepPoint` values and ordering at
 //! threads 1 vs N.
 
-use dmhpc::core::cluster::MemoryMix;
+use dmhpc::core::cluster::{MemoryMix, TopologySpec};
 use dmhpc::core::policy::PolicySpec;
 use dmhpc::core::sim::{SimBuilder, Workload};
+use dmhpc::experiments::durable::DurableOptions;
 use dmhpc::experiments::scenario::{simulate, synthetic_system, synthetic_workload};
 use dmhpc::experiments::{Scale, ThroughputSweep, TraceSpec};
 use std::sync::Arc;
@@ -77,8 +78,22 @@ fn sweep_threads_one_vs_n_bit_identical() {
         TraceSpec::Grizzly,
     ];
     let policies = [PolicySpec::Baseline, PolicySpec::Dynamic];
-    let one = ThroughputSweep::run_with_policies(Scale::Small, &traces, &[0.0], 1, &policies);
-    let many = ThroughputSweep::run_with_policies(Scale::Small, &traces, &[0.0], 4, &policies);
+    let flat = [TopologySpec::Flat];
+    let run = |threads| {
+        let opts = DurableOptions::default();
+        ThroughputSweep::run(
+            "sweep",
+            Scale::Small,
+            &traces,
+            &[0.0],
+            threads,
+            &policies,
+            &flat,
+            &opts,
+        )
+        .unwrap()
+    };
+    let (one, many) = (run(1), run(4));
     assert_eq!(one.points.len(), many.points.len());
     assert!(!one.points.is_empty());
     for (a, b) in one.points.iter().zip(&many.points) {

@@ -264,7 +264,8 @@ fn golden_table_covers_the_registries() {
 /// identical rows.
 #[test]
 fn sweep_rows_are_thread_count_invariant() {
-    use dmhpc::experiments::exp::faults::run_opts;
+    use dmhpc::experiments::durable::DurableOptions;
+    use dmhpc::experiments::exp::faults;
     let policies = [PolicySpec::Baseline, PolicySpec::Dynamic];
     let topologies = [
         TopologySpec::Flat,
@@ -273,24 +274,21 @@ fn sweep_rows_are_thread_count_invariant() {
             cross_cap: 1.0,
         },
     ];
-    let a = run_opts(
-        Scale::Small,
-        1,
-        FAULT_SEED,
-        Some("light"),
-        &policies,
-        &topologies,
-    )
-    .unwrap();
-    let b = run_opts(
-        Scale::Small,
-        4,
-        FAULT_SEED,
-        Some("light"),
-        &policies,
-        &topologies,
-    )
-    .unwrap();
+    let run = |threads| {
+        let opts = DurableOptions::default();
+        faults::run(
+            Scale::Small,
+            threads,
+            FAULT_SEED,
+            Some("light"),
+            &policies,
+            &topologies,
+            &opts,
+            None,
+        )
+        .unwrap()
+    };
+    let (a, b) = (run(1), run(4));
     assert_eq!(a.rows.len(), b.rows.len());
     assert_eq!(a.rows.len(), policies.len() * topologies.len());
     for (x, y) in a.rows.iter().zip(&b.rows) {
